@@ -10,27 +10,25 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import networkx as nx
 
-from .errors import NodeNotInGraph, NotUpwardClosed, UnknownPredicate
+from .errors import NodeNotInGraph, NotUpwardClosed
 from .net import (
     And,
+    CompiledNet,
     CounterAtom,
     Marking,
     ModeAtom,
     NetModel,
-    Not,
     Or,
     Predicate,
     TokenAtom,
-    enabled_set,
-    eval_predicate,
-    fire,
+    compiled,
     initial_marking,
     is_upward_closed,
     predicate_atoms,
@@ -82,18 +80,43 @@ class Verdict:
         return f"{self.checked_predicate}: {self.kind.value}/{self.proof.value}"
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachGraph:
-    """Explored marking graph; every edge (m, t, m') satisfies m' = fire(m, t)."""
+    """Explored marking graph; every edge (m, t, m') satisfies m' = fire(m, t).
 
-    root: Marking
-    nodes: list[Marking]
-    edges: list[tuple[Marking, str, Marking]]
-    depth: dict[Marking, int]
-    truncated: bool
+    Held as compiled-net state vectors in BFS discovery order, edges as
+    (source, transition index, target) positions, and per state the edge
+    that discovered it (-1 for the root). The Marking views are built on
+    first use and cached.
+    """
+
+    net: CompiledNet
     bound: ExplorationBound
-    _succ: dict = field(default=None, repr=False)
-    _pred: dict = field(default=None, repr=False)
+    truncated: bool
+    states: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
+    state_edges: list[tuple[int, int, int]]
+    discovered_by: list[int]
+
+    @cached_property
+    def nodes(self) -> list[Marking]:
+        return [self.net.marking(s) for s in self.states]
+
+    @property
+    def root(self) -> Marking:
+        return self.nodes[0]
+
+    @cached_property
+    def edges(self) -> list[tuple[Marking, str, Marking]]:
+        nodes, ids = self.nodes, self.net.ids
+        return [(nodes[a], ids[t], nodes[b]) for a, t, b in self.state_edges]
+
+    @cached_property
+    def depth(self) -> dict[Marking, int]:
+        levels = [0]
+        for e in self.discovered_by[1:]:
+            levels.append(levels[self.state_edges[e][0]] + 1)
+        return dict(zip(self.nodes, levels))
 
     @property
     def node_set(self) -> frozenset[Marking]:
@@ -103,129 +126,115 @@ class ReachGraph:
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
+    def position(self, m: Marking) -> Optional[int]:
+        """Position of m in `states`, or None when m is not a node."""
+        if not self.net.describes(m):
+            return None
+        return self.index.get(self.net.state(m))
+
     def __contains__(self, m: Marking) -> bool:
-        return m in self.depth
+        return self.position(m) is not None
+
+    @cached_property
+    def _adjacent(self) -> tuple[dict, dict]:
+        succ: dict[Marking, list] = {n: [] for n in self.nodes}
+        pred: dict[Marking, list] = {n: [] for n in self.nodes}
+        for a, t, b in self.edges:
+            succ[a].append((t, b))
+            pred[b].append((a, t))
+        return succ, pred
 
     def successors(self, m: Marking) -> list[tuple[str, Marking]]:
-        if self._succ is None:
-            succ: dict[Marking, list] = {n: [] for n in self.nodes}
-            for a, t, b in self.edges:
-                succ[a].append((t, b))
-            self._succ = succ
-        return self._succ[m]
+        return self._adjacent[0][m]
 
     def predecessors(self, m: Marking) -> list[tuple[Marking, str]]:
-        if self._pred is None:
-            pred: dict[Marking, list] = {n: [] for n in self.nodes}
-            for a, t, b in self.edges:
-                pred[b].append((a, t))
-            self._pred = pred
-        return self._pred[m]
+        return self._adjacent[1][m]
 
     def nodes_within_depth(self, d: int) -> frozenset[Marking]:
         return frozenset(m for m, dep in self.depth.items() if dep <= d)
 
 
-def _exceeds_token_cut(model: NetModel, m: Marking, cap: int) -> bool:
-    for p in model.places:
-        if p.capacity is None and m.tokens_at(p.id) > cap:
-            return True
-    return False
-
-
 def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> ReachGraph:
     """Breadth-first exploration of the reachable marking set.
 
-    Bounds never fail; exceeding one sets the truncation flag. With
-    workers > 1, each layer is expanded in parallel and merged in canonical
-    order, so the result is bit-identical to single-worker output.
+    Bounds never fail; exceeding one sets the truncation flag. Exploration
+    runs serially over the compiled net; `workers` is accepted for
+    compatibility and does not change the result.
     """
-    root = initial_marking(model)
-    nodes = [root]
-    depth = {root: 0}
-    edges: list[tuple[Marking, str, Marking]] = []
+    net = compiled(model)
+    root = net.state(initial_marking(model))
+    states = [root]
+    index = {root: 0}
+    discovered_by = [-1]
+    state_edges: list[tuple[int, int, int]] = []
     truncated = False
-    frontier = [root]
+    cut = bound.max_tokens_per_place
+    # A kept state is within the token cut, so a successor can only cross it
+    # at an unbounded place its transition fills; the root alone may start
+    # beyond it, and then every unbounded place is checked.
+    fills = [tuple(p for p, d in t.delta if d > 0 and p in net.unbounded) for t in net.transitions]
+    if any(root[p] > cut for p in net.unbounded):
+        fills = [net.unbounded] * len(fills)
+    enabled, step = net.enabled, net.step
+    frontier = [0]
     d = 0
-
-    def expand(m: Marking) -> list[tuple[str, Marking]]:
-        return [(t, fire(model, m, t)) for t in enabled_set(model, m)]
-
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        while frontier:
-            if d >= bound.max_depth:
-                if any(enabled_set(model, m) for m in frontier):
+    while frontier:
+        if d >= bound.max_depth:
+            if any(enabled(states[a]) for a in frontier):
+                truncated = True
+            break
+        next_frontier: list[int] = []
+        for a in frontier:
+            v = states[a]
+            for t in enabled(v):
+                s = step(v, t)
+                if any(s[p] > cut for p in fills[t]):
                     truncated = True
-                break
-            if pool is not None:
-                expansions = list(pool.map(expand, frontier))
-            else:
-                expansions = [expand(m) for m in frontier]
-            next_frontier: list[Marking] = []
-            for m, succs in zip(frontier, expansions):
-                for t, m2 in succs:
-                    if _exceeds_token_cut(model, m2, bound.max_tokens_per_place):
+                    continue
+                b = index.get(s)
+                if b is None:
+                    if len(states) >= bound.max_states:
                         truncated = True
                         continue
-                    if m2 not in depth:
-                        if len(nodes) >= bound.max_states:
-                            truncated = True
-                            continue
-                        depth[m2] = d + 1
-                        nodes.append(m2)
-                        next_frontier.append(m2)
-                    edges.append((m, t, m2))
-            frontier = next_frontier
-            d += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return ReachGraph(root, nodes, edges, depth, truncated, bound)
+                    b = index[s] = len(states)
+                    states.append(s)
+                    discovered_by.append(len(state_edges))
+                    next_frontier.append(b)
+                state_edges.append((a, t, b))
+        frontier = next_frontier
+        d += 1
+    return ReachGraph(net, bound, truncated, states, index, state_edges, discovered_by)
 
 
 def violation_trace(graph: ReachGraph, predicate: Predicate) -> Optional[ViolationTrace]:
-    """Shortest trace (BFS layers, canonical tie-break) to a satisfying node."""
-    parent: dict[Marking, tuple[Marking, str]] = {}
-    seen = {graph.root}
-    queue = deque([graph.root])
-    target = None
-    if eval_predicate(predicate, graph.root):
-        target = graph.root
-    while queue and target is None:
-        m = queue.popleft()
-        for t, m2 in graph.successors(m):
-            if m2 in seen:
-                continue
-            seen.add(m2)
-            parent[m2] = (m, t)
-            if eval_predicate(predicate, m2):
-                target = m2
-                break
-            queue.append(m2)
+    """Shortest trace (BFS layers, canonical tie-break) to a satisfying node.
+
+    Nodes are stored in BFS discovery order, so the first satisfying node
+    is the one a breadth-first search from the root reaches first, and the
+    edges that discovered each node form the shortest path back to the root.
+    """
+    holds = graph.net.predicate(predicate)
+    target = next((i for i, s in enumerate(graph.states) if holds(s)), None)
     if target is None:
         return None
     firings: list[str] = []
-    markings = [target]
-    cur = target
-    while cur in parent:
-        prev, t = parent[cur]
-        firings.append(t)
-        markings.append(prev)
-        cur = prev
-    return ViolationTrace(tuple(reversed(firings)), tuple(reversed(markings)))
+    path = [target]
+    while path[-1]:
+        a, t, _ = graph.state_edges[graph.discovered_by[path[-1]]]
+        firings.append(graph.net.ids[t])
+        path.append(a)
+    markings = tuple(graph.net.marking(graph.states[i]) for i in reversed(path))
+    return ViolationTrace(tuple(reversed(firings)), markings)
 
 
-def check_forbidden(model: NetModel, predicate_name: str,
-                    bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> Verdict:
-    """Verdict for one named forbidden predicate.
+def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Verdict:
+    """Verdict for one named forbidden predicate from an explored graph.
 
     Unsafe carries a minimal-length replayable trace. Safe/ExhaustiveBounded
     requires an untruncated exploration; Safe/Coverability is attempted for
     upward-closed token-only predicates when the bound was exhausted.
     """
     pred = model.forbidden_predicate(predicate_name)
-    graph = explore(model, bound, workers)
     trace = violation_trace(graph, pred)
     if trace is not None:
         return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
@@ -234,10 +243,18 @@ def check_forbidden(model: NetModel, predicate_name: str,
     if is_upward_closed(pred) and not any(
         isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(pred)
     ):
-        cov = karp_miller(model, pred, predicate_name=predicate_name)
+        # The verdict alone decides; a witness for a coverable target would be discarded.
+        cov = _karp_miller_tree(model, pred, predicate_name)
         if cov.verdict.kind is VerdictKind.SAFE:
             return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
     return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
+
+
+def check_forbidden(model: NetModel, predicate_name: str,
+                    bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> Verdict:
+    """Verdict for one named forbidden predicate (see graph_verdict)."""
+    model.forbidden_predicate(predicate_name)
+    return graph_verdict(model, explore(model, bound, workers), predicate_name)
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +305,6 @@ def _minimal_target_markings(pred: Predicate, place_order: tuple[str, ...]) -> l
     return result
 
 
-def _plain_projection(model: NetModel):
-    """(need, delta) vectors per transition, ignoring inhibitors, guards,
-    capacities, and modes. Over-approximates the true semantics, so an
-    uncoverable verdict is sound for the full net."""
-    order = model.place_ids
-    idx = {p: i for i, p in enumerate(order)}
-    rows = []
-    for t in model.transitions:
-        need = [0] * len(order)
-        delta = [0] * len(order)
-        for p, w in t.inputs:
-            need[idx[p]] += w
-            delta[idx[p]] -= w
-        for p, w in t.reads:
-            need[idx[p]] = max(need[idx[p]], w)
-        for p, w in t.outputs:
-            delta[idx[p]] += w
-        rows.append((t.id, tuple(need), tuple(delta)))
-    return order, rows
-
-
 def _covers(m: tuple, target: tuple) -> bool:
     return all(a >= b for a, b in zip(m, target))
 
@@ -323,14 +319,27 @@ def karp_miller(model: NetModel, target: Predicate, *,
     target is coverable, a concrete witness trace is extracted by bounded
     exploration under the full semantics when one can be found.
     """
+    result = _karp_miller_tree(model, target, predicate_name)
+    if result.covering_path is None:
+        return result
+    trace = _concrete_witness(model, target)
+    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
+    return CoverabilityResult(verdict, result.tree_nodes, result.tree_edges, result.covering_path)
+
+
+def _karp_miller_tree(model: NetModel, target: Predicate, predicate_name: str) -> CoverabilityResult:
+    """The Karp-Miller tree and its verdict, without a witness trace."""
     if not is_upward_closed(target):
         raise NotUpwardClosed("target predicate is not syntactically upward-closed")
     if any(isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(target)):
         raise NotUpwardClosed("coverability targets may not use counter or mode atoms")
 
-    order, rows = _plain_projection(model)
-    targets = _minimal_target_markings(target, order)
-    root = tuple(initial_marking(model).tokens_at(p) for p in order)
+    net = compiled(model)
+    n = len(net.place_ids)
+    rows = [(t.id, t.needs, tuple((p, d) for p, d in t.delta if p < n))
+            for t in net.transitions]
+    targets = _minimal_target_markings(target, net.place_ids)
+    root = net.state(initial_marking(model))[:n]
 
     tree_nodes: list[tuple] = [root]
     tree_edges: list[tuple[int, str, int]] = []
@@ -349,10 +358,12 @@ def karp_miller(model: NetModel, target: Predicate, *,
     while worklist:
         node = worklist.popleft()
         m = tree_nodes[node]
-        for tid, need, delta in rows:
-            if not all(m[i] >= need[i] for i in range(len(order))):
+        for tid, needs, delta in rows:
+            if any(m[p] < w for p, w in needs):
                 continue
-            m2 = list(a + d for a, d in zip(m, delta))
+            m2 = list(m)
+            for p, d in delta:
+                m2[p] += d
             # omega-acceleration against ancestors on the path
             changed = True
             while changed:
@@ -362,7 +373,7 @@ def karp_miller(model: NetModel, target: Predicate, *,
                     if all(a <= b for a, b in zip(am, m2)) and any(
                         a < b for a, b in zip(am, m2)
                     ):
-                        for i in range(len(order)):
+                        for i in range(n):
                             if am[i] < m2[i] and m2[i] != OMEGA:
                                 m2[i] = OMEGA
                                 changed = True
@@ -391,14 +402,13 @@ def karp_miller(model: NetModel, target: Predicate, *,
     while i in via:
         path.append(via[i])
         i = parents[i]
-    path = tuple(reversed(path))
-    trace = _concrete_witness(model, target, targets, order)
-    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
-    return CoverabilityResult(verdict, tree_nodes, tree_edges, covering_path=path)
+    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name)
+    return CoverabilityResult(verdict, tree_nodes, tree_edges, tuple(reversed(path)))
 
 
-def _concrete_witness(model: NetModel, target: Predicate, targets, order):
+def _concrete_witness(model: NetModel, target: Predicate):
     """Bounded search under the full semantics for a marking covering the target."""
+    targets = _minimal_target_markings(target, compiled(model).place_ids)
     base_cap = max((max(t) for t in targets), default=1)
     for cap in (base_cap + 2, (base_cap + 2) * 4, (base_cap + 2) * 16):
         bound = ExplorationBound(max_states=200_000, max_depth=10_000, max_tokens_per_place=cap)
@@ -509,36 +519,42 @@ class Pressure:
     truncated: bool
 
 
-def pressure_map(graph: ReachGraph, predicate: Predicate) -> dict[Marking, Optional[int]]:
-    """Minimum firings from every node to any satisfying node (reverse BFS)."""
-    dist: dict[Marking, Optional[int]] = {m: None for m in graph.nodes}
-    queue = deque()
-    for m in graph.nodes:
-        if eval_predicate(predicate, m):
-            dist[m] = 0
-            queue.append(m)
+def node_distances(graph: ReachGraph, predicate: Predicate) -> list[Optional[int]]:
+    """Minimum firings from each node, by position, to any satisfying node (reverse BFS)."""
+    holds = graph.net.predicate(predicate)
+    preds: list[list[int]] = [[] for _ in graph.states]
+    for a, _t, b in graph.state_edges:
+        preds[b].append(a)
+    dist: list[Optional[int]] = [None] * len(graph.states)
+    queue = deque(i for i, s in enumerate(graph.states) if holds(s))
+    for i in queue:
+        dist[i] = 0
     while queue:
-        m = queue.popleft()
-        for prev, _t in graph.predecessors(m):
-            if dist[prev] is None:
-                dist[prev] = dist[m] + 1
-                queue.append(prev)
+        b = queue.popleft()
+        for a in preds[b]:
+            if dist[a] is None:
+                dist[a] = dist[b] + 1
+                queue.append(a)
     return dist
+
+
+def pressure_map(graph: ReachGraph, predicate: Predicate) -> dict[Marking, Optional[int]]:
+    """Minimum firings from every node to any satisfying node."""
+    return dict(zip(graph.nodes, node_distances(graph, predicate)))
 
 
 def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -> Pressure:
     """Pressure of one marking; raises NodeNotInGraph for unexplored markings."""
-    if m not in graph:
+    i = graph.position(m)
+    if i is None:
         raise NodeNotInGraph(f"marking is not a node of the explored graph")
-    return Pressure(pressure_map(graph, predicate)[m], graph.truncated)
+    return Pressure(node_distances(graph, predicate)[i], graph.truncated)
 
 
 def check_all_forbidden(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND,
                         workers: int = 1) -> dict[str, Verdict]:
-    """Verdicts for every named forbidden predicate of the model."""
+    """Verdicts for every named forbidden predicate of the model, from one exploration."""
     if not model.forbidden:
         return {}
-    return {
-        name: check_forbidden(model, name, bound, workers)
-        for name, _ in model.forbidden
-    }
+    graph = explore(model, bound, workers)
+    return {name: graph_verdict(model, graph, name) for name, _ in model.forbidden}

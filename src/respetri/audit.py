@@ -14,9 +14,8 @@ from typing import Optional, Union
 from .analysis import (
     DEFAULT_BOUND,
     ExplorationBound,
-    ReachGraph,
     explore,
-    pressure_map,
+    node_distances,
 )
 from .errors import PressureUnavailable, ScriptedFiringDisabled
 from .net import (
@@ -29,8 +28,7 @@ from .net import (
     PressureThreshold,
     RateThreshold,
     _OPS,
-    enabled_set,
-    fire,
+    compiled,
     initial_marking,
 )
 
@@ -82,15 +80,17 @@ class RunRecord:
         return len(self.firings)
 
 
-def simulate(model: NetModel, policy: SimPolicy, steps: int) -> RunRecord:
+def simulate(model: NetModel, policy: SimPolicy, steps: int,
+             bound: ExplorationBound = DEFAULT_BOUND) -> RunRecord:
     """Run the token game for up to `steps` firings.
 
     Stops early at a deadlock (no enabled transition), recording the step at
     which it occurred. Audit rules declared on the model are evaluated over
-    the finished run.
+    the finished run; pressure rules explore within `bound`.
     """
-    m = initial_marking(model)
-    markings = [m]
+    net = compiled(model)
+    v = net.state(initial_marking(model))
+    states = [v]
     firings: list[str] = []
     deadlock: Optional[int] = None
     rng = random.Random(getattr(policy, "seed", 0))
@@ -98,7 +98,8 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int) -> RunRecord:
     limit = min(steps, len(script)) if script is not None else steps
 
     for step in range(1, limit + 1):
-        enabled = enabled_set(model, m)
+        indices = net.enabled(v)
+        enabled = [net.ids[i] for i in indices]
         if script is not None:
             t = script[step - 1]
             if t not in enabled:
@@ -111,19 +112,20 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int) -> RunRecord:
             t = listed[0] if listed else rng.choice(enabled)
         else:
             t = rng.choice(enabled)
-        m = fire(model, m, t)
+        v = net.step(v, indices[enabled.index(t)])
         firings.append(t)
-        markings.append(m)
+        states.append(v)
 
+    markings = tuple(net.marking(s) for s in states)
     counter_series = tuple(mk.counters for mk in markings)
-    record = RunRecord(tuple(firings), tuple(markings), counter_series, alarms=())
-    alarms = tuple(evaluate_audit_rules(model, record))
+    record = RunRecord(tuple(firings), markings, counter_series, alarms=())
+    alarms = tuple(evaluate_audit_rules(model, record, bound))
     return RunRecord(record.firings, record.markings, record.counter_series,
                      alarms, deadlock_step=deadlock)
 
 
 def _rule_condition(model: NetModel, rule: AuditRule, run: RunRecord, step: int,
-                    pressures: Optional[dict]) -> tuple[bool, int]:
+                    pressures: Optional[list]) -> tuple[bool, int]:
     """(holds, observed value) for one rule at one step (post-firing state)."""
     m = run.markings[step]
     if isinstance(rule, CounterThreshold):
@@ -137,7 +139,7 @@ def _rule_condition(model: NetModel, rule: AuditRule, run: RunRecord, step: int,
         v = m.tokens_at(rule.place)
         return _OPS[rule.op](v, rule.level), v
     if isinstance(rule, PressureThreshold):
-        d = pressures.get(m) if pressures else None
+        d = pressures[step] if pressures else None
         if d is None:
             return False, -1
         return d <= rule.max_distance, d
@@ -157,10 +159,10 @@ def evaluate_audit_rules(model: NetModel, run: RunRecord,
     pressure_rules = [r for r in model.audit_rules if isinstance(r, PressureThreshold)]
     if pressure_rules:
         graph = explore(model, bound)
+        at = [graph.position(m) for m in run.markings]
         for r in pressure_rules:
-            pred = model.forbidden_predicate(r.predicate)
-            dist = pressure_map(graph, pred)
-            pressures[r.id] = dist
+            dist = node_distances(graph, model.forbidden_predicate(r.predicate))
+            pressures[r.id] = [None if i is None else dist[i] for i in at]
     alarms: list[Alarm] = []
     for step in range(len(run.markings)):
         for rule in model.audit_rules:
@@ -190,13 +192,14 @@ def drift_report(model: NetModel, run: RunRecord, predicate: Union[str, Predicat
     """
     pred = model.forbidden_predicate(predicate) if isinstance(predicate, str) else predicate
     graph = explore(model, bound)
-    dist = pressure_map(graph, pred)
+    dist = node_distances(graph, pred)
     series: list[int] = []
     for i, m in enumerate(run.markings):
-        if m not in graph:
+        j = graph.position(m)
+        if j is None:
             raise PressureUnavailable(
                 f"marking at step {i} is outside the explored graph (bound exhausted)")
-        d = dist[m]
+        d = dist[j]
         series.append(d if d is not None else -1)
     episodes = []
     start = 0

@@ -29,10 +29,10 @@ from .analysis import (
     DEFAULT_BOUND,
     ExplorationBound,
     Verdict,
-    check_forbidden,
     explore,
     find_cycles,
-    pressure_map,
+    graph_verdict,
+    node_distances,
     siphons_and_traps,
 )
 from .audit import (
@@ -161,7 +161,8 @@ def cli():
 @click.argument("predicate", required=False)
 @_bound_options
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Parallel exploration workers (output is worker-invariant).")
+              help="Accepted for compatibility; exploration runs serially "
+                   "(output is worker-invariant).")
 @click.option("--cycles", is_flag=True, help="Include feedback cycles in the report.")
 @click.option("--siphons", is_flag=True, help="Include minimal siphons and traps.")
 @click.option("--pressure", "pressure_pred", metavar="PREDICATE",
@@ -177,9 +178,14 @@ def cmd_check(model_path, predicate, bound_states, bound_depth, bound_tokens,
     names = [predicate] if predicate else [n for n, _ in model.forbidden]
     if predicate and not any(n == predicate for n, _ in model.forbidden):
         raise _Fail(f"no forbidden predicate named {predicate!r}", 3)
-    verdicts = {}
-    for name in names:
-        verdicts[name] = _verdict_json(check_forbidden(model, name, bound, workers=workers))
+    pred = None
+    if pressure_pred:
+        try:
+            pred = model.forbidden_predicate(pressure_pred)
+        except UnknownPredicate as e:
+            raise _Fail(str(e), 3)
+    graph = explore(model, bound, workers=workers) if names or pred is not None else None
+    verdicts = {name: _verdict_json(graph_verdict(model, graph, name)) for name in names}
     results: dict = {"verdicts": verdicts}
     if cycles:
         results["cycles"] = [list(c) for c in find_cycles(model)]
@@ -187,14 +193,9 @@ def cmd_check(model_path, predicate, bound_states, bound_depth, bound_tokens,
         s, t = siphons_and_traps(model)
         results["siphons"] = [sorted(x) for x in s]
         results["traps"] = [sorted(x) for x in t]
-    if pressure_pred:
-        try:
-            pred = model.forbidden_predicate(pressure_pred)
-        except UnknownPredicate as e:
-            raise _Fail(str(e), 3)
-        graph = explore(model, bound, workers=workers)
-        dist = pressure_map(graph, pred).get(graph.root)
-        results["pressure"] = {"predicate": pressure_pred, "distance": dist,
+    if pred is not None:
+        results["pressure"] = {"predicate": pressure_pred,
+                               "distance": node_distances(graph, pred)[0],
                                "truncated": graph.truncated}
     _emit_report("check", model, {
         "model": model_path, "predicate": predicate,
@@ -243,13 +244,13 @@ def cmd_simulate(model_path, steps, seed, policy, pressure_pred,
         pol = parsed
     else:
         pol = Priority(parsed, seed)
+    bound = _bound(bound_states, bound_depth, bound_tokens)
     try:
-        run = simulate(model, pol, steps)
+        run = simulate(model, pol, steps, bound)
     except ScriptedFiringDisabled as e:
         raise _Fail(str(e), 4)
     results: dict = {"run": _run_json(run)}
     if pressure_pred:
-        bound = _bound(bound_states, bound_depth, bound_tokens)
         try:
             drift = drift_report(model, run, pressure_pred, bound)
         except (UnknownPredicate, PressureUnavailable) as e:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .analysis import DEFAULT_BOUND, ExplorationBound, Verdict, check_forbidden, explore
+from .analysis import DEFAULT_BOUND, ExplorationBound, Verdict, explore, graph_verdict
 from .dsl import (
     _Cursor,
     _Err,
@@ -441,15 +441,18 @@ def verify_patch(model: NetModel, patch: Patch,
     """Before/after verdicts for every named forbidden predicate.
 
     Flags regressions (Safe before, Unsafe or Unknown after) and any change
-    to the predicate set itself, which governance must see explicitly.
+    to the predicate set itself, which governance must see explicitly. Each
+    side is explored once, for all its verdicts and its state count.
     """
     from .analysis import VerdictKind
 
     post = apply_patch(model, patch)
     names_before = [n for n, _ in model.forbidden]
     names_after = [n for n, _ in post.forbidden]
-    before = tuple((n, check_forbidden(model, n, bound)) for n in names_before)
-    after = tuple((n, check_forbidden(post, n, bound)) for n in names_after)
+    graph_before = explore(model, bound)
+    graph_after = explore(post, bound)
+    before = tuple((n, graph_verdict(model, graph_before, n)) for n in names_before)
+    after = tuple((n, graph_verdict(post, graph_after, n)) for n in names_after)
     before_map = dict(before)
     regressions = tuple(
         n for n, v in after
@@ -463,8 +466,8 @@ def verify_patch(model: NetModel, patch: Patch,
         post_hash=model_hash(post),
         verdicts_before=before,
         verdicts_after=after,
-        states_before=len(explore(model, bound).nodes),
-        states_after=len(explore(post, bound).nodes),
+        states_before=len(graph_before.states),
+        states_after=len(graph_after.states),
         regressions=regressions,
         predicates_added=tuple(n for n in names_after if n not in names_before),
         predicates_removed=tuple(n for n in names_before if n not in names_after),

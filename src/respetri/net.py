@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import NotEnabled, UnknownReference, UnknownTransition
 
@@ -277,6 +277,7 @@ class NetModel:
     metadata: tuple[tuple[str, str], ...] = ()
     _pindex: dict = field(init=False, repr=False, compare=False, default=None)
     _tindex: dict = field(init=False, repr=False, compare=False, default=None)
+    _compiled: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "places", tuple(self.places))
@@ -338,12 +339,8 @@ class NetModel:
         """The mode whose place carries the token, or None for mode-free nets."""
         if not self.modes:
             return None
-        marked = [md for md in self.modes if m.tokens_at(md.place_id) >= 1]
-        if len(marked) != 1:
-            raise UnknownReference(
-                f"expected exactly one marked mode place, found {len(marked)}"
-            )
-        return marked[0]
+        net = compiled(self)
+        return self.modes[net.active_mode(net.state(m))]
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +465,171 @@ def validate_net(model: NetModel) -> list[StructureError]:
 
 
 # ---------------------------------------------------------------------------
-# Token game
+# Compiled form and token game
 # ---------------------------------------------------------------------------
 
-def effective_guard(model: NetModel, m: Marking, t: TransitionDef) -> Optional[Predicate]:
-    """The guard in force at marking m: the active mode's override, else the base guard."""
-    mode = model.active_mode(m)
-    if mode is not None:
-        override = mode.override_for(t.id)
-        if override is not None:
-            return override
-    return t.guard
+_DISABLED = object()  # by_mode entry of a transition its mode disables
+
+
+@dataclass(frozen=True, slots=True)
+class CompiledTransition:
+    """A transition over state vectors; each pair is (vector index, value)."""
+
+    id: str
+    needs: tuple[tuple[int, int], ...]       # least tokens: inputs and reads
+    inhibitors: tuple[tuple[int, int], ...]  # tokens that block firing
+    limits: tuple[tuple[int, int], ...]      # most tokens that leave room for the outputs
+    delta: tuple[tuple[int, int], ...]       # nonzero changes, counter included
+    guard: Optional[Callable]
+    by_mode: tuple                           # per mode: the guard in force, or _DISABLED
+
+
+class CompiledNet:
+    """A NetModel compiled to integer state vectors, built once per model.
+
+    A state is a tuple of ints: the tokens of each place in declaration
+    order, then the counter of each counted transition. Transitions keep
+    declaration order, which fixes the order of enabled sets, exploration
+    and simulation choices. Guards and predicates become closures over the
+    vector.
+    """
+
+    def __init__(self, model: NetModel):
+        self.place_ids = model.place_ids
+        self.counted = model.counted_transitions
+        self.ids = model.transition_ids
+        self._slot = {p: i for i, p in enumerate(self.place_ids)}
+        self._counter = {t: len(self._slot) + i for i, t in enumerate(self.counted)}
+        self._index = {t: i for i, t in enumerate(self.ids)}
+        self.unbounded = tuple(i for i, p in enumerate(model.places) if p.capacity is None)
+        self.mode_slots = tuple(self._place(md.place_id) for md in model.modes)
+        self.transitions = tuple(self._compile(model, t) for t in model.transitions)
+
+    def _place(self, pid: str) -> int:
+        try:
+            return self._slot[pid]
+        except KeyError:
+            raise UnknownReference(f"unknown place {pid!r}") from None
+
+    def _compile(self, model: NetModel, t: TransitionDef) -> CompiledTransition:
+        needs: dict[str, int] = {}
+        delta: dict[str, int] = {}
+        for p, w in t.inputs:
+            needs[p] = max(needs.get(p, 0), w)
+            delta[p] = delta.get(p, 0) - w
+        for p, w in t.reads:
+            needs[p] = max(needs.get(p, 0), w)
+        for p, w in t.outputs:
+            delta[p] = delta.get(p, 0) + w
+        limits = tuple((self._place(p), cap - d) for p, d in delta.items()
+                       if (cap := model.place(p).capacity) is not None)
+        changes = tuple((self._place(p), d) for p, d in delta.items() if d)
+        if t.counted:
+            changes += ((self._counter[t.id], 1),)
+        guard = None if t.guard is None else self.predicate(t.guard)
+        by_mode = []
+        for md in model.modes:
+            override = md.override_for(t.id)
+            by_mode.append(_DISABLED if t.id in md.disabled
+                           else guard if override is None else self.predicate(override))
+        return CompiledTransition(
+            t.id, tuple((self._place(p), w) for p, w in needs.items()),
+            tuple((self._place(p), th) for p, th in t.inhibitors),
+            limits, changes, guard, tuple(by_mode))
+
+    # -- vectors and markings ---------------------------------------------------
+
+    def state(self, m: Marking) -> tuple[int, ...]:
+        return (tuple(m.tokens_at(p) for p in self.place_ids)
+                + tuple(m.counter_of(t) for t in self.counted))
+
+    def describes(self, m: Marking) -> bool:
+        """True iff m assigns exactly the model's places and counted transitions."""
+        return m.tokens_map.keys() == self._slot.keys() and m.counters_map.keys() == self._counter.keys()
+
+    def marking(self, v: tuple[int, ...]) -> Marking:
+        return Marking(tuple(zip(self.place_ids, v)),
+                       tuple(zip(self.counted, v[len(self.place_ids):])))
+
+    def transition_index(self, tid: str) -> int:
+        try:
+            return self._index[tid]
+        except KeyError:
+            raise UnknownTransition(f"unknown transition {tid!r}") from None
+
+    def predicate(self, pred: Predicate) -> Callable[[tuple], bool]:
+        """The predicate as a test over state vectors (see eval_predicate)."""
+        if isinstance(pred, TokenAtom):
+            i, op, value = self._place(pred.place), _OPS[pred.op], pred.value
+            return lambda v: op(v[i], value)
+        if isinstance(pred, ModeAtom):
+            i = self._place(MODE_PLACE_PREFIX + pred.mode)
+            return lambda v: v[i] >= 1
+        if isinstance(pred, CounterAtom):
+            op, value, i = _OPS[pred.op], pred.value, self._counter.get(pred.transition)
+            if i is None:
+                return lambda v: op(0, value)
+            return lambda v: op(v[i], value)
+        if isinstance(pred, Not):
+            f = self.predicate(pred.operand)
+            return lambda v: not f(v)
+        if isinstance(pred, And):
+            fs = tuple(map(self.predicate, pred.operands))
+            return lambda v: all(f(v) for f in fs)
+        if isinstance(pred, Or):
+            fs = tuple(map(self.predicate, pred.operands))
+            return lambda v: any(f(v) for f in fs)
+        raise TypeError(f"not a predicate: {pred!r}")
+
+    # -- firing rule ------------------------------------------------------------
+
+    def active_mode(self, v: tuple[int, ...]) -> int:
+        marked = [i for i, p in enumerate(self.mode_slots) if v[p] >= 1]
+        if len(marked) != 1:
+            raise UnknownReference(
+                f"expected exactly one marked mode place, found {len(marked)}")
+        return marked[0]
+
+    def admits(self, t: CompiledTransition, v: tuple[int, ...]) -> bool:
+        """The enabling rule: inputs, reads, inhibitors, mode, guard, capacities."""
+        for p, w in t.needs:
+            if v[p] < w:
+                return False
+        for p, th in t.inhibitors:
+            if v[p] >= th:
+                return False
+        guard = t.guard
+        if self.mode_slots:
+            guard = t.by_mode[self.active_mode(v)]
+            if guard is _DISABLED:
+                return False
+        if guard is not None and not guard(v):
+            return False
+        for p, top in t.limits:
+            if v[p] > top:
+                return False
+        return True
+
+    def enabled(self, v: tuple[int, ...]) -> list[int]:
+        """Indices of the transitions enabled at v, in declaration order."""
+        admits = self.admits
+        return [i for i, t in enumerate(self.transitions) if admits(t, v)]
+
+    def step(self, v: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """The successor of v under transition i, which must be enabled."""
+        s = list(v)
+        for p, d in self.transitions[i].delta:
+            s[p] += d
+        return tuple(s)
+
+
+def compiled(model: NetModel) -> CompiledNet:
+    """The model's compiled net, built on first use and kept on the model."""
+    net = model._compiled
+    if net is None:
+        net = CompiledNet(model)
+        object.__setattr__(model, "_compiled", net)
+    return net
 
 
 def is_enabled(model: NetModel, m: Marking, tid: str) -> bool:
@@ -487,38 +638,15 @@ def is_enabled(model: NetModel, m: Marking, tid: str) -> bool:
     Checks inputs, read arcs, inhibitor thresholds, the (mode-resolved) guard,
     mode-disabled sets, and output capacities (contact-free semantics).
     """
-    t = model.transition(tid)
-    for p, w in t.inputs:
-        if m.tokens_at(p) < w:
-            return False
-    for p, w in t.reads:
-        if m.tokens_at(p) < w:
-            return False
-    for p, th in t.inhibitors:
-        if m.tokens_at(p) >= th:
-            return False
-    mode = model.active_mode(m)
-    if mode is not None and tid in mode.disabled:
-        return False
-    guard = effective_guard(model, m, t)
-    if guard is not None and not eval_predicate(guard, m):
-        return False
-    # capacity: post-firing count at each output place must fit
-    delta: dict[str, int] = {}
-    for p, w in t.inputs:
-        delta[p] = delta.get(p, 0) - w
-    for p, w in t.outputs:
-        delta[p] = delta.get(p, 0) + w
-    for p, d in delta.items():
-        cap = model.place(p).capacity
-        if cap is not None and m.tokens_at(p) + d > cap:
-            return False
-    return True
+    net = compiled(model)
+    t = net.transitions[net.transition_index(tid)]
+    return net.admits(t, net.state(m))
 
 
 def enabled_set(model: NetModel, m: Marking) -> list[str]:
     """Enabled transitions in canonical (declaration) order."""
-    return [t.id for t in model.transitions if is_enabled(model, m, t.id)]
+    net = compiled(model)
+    return [net.ids[i] for i in net.enabled(net.state(m))]
 
 
 def fire(model: NetModel, m: Marking, tid: str) -> Marking:
@@ -527,19 +655,12 @@ def fire(model: NetModel, m: Marking, tid: str) -> Marking:
     Reads and inhibitors consume nothing; the transition's counter is
     incremented when it is counted.
     """
-    if not is_enabled(model, m, tid):
+    net = compiled(model)
+    i = net.transition_index(tid)
+    v = net.state(m)
+    if not net.admits(net.transitions[i], v):
         raise NotEnabled(tid)
-    t = model.transition(tid)
-    tokens = dict(m.tokens_map)
-    for p, w in t.inputs:
-        tokens[p] -= w
-    for p, w in t.outputs:
-        tokens[p] += w
-    counters = m.counters_map
-    if t.counted:
-        counters = dict(counters)
-        counters[tid] = counters.get(tid, 0) + 1
-    return Marking.make(tokens, counters)
+    return net.marking(net.step(v, i))
 
 
 def eval_guard(model: NetModel, pred: Predicate, m: Marking) -> bool:

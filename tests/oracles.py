@@ -146,6 +146,86 @@ def oracle_verdict(model: NetModel, pred, token_cap: int) -> str:
     return "unknown" if truncated else "safe"
 
 
+def oracle_bfs(model: NetModel, max_states: int, max_depth: int, token_cap: int):
+    """Breadth-first exploration under the reference semantics and explore's bounds.
+
+    Returns (nodes, edges, depth, truncated): nodes in discovery order and
+    edges in generation order, both keyed as by _key; depth maps each node
+    to its BFS layer. A successor over token_cap on an uncapacitated place
+    is cut, a new node beyond max_states is dropped, and layers at
+    max_depth are not expanded; each sets truncated when it loses a firing.
+    """
+    tokens0 = dict(model.initial.tokens_map)
+    counters0 = {t.id: model.initial.counters_map.get(t.id, 0)
+                 for t in model.transitions if t.counted}
+    root = _key(tokens0, counters0)
+    nodes, edges, depth = [root], [], {root: 0}
+    truncated = False
+    frontier = [(tokens0, counters0)]
+    d = 0
+    while frontier:
+        if d >= max_depth:
+            truncated = truncated or any(oracle_enabled(model, tok, cnt, t)
+                                         for tok, cnt in frontier for t in model.transitions)
+            break
+        next_frontier = []
+        for tokens, counters in frontier:
+            k = _key(tokens, counters)
+            for t in model.transitions:
+                if not oracle_enabled(model, tokens, counters, t):
+                    continue
+                t2, c2 = oracle_fire(tokens, counters, t)
+                if any(t2[p.id] > token_cap for p in model.places if p.capacity is None):
+                    truncated = True
+                    continue
+                k2 = _key(t2, c2)
+                if k2 not in depth:
+                    if len(nodes) >= max_states:
+                        truncated = True
+                        continue
+                    depth[k2] = d + 1
+                    nodes.append(k2)
+                    next_frontier.append((t2, c2))
+                edges.append((k, t.id, k2))
+        frontier = next_frontier
+        d += 1
+    return nodes, edges, depth, truncated
+
+
+def oracle_trace(nodes, edges, pred):
+    """Shortest trace to a node satisfying pred: a BFS from the root over
+    edges in generation order, stopping at the first satisfying node.
+    Returns (firings, node keys) or None."""
+    succ = {k: [] for k in nodes}
+    for a, t, b in edges:
+        succ[a].append((t, b))
+    root = nodes[0]
+    holds = lambda k: _eval(pred, dict(k[0]), dict(k[1]))  # noqa: E731
+    parent = {}
+    queue = [root]
+    target = root if holds(root) else None
+    seen = {root}
+    while queue and target is None:
+        k = queue.pop(0)
+        for t, k2 in succ[k]:
+            if k2 in seen:
+                continue
+            seen.add(k2)
+            parent[k2] = (k, t)
+            if holds(k2):
+                target = k2
+                break
+            queue.append(k2)
+    if target is None:
+        return None
+    firings, path = [], [target]
+    while path[-1] in parent:
+        k, t = parent[path[-1]]
+        firings.append(t)
+        path.append(k)
+    return tuple(reversed(firings)), list(reversed(path))
+
+
 def marking_key(m: Marking):
     return (m.tokens, m.counters)
 

@@ -1,11 +1,13 @@
 """Simulation policies, audit alarms, drift reports."""
 
 import json
+import time
 
 import pytest
 
 from respetri import (
     Alarm,
+    CounterAtom,
     CounterThreshold,
     ExplorationBound,
     Marking,
@@ -142,6 +144,24 @@ class TestAuditRules:
         # after t2 the marking is one tBad firing away from p_bad
         assert any(a.rule_id == "near" and a.step == 2 and a.observed == 1
                    for a in run.alarms)
+
+    def test_pressure_rule_explores_within_the_callers_bound(self):
+        # A counted self-loop has one state per counter value, so only the
+        # bound stops the exploration behind the pressure rule.
+        m = NetModel(
+            places=(PlaceDef("p"),),
+            transitions=(TransitionDef("t", reads=(("p", 1),), counted=True),),
+            initial=Marking.make({"p": 1}, {"t": 0}),
+            forbidden=(("hot", CounterAtom("t", ">=", 3)),),
+            audit_rules=(PressureThreshold("near", "hot", 1),),
+        )
+        started = time.perf_counter()
+        run = simulate(m, Scripted(("t",) * 80), 80, ExplorationBound(max_states=50))
+        assert time.perf_counter() - started < 1
+        # The graph holds counters 0..49: steps 2..49 are within one firing
+        # of `hot`; later markings lie outside the graph and raise no alarm.
+        assert [a.step for a in run.alarms] == list(range(2, 50))
+        assert {a.observed for a in run.alarms} == {0, 1}
 
     def test_srs_fixture_alarm_at_third_t2(self):
         cfg = FixtureConfig(thresholds={"theta": 2},

@@ -140,6 +140,19 @@ class TestSimulate:
         assert rep["results"]["drift"]["pressures"] == [3, 2, 1, 0]
 
 
+    def test_bounds_apply_to_audit_rules(self, workdir):
+        (workdir / "pulse.net").write_text(
+            "place p init 1\n"
+            "trans t read p:1 counted\n"
+            "forbidden hot := #t >= 3\n"
+            "audit near := pressure hot within 1\n")
+        r = run_cli("simulate", "pulse.net", "--steps", "80", "--bound-states", "50",
+                    cwd=workdir)
+        assert r.returncode == 0
+        alarms = report_of(r)["results"]["run"]["alarms"]
+        assert [a["step"] for a in alarms] == list(range(2, 50))
+
+
 class TestEdit:
     def test_edit_verify_flow(self, workdir):
         env = {"RESPETRI_LOG": str(workdir / "gov.jsonl")}
