@@ -9,6 +9,7 @@ the token game.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -232,7 +233,8 @@ def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Ve
 
     Unsafe carries a minimal-length replayable trace. Safe/ExhaustiveBounded
     requires an untruncated exploration; Safe/Coverability is attempted for
-    upward-closed token-only predicates when the bound was exhausted.
+    upward-closed token-only predicates when the bound was exhausted, by
+    backward coverability within `max_states` basis expansions.
     """
     pred = model.forbidden_predicate(predicate_name)
     trace = violation_trace(graph, pred)
@@ -243,9 +245,7 @@ def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Ve
     if is_upward_closed(pred) and not any(
         isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(pred)
     ):
-        # The verdict alone decides; a witness for a coverable target would be discarded.
-        cov = _karp_miller_tree(model, pred, predicate_name)
-        if cov.verdict.kind is VerdictKind.SAFE:
+        if _backward_coverable(model, pred, graph.bound.max_states) is False:
             return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
     return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
 
@@ -309,6 +309,59 @@ def _covers(m: tuple, target: tuple) -> bool:
     return all(a >= b for a, b in zip(m, target))
 
 
+def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Optional[bool]:
+    """Whether the plain projection can cover the target; None when the budget runs out.
+
+    Backward search over a minimal basis of the markings from which the
+    target can be covered (Abdulla, Cerans, Jonsson and Tsay, LICS 1996).
+    The projection keeps input, read and token changes and drops inhibitors,
+    guards, capacities, modes and counters, as the Karp-Miller tree does, so
+    False proves the target uncoverable in the full net. Basis elements are
+    expanded breadth-first, at most `budget` of them.
+    """
+    net = compiled(model)
+    n = len(net.place_ids)
+    rows = []
+    for t in net.transitions:
+        need, delta = [0] * n, [0] * n
+        for p, w in t.needs:
+            need[p] = w
+        for p, d in t.delta:
+            if p < n:
+                delta[p] = d
+        rows.append((tuple(need), tuple(delta)))
+    root = net.state(initial_marking(model))[:n]
+    le, sub = operator.le, operator.sub
+    basis: dict[tuple[int, ...], None] = {}   # a minimal antichain, insertion-ordered
+    queue: deque[tuple[int, ...]] = deque()
+
+    def add(m: tuple[int, ...]) -> bool:
+        """Keep m unless the basis covers it; True iff the root covers m."""
+        if any(all(map(le, b, m)) for b in basis):
+            return False
+        for b in [b for b in basis if all(map(le, m, b))]:
+            del basis[b]
+        basis[m] = None
+        queue.append(m)
+        return all(map(le, m, root))
+
+    for m in _minimal_target_markings(target, net.place_ids):
+        if add(m):
+            return True
+    expanded = 0
+    while queue:
+        m = queue.popleft()
+        if m not in basis:
+            continue  # replaced by a smaller element
+        if expanded == budget:
+            return None
+        expanded += 1
+        for need, delta in rows:
+            if add(tuple(map(max, need, map(sub, m, delta)))):
+                return True
+    return False
+
+
 def karp_miller(model: NetModel, target: Predicate, *,
                 predicate_name: str = "<target>") -> CoverabilityResult:
     """Classical Karp-Miller tree with omega-acceleration.
@@ -319,16 +372,6 @@ def karp_miller(model: NetModel, target: Predicate, *,
     target is coverable, a concrete witness trace is extracted by bounded
     exploration under the full semantics when one can be found.
     """
-    result = _karp_miller_tree(model, target, predicate_name)
-    if result.covering_path is None:
-        return result
-    trace = _concrete_witness(model, target)
-    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
-    return CoverabilityResult(verdict, result.tree_nodes, result.tree_edges, result.covering_path)
-
-
-def _karp_miller_tree(model: NetModel, target: Predicate, predicate_name: str) -> CoverabilityResult:
-    """The Karp-Miller tree and its verdict, without a witness trace."""
     if not is_upward_closed(target):
         raise NotUpwardClosed("target predicate is not syntactically upward-closed")
     if any(isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(target)):
@@ -343,17 +386,11 @@ def _karp_miller_tree(model: NetModel, target: Predicate, predicate_name: str) -
 
     tree_nodes: list[tuple] = [root]
     tree_edges: list[tuple[int, str, int]] = []
-    parents: dict[int, int] = {}
-    via: dict[int, str] = {}
+    parents = [-1]                       # parent of each tree node; -1 for the root
+    via: list[Optional[str]] = [None]    # transition of the edge into each node
     seen: dict[tuple, int] = {root: 0}
     worklist = deque([0])
-
-    def ancestors(i: int):
-        while True:
-            yield i
-            if i not in parents:
-                return
-            i = parents[i]
+    le = operator.le
 
     while worklist:
         node = worklist.popleft()
@@ -364,25 +401,26 @@ def _karp_miller_tree(model: NetModel, target: Predicate, predicate_name: str) -
             m2 = list(m)
             for p, d in delta:
                 m2[p] += d
-            # omega-acceleration against ancestors on the path
+            # omega-acceleration against the ancestors on the path, repeated
+            # until no ancestor lifts another place to omega
             changed = True
             while changed:
                 changed = False
-                for anc in ancestors(node):
+                anc = node
+                while anc >= 0:
                     am = tree_nodes[anc]
-                    if all(a <= b for a, b in zip(am, m2)) and any(
-                        a < b for a, b in zip(am, m2)
-                    ):
+                    if all(map(le, am, m2)):
                         for i in range(n):
-                            if am[i] < m2[i] and m2[i] != OMEGA:
+                            if am[i] < m2[i] != OMEGA:
                                 m2[i] = OMEGA
                                 changed = True
+                    anc = parents[anc]
             m2 = tuple(m2)
             child = len(tree_nodes)
             tree_nodes.append(m2)
             tree_edges.append((node, tid, child))
-            parents[child] = node
-            via[child] = tid
+            parents.append(node)
+            via.append(tid)
             if m2 not in seen:
                 seen[m2] = child
                 worklist.append(child)
@@ -399,10 +437,11 @@ def _karp_miller_tree(model: NetModel, target: Predicate, predicate_name: str) -
 
     path = []
     i = covering
-    while i in via:
+    while i > 0:
         path.append(via[i])
         i = parents[i]
-    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name)
+    trace = _concrete_witness(model, target)
+    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
     return CoverabilityResult(verdict, tree_nodes, tree_edges, tuple(reversed(path)))
 
 
@@ -449,21 +488,6 @@ def find_cycles(model: NetModel, max_length: Optional[int] = 16) -> list[tuple[s
     return sorted(out, key=lambda c: (len(c), c))
 
 
-def _place_pre_post(model: NetModel):
-    producers: dict[str, set[str]] = {p.id: set() for p in model.places}
-    consumers: dict[str, set[str]] = {p.id: set() for p in model.places}
-    requirers: dict[str, set[str]] = {p.id: set() for p in model.places}
-    for t in model.transitions:
-        for p, _ in t.outputs:
-            producers[p].add(t.id)
-        for p, _ in t.inputs:
-            consumers[p].add(t.id)
-            requirers[p].add(t.id)
-        for p, _ in t.reads:
-            requirers[p].add(t.id)
-    return producers, consumers, requirers
-
-
 def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
     """Minimal siphons and traps of size <= max_size.
 
@@ -472,35 +496,43 @@ def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[st
     transition consuming from the set also produces into it. Guards and
     inhibitors are ignored (structural notions).
     """
-    producers, consumers, requirers = _place_pre_post(model)
     places = sorted(p.id for p in model.places)
+    slot = {p: i for i, p in enumerate(places)}
+    # per place, bitmasks over the transitions in identifier order
+    producers, consumers, requirers = ([0] * len(places) for _ in range(3))
+    for k, t in enumerate(sorted(model.transitions, key=lambda t: t.id)):
+        bit = 1 << k
+        for p, _ in t.outputs:
+            producers[slot[p]] |= bit
+        for p, _ in t.inputs:
+            consumers[slot[p]] |= bit
+            requirers[slot[p]] |= bit
+        for p, _ in t.reads:
+            requirers[slot[p]] |= bit
 
-    def union(mapping, subset):
-        out = set()
-        for p in subset:
-            out |= mapping[p]
-        return out
-
-    def search(is_hit) -> list[tuple[str, ...]]:
-        minimal: list[frozenset] = []
-
-        def covered(s: frozenset) -> bool:
-            return any(m <= s for m in minimal)
-
-        from itertools import combinations
-
+    def search(into: list[int], within: list[int]) -> list[tuple[str, ...]]:
+        """Minimal place sets whose `into` transitions all lie in `within`,
+        by size, then in lexicographic order."""
+        minimal: list[int] = []   # place bitmasks of the sets found
+        found = []
+        # the non-hits of the previous size, with their unions and largest
+        # place; a hit is not grown, as every superset of it is not minimal
+        level = [(0, 0, 0, -1)]
         for size in range(1, max_size + 1):
-            for combo in combinations(places, size):
-                s = frozenset(combo)
-                if covered(s):
-                    continue  # a smaller siphon/trap is inside; not minimal
-                if is_hit(s):
-                    minimal.append(s)
-        return sorted((tuple(sorted(s)) for s in minimal), key=lambda c: (len(c), c))
+            grown = []
+            for s, a, b, last in level:
+                for i in range(last + 1, len(places)):
+                    s2, a2, b2 = s | 1 << i, a | into[i], b | within[i]
+                    if a2 & ~b2:
+                        if size < max_size:
+                            grown.append((s2, a2, b2, i))
+                    elif not any(m & s2 == m for m in minimal):
+                        minimal.append(s2)
+                        found.append(tuple(p for k, p in enumerate(places) if s2 >> k & 1))
+            level = grown
+        return found
 
-    siphons = search(lambda s: union(producers, s) <= union(requirers, s))
-    traps = search(lambda s: union(consumers, s) <= union(producers, s))
-    return siphons, traps
+    return search(producers, requirers), search(consumers, producers)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respetri import (
     ExplorationBound,
@@ -21,14 +23,16 @@ from respetri import (
     find_cycles,
     initial_marking,
     karp_miller,
+    parse_model,
     pressure_map,
     reachability_pressure,
     siphons_and_traps,
     violation_trace,
 )
+from respetri.analysis import _backward_coverable
 from respetri.models import build_traffic_model
 
-from oracles import oracle_siphons_traps, random_net
+from oracles import oracle_siphons_traps, oracle_verdict, random_net, random_predicate
 
 WIDE = ExplorationBound(max_states=10**6, max_depth=10**5, max_tokens_per_place=32)
 
@@ -164,6 +168,89 @@ class TestVerdicts:
     def test_violation_trace_none_when_unreachable(self):
         g = explore(chain_net())
         assert violation_trace(g, TokenAtom("p2", ">=", 5)) is None
+
+
+def toggles_net(n: int) -> NetModel:
+    """n capacity-1 places, each with a source and a sink, and a place
+    `err` that nothing produces into: 2^n reachable markings."""
+    q = [f"q{i}" for i in range(n)]
+    lines = [f"place {x} cap 1" for x in q] + ["place err"]
+    for i, x in enumerate(q):
+        lines += [f"trans src{i} out {x}:1", f"trans snk{i} in {x}:1"]
+    lines += [
+        "forbidden deep := (" + " and ".join(f"{x} >= 1" for x in q) + ")",
+        f"forbidden shallow := q{n // 2} >= 1",
+        "forbidden safe := q0 >= 2",
+        "forbidden overflow := err >= 1",
+    ]
+    return parse_model("\n".join(lines) + "\n")
+
+
+def plain_case(seed: int):
+    """A random plain net with a random upward-closed predicate `goal`."""
+    rng = random.Random(seed)
+    base = random_net(rng, plain=True)
+    pred = random_predicate(rng, base, upward_closed=True)
+    return NetModel(base.places, base.transitions, base.initial, forbidden=(("goal", pred),))
+
+
+class TestBackwardCoverability:
+    """The fallback of a truncated check: backward search within max_states expansions."""
+
+    def test_toggles_20_within_a_50_state_bound(self):
+        model = toggles_net(20)
+        bound = ExplorationBound(max_states=50)
+        verdicts = {name: check_forbidden(model, name, bound) for name, _ in model.forbidden}
+        assert (verdicts["overflow"].kind, verdicts["overflow"].proof) == (
+            VerdictKind.SAFE, ProofKind.COVERABILITY)
+        # both are coverable once capacities are dropped
+        for name in ("deep", "safe"):
+            assert (verdicts[name].kind, verdicts[name].proof) == (
+                VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED)
+        assert verdicts["shallow"].kind is VerdictKind.UNSAFE
+        assert verdicts["shallow"].trace.firings == ("src10",)
+
+    def test_budget_counts_basis_expansions(self):
+        # a pipeline a -> b -> c -> d beside a source that truncates every
+        # exploration: d >= 2 is uncoverable from one token, and the proof
+        # expands each placement of two tokens on the pipeline
+        m = parse_model("place a init 1\nplace b\nplace c\nplace d\nplace x\n"
+                        "trans t1 in a:1 out b:1\ntrans t2 in b:1 out c:1\n"
+                        "trans t3 in c:1 out d:1\ntrans gen out x:1\n"
+                        "forbidden dd := d >= 2\n")
+        pred = m.forbidden_predicate("dd")
+        needed = next(k for k in range(100) if _backward_coverable(m, pred, k) is not None)
+        assert needed == 10
+        assert _backward_coverable(m, pred, needed) is False
+        assert _backward_coverable(m, pred, needed - 1) is None
+        assert check_forbidden(m, "dd", ExplorationBound(max_states=needed)).kind is VerdictKind.SAFE
+        assert check_forbidden(m, "dd", ExplorationBound(max_states=needed - 1)).kind is VerdictKind.UNKNOWN
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_agrees_with_karp_miller_and_oracle(self, seed):
+        model = plain_case(seed)
+        pred = model.forbidden_predicate("goal")
+        covered = _backward_coverable(model, pred, 10**6)
+        assert covered is not None
+        expected = oracle_verdict(model, pred, 5)
+        if expected == "unknown":
+            return  # not bounded within the cap: the oracle does not decide
+        assert covered == (expected == "unsafe")
+        assert karp_miller(model, pred).verdict.kind.value == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 3))
+    def test_spent_budget_gives_unknown_never_a_wrong_safe(self, seed, budget):
+        model = plain_case(seed)
+        pred = model.forbidden_predicate("goal")
+        covered = _backward_coverable(model, pred, 10**6)
+        assert _backward_coverable(model, pred, budget) in (None, covered)
+        v = check_forbidden(model, "goal", ExplorationBound(max_states=budget))
+        if covered:
+            assert v.kind is not VerdictKind.SAFE
+        elif v.proof is ProofKind.BOUND_EXHAUSTED:
+            assert _backward_coverable(model, pred, budget) is None
 
 
 class TestKarpMiller:

@@ -37,9 +37,9 @@ BOUNDS = (
 )
 
 # Modes with a disable set and a guard override, a rate-limited counted
-# transition, inhibitors, read arcs and capacities. No predicate is
-# upward-closed: the Karp-Miller tree of this net's plain projection is too
-# large for a unit test (the random plain nets cover that fallback).
+# transition, inhibitors, read arcs and capacities. `up` is upward-closed,
+# so a truncated check decides it by backward coverability; a Karp-Miller
+# tree of this net's plain projection does not finish in 15 s.
 RICH = """
 place p init 2 cap 3
 place q cap 2
@@ -58,6 +58,7 @@ forbidden many := r >= 3 and s <= 0
 forbidden busy := q >= 2 and s = 0
 forbidden counted := #go >= 3
 forbidden never := p = 4
+forbidden up := p >= 4
 """
 
 
@@ -92,6 +93,13 @@ def test_modes_overrides_ratelimit_counter_inhibitors_capacities(bound):
     strict = parse_model(RICH.replace("mode normal\nmode strict disable drain",
                                       "mode strict disable drain\nmode normal"))
     assert_matches_oracle(strict, bound)
+
+
+def test_truncated_upward_closed_check_is_decided_by_coverability():
+    # go and back move one token between p and q in the plain projection
+    # too, so p + q stays 2 and p >= 4 is uncoverable
+    v = check_forbidden(parse_model(RICH), "up", BOUNDS[1])
+    assert (v.kind.value, v.proof.value) == ("safe", "coverability")
 
 
 def test_random_nets():
