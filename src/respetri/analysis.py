@@ -119,14 +119,6 @@ class ReachGraph:
             levels.append(levels[self.state_edges[e][0]] + 1)
         return dict(zip(self.nodes, levels))
 
-    @property
-    def node_set(self) -> frozenset[Marking]:
-        return frozenset(self.nodes)
-
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
     def position(self, m: Marking) -> Optional[int]:
         """Position of m in `states`, or None when m is not a node."""
         if not self.net.describes(m):
@@ -135,21 +127,6 @@ class ReachGraph:
 
     def __contains__(self, m: Marking) -> bool:
         return self.position(m) is not None
-
-    @cached_property
-    def _adjacent(self) -> tuple[dict, dict]:
-        succ: dict[Marking, list] = {n: [] for n in self.nodes}
-        pred: dict[Marking, list] = {n: [] for n in self.nodes}
-        for a, t, b in self.edges:
-            succ[a].append((t, b))
-            pred[b].append((a, t))
-        return succ, pred
-
-    def successors(self, m: Marking) -> list[tuple[str, Marking]]:
-        return self._adjacent[0][m]
-
-    def predecessors(self, m: Marking) -> list[tuple[Marking, str]]:
-        return self._adjacent[1][m]
 
     def nodes_within_depth(self, d: int) -> frozenset[Marking]:
         return frozenset(m for m, dep in self.depth.items() if dep <= d)
@@ -242,11 +219,9 @@ def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Ve
         return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
     if not graph.truncated:
         return Verdict(VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED, predicate_name)
-    if is_upward_closed(pred) and not any(
-        isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(pred)
-    ):
-        if _backward_coverable(model, pred, graph.bound.max_states) is False:
-            return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
+    if (_coverability_target(pred)
+            and _backward_coverable(model, pred, graph.bound.max_states) is False):
+        return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
     return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
 
 
@@ -270,6 +245,12 @@ class CoverabilityResult:
     tree_nodes: list[tuple]              # omega-markings in place order
     tree_edges: list[tuple[int, str, int]]
     covering_path: Optional[tuple[str, ...]] = None
+
+
+def _coverability_target(pred: Predicate) -> bool:
+    """Upward-closed and over tokens only: what coverability can decide."""
+    return is_upward_closed(pred) and not any(
+        isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(pred))
 
 
 def _minimal_target_markings(pred: Predicate, place_order: tuple[str, ...]) -> list[tuple[int, ...]]:
@@ -372,10 +353,9 @@ def karp_miller(model: NetModel, target: Predicate, *,
     target is coverable, a concrete witness trace is extracted by bounded
     exploration under the full semantics when one can be found.
     """
-    if not is_upward_closed(target):
-        raise NotUpwardClosed("target predicate is not syntactically upward-closed")
-    if any(isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(target)):
-        raise NotUpwardClosed("coverability targets may not use counter or mode atoms")
+    if not _coverability_target(target):
+        raise NotUpwardClosed(
+            "coverability targets must be upward-closed and use no counter or mode atoms")
 
     net = compiled(model)
     n = len(net.place_ids)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .analysis import (
@@ -70,10 +70,8 @@ class Alarm:
 class RunRecord:
     firings: tuple[str, ...]
     markings: tuple[Marking, ...]            # len = len(firings) + 1
-    counter_series: tuple[tuple[tuple[str, int], ...], ...]
-    alarms: tuple[Alarm, ...]
+    alarms: tuple[Alarm, ...] = ()
     deadlock_step: Optional[int] = None
-    pressure_series: Optional[tuple[Optional[int], ...]] = None
 
     @property
     def steps(self) -> int:
@@ -116,12 +114,9 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
         firings.append(t)
         states.append(v)
 
-    markings = tuple(net.marking(s) for s in states)
-    counter_series = tuple(mk.counters for mk in markings)
-    record = RunRecord(tuple(firings), markings, counter_series, alarms=())
-    alarms = tuple(evaluate_audit_rules(model, record, bound))
-    return RunRecord(record.firings, record.markings, record.counter_series,
-                     alarms, deadlock_step=deadlock)
+    run = RunRecord(tuple(firings), tuple(net.marking(s) for s in states))
+    return replace(run, alarms=tuple(evaluate_audit_rules(model, run, bound)),
+                   deadlock_step=deadlock)
 
 
 def _rule_condition(model: NetModel, rule: AuditRule, run: RunRecord, step: int,
@@ -234,7 +229,5 @@ def run_record_to_jsonl(run: RunRecord) -> str:
                 for a in alarms_by_step.get(step, [])
             ],
         }
-        if run.pressure_series is not None:
-            rec["pressure"] = run.pressure_series[step]
         lines.append(json.dumps(rec, sort_keys=True))
     return "\n".join(lines) + "\n"

@@ -54,9 +54,9 @@ from .errors import (
 )
 from .governance import (
     GovernanceLog,
-    VerificationReport,
     apply_patch,
     parse_patch,
+    patch_report,
     record_decision,
     verify_patch,
 )
@@ -105,7 +105,7 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def _run_json(run: RunRecord) -> dict:
-    d = {
+    return {
         "firings": list(run.firings),
         "markings": [
             {"tokens": dict(m.tokens_map), "counters": dict(m.counters_map)}
@@ -117,9 +117,6 @@ def _run_json(run: RunRecord) -> dict:
         ],
         "deadlock_step": run.deadlock_step,
     }
-    if run.pressure_series is not None:
-        d["pressure_series"] = list(run.pressure_series)
-    return d
 
 
 def _emit_report(command: str, model: NetModel, parameters: dict, results: dict,
@@ -297,25 +294,9 @@ def cmd_edit(model_path, patch_path, verify, bound_states, bound_depth,
 
     bound = _bound(bound_states, bound_depth, bound_tokens)
     try:
-        if verify:
-            vreport = verify_patch(model, patch, bound)
-            patched = apply_patch(model, patch)
-        else:
-            patched = apply_patch(model, patch)
-            vreport = VerificationReport(
-                patch_id=patch.id,
-                pre_hash=model_hash(model),
-                post_hash=model_hash(patched),
-                verdicts_before=(), verdicts_after=(),
-                states_before=0, states_after=0,
-                regressions=(),
-                predicates_added=tuple(
-                    n for n, _ in patched.forbidden
-                    if n not in {m for m, _ in model.forbidden}),
-                predicates_removed=tuple(
-                    n for n, _ in model.forbidden
-                    if n not in {m for m, _ in patched.forbidden}),
-            )
+        patched = apply_patch(model, patch)
+        vreport = (verify_patch(model, patch, bound) if verify
+                   else patch_report(model, patched, patch))
     except RespetriError as e:
         raise _Fail(f"patch failed: {e}", 3)
 

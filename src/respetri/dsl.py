@@ -82,19 +82,11 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#.*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>-?\d+)
-  | (?P<string>"[^"]*")
+  | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<op>:=|<=|>=|<|>|=|\(|\)|:)
     """,
     re.VERBOSE,
 )
-
-KEYWORDS = {
-    "meta", "place", "trans", "in", "out", "inhibit", "read", "guard",
-    "counted", "forbidden", "audit", "mode", "override", "ratelimit",
-    "and", "or", "not", "cap", "init", "label", "disable", "counter",
-    "rate", "occupancy", "pressure", "max", "per", "within",
-}
-
 
 @dataclass
 class Token:
@@ -179,6 +171,35 @@ class _Cursor:
         tok = self.peek()
         if tok is not None:
             raise _Err((tok.line, tok.col), f"trailing input {tok.value!r}")
+
+    def take_string(self) -> str:
+        return _unquote(self.take("string"))
+
+
+# ---------------------------------------------------------------------------
+# Strings: `\\`, `\"`, `\n` and `\uXXXX` (for the other line breaks) escape
+# what would end the string or the line; any other character stands for itself.
+# ---------------------------------------------------------------------------
+
+_SPECIAL_RE = re.compile(r'[\\"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|(.))")
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
+_QUOTED = {c: "\\" + e for e, c in _ESCAPES.items()}
+
+
+def _quote(s: str) -> str:
+    return '"' + _SPECIAL_RE.sub(
+        lambda m: _QUOTED.get(m.group()) or f"\\u{ord(m.group()):04x}", s) + '"'
+
+
+def _unquote(tok: Token) -> str:
+    def unescape(m):
+        c = chr(int(m.group(1), 16)) if m.group(1) else _ESCAPES.get(m.group(2))
+        if c is None or "\ud800" <= c <= "\udfff":  # a lone surrogate cannot be encoded
+            raise _Err((tok.line, tok.col + 1 + m.start()), f"bad escape {m.group()!r}",
+                       ("\\\\", '\\"', "\\n", "\\uXXXX"))
+        return c
+    return _ESCAPE_RE.sub(unescape, tok.value[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +294,25 @@ class _Draft:
     ratelimits: list = field(default_factory=list)
 
 
-def _parse_place(cur: _Cursor, draft: _Draft):
+def _parse_lines(text: str, parse_line) -> None:
+    """Run `parse_line` on a cursor over each non-blank line; a bad line
+    yields one ParseError, and all of them are raised together at the end."""
+    errors: list[ParseError] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            tokens = _tokenize_line(line, lineno)
+            if tokens:
+                cur = _Cursor(tokens, lineno, len(line))
+                parse_line(cur)
+                cur.expect_end()
+        except _Err as e:
+            errors.append(e.error)
+    if errors:
+        raise ParseFailure(errors)
+
+
+def _parse_place(cur: _Cursor) -> tuple[PlaceDef, int]:
+    """`<id> [cap k] [init n] [label "..."]`, after the `place` keyword."""
     name = cur.take_ident().value
     cap = None
     init = 0
@@ -284,13 +323,12 @@ def _parse_place(cur: _Cursor, draft: _Draft):
         elif cur.accept_keyword("init"):
             init = cur.take_int(minimum=0)
         elif cur.accept_keyword("label"):
-            label = cur.take("string").value[1:-1]
+            label = cur.take_string()
         else:
             tok = cur.peek()
             raise _Err((tok.line, tok.col), f"unexpected {tok.value!r} in place declaration",
                        ("cap", "init", "label"))
-    draft.places.append(PlaceDef(name, cap, label))
-    draft.inits[name] = init
+    return PlaceDef(name, cap, label), init
 
 
 def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
@@ -308,7 +346,8 @@ def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
     return arcs
 
 
-def _parse_trans(cur: _Cursor, draft: _Draft):
+def _parse_trans(cur: _Cursor) -> TransitionDef:
+    """`<id> [in|out|inhibit|read p:w ...] [guard pred] [counted]`, after `trans`."""
     name = cur.take_ident().value
     inputs: list = []
     outputs: list = []
@@ -333,11 +372,18 @@ def _parse_trans(cur: _Cursor, draft: _Draft):
             tok = cur.peek()
             raise _Err((tok.line, tok.col), f"unexpected {tok.value!r} in transition declaration",
                        ("in", "out", "inhibit", "read", "guard", "counted"))
-    draft.transitions.append(TransitionDef(name, tuple(inputs), tuple(outputs),
-                                           tuple(inhibitors), tuple(reads), guard, counted))
+    return TransitionDef(name, tuple(inputs), tuple(outputs), tuple(inhibitors),
+                         tuple(reads), guard, counted)
 
 
-def _parse_audit(cur: _Cursor, draft: _Draft) -> AuditRule:
+def _parse_forbidden(cur: _Cursor) -> tuple[str, Predicate]:
+    """`<name> := pred`, after the `forbidden` keyword."""
+    name = cur.take_ident().value
+    cur.take("op", ":=")
+    return name, _parse_pred(cur)
+
+
+def _parse_audit(cur: _Cursor) -> AuditRule:
     name = cur.take_ident().value
     cur.take("op", ":=")
     if cur.accept_keyword("counter"):
@@ -371,18 +417,17 @@ def _parse_line(cur: _Cursor, draft: _Draft):
     kw = tok.value
     if kw == "meta":
         key = cur.take_ident().value
-        val = cur.take("string").value[1:-1]
-        draft.meta[key] = val
+        draft.meta[key] = cur.take_string()
     elif kw == "place":
-        _parse_place(cur, draft)
+        place, init = _parse_place(cur)
+        draft.places.append(place)
+        draft.inits[place.id] = init
     elif kw == "trans":
-        _parse_trans(cur, draft)
+        draft.transitions.append(_parse_trans(cur))
     elif kw == "forbidden":
-        name = cur.take_ident().value
-        cur.take("op", ":=")
-        draft.forbidden.append((name, _parse_pred(cur)))
+        draft.forbidden.append(_parse_forbidden(cur))
     elif kw == "audit":
-        draft.audits.append(_parse_audit(cur, draft))
+        draft.audits.append(_parse_audit(cur))
     elif kw == "mode":
         name = cur.take_ident().value
         disabled = []
@@ -411,7 +456,6 @@ def _parse_line(cur: _Cursor, draft: _Draft):
     else:
         raise _Err((tok.line, tok.col), f"unknown keyword {kw!r}",
                    ("meta", "place", "trans", "forbidden", "audit", "mode", "override", "ratelimit"))
-    cur.expect_end()
 
 
 def parse_model(src: ModelSource | str) -> NetModel:
@@ -423,17 +467,7 @@ def parse_model(src: ModelSource | str) -> NetModel:
     if isinstance(src, str):
         src = ModelSource(src)
     draft = _Draft()
-    errors: list[ParseError] = []
-    for lineno, line in enumerate(src.text.splitlines(), start=1):
-        try:
-            tokens = _tokenize_line(line, lineno)
-            if not tokens:
-                continue
-            _parse_line(_Cursor(tokens, lineno, len(line)), draft)
-        except _Err as e:
-            errors.append(e.error)
-    if errors:
-        raise ParseFailure(errors)
+    _parse_lines(src.text, lambda cur: _parse_line(cur, draft))
 
     modes = tuple(
         ModeDef(mid, frozenset(dis), tuple(over.items()))
@@ -549,10 +583,32 @@ def format_predicate(pred: Predicate, top: bool = True) -> str:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def _format_arcs(keyword: str, arcs) -> str:
-    if not arcs:
-        return ""
-    return " " + keyword + " " + " ".join(f"{p}:{w}" for p, w in arcs)
+def _place_line(p: PlaceDef, init: int) -> str:
+    line = f"place {p.id}"
+    if p.capacity is not None:
+        line += f" cap {p.capacity}"
+    if init:
+        line += f" init {init}"
+    if p.label:
+        line += " label " + _quote(p.label)
+    return line
+
+
+def _trans_line(t: TransitionDef) -> str:
+    line = f"trans {t.id}"
+    for keyword, arcs in (("in", t.inputs), ("out", t.outputs),
+                          ("inhibit", t.inhibitors), ("read", t.reads)):
+        if arcs:
+            line += f" {keyword} " + " ".join(f"{p}:{w}" for p, w in arcs)
+    if t.guard is not None:
+        line += " guard " + format_predicate(t.guard)
+    if t.counted:
+        line += " counted"
+    return line
+
+
+def _forbidden_line(name: str, pred: Predicate) -> str:
+    return f"forbidden {name} := {format_predicate(pred)}"
 
 
 def _format_audit(rule: AuditRule) -> str:
@@ -569,34 +625,12 @@ def _format_audit(rule: AuditRule) -> str:
 
 def serialize_model(model: NetModel) -> ModelSource:
     """Canonical text form; parse(serialize(m)) is structurally equal to m."""
-    lines: list[str] = []
-    for k, v in sorted(model.metadata):
-        lines.append(f'meta {k} "{v}"')
     init = model.initial.tokens_map
-    for p in sorted(model.places, key=lambda p: p.id):
-        parts = [f"place {p.id}"]
-        if p.capacity is not None:
-            parts.append(f"cap {p.capacity}")
-        if init.get(p.id, 0) > 0:
-            parts.append(f"init {init[p.id]}")
-        if p.label:
-            parts.append(f'label "{p.label}"')
-        lines.append(" ".join(parts))
-    for t in sorted(model.transitions, key=lambda t: t.id):
-        line = f"trans {t.id}"
-        line += _format_arcs("in", t.inputs)
-        line += _format_arcs("out", t.outputs)
-        line += _format_arcs("inhibit", t.inhibitors)
-        line += _format_arcs("read", t.reads)
-        if t.guard is not None:
-            line += " guard " + format_predicate(t.guard)
-        if t.counted:
-            line += " counted"
-        lines.append(line)
-    for name, pred in sorted(model.forbidden, key=lambda kv: kv[0]):
-        lines.append(f"forbidden {name} := {format_predicate(pred)}")
-    for rule in sorted(model.audit_rules, key=lambda r: r.id):
-        lines.append(_format_audit(rule))
+    lines = [f"meta {k} {_quote(v)}" for k, v in sorted(model.metadata)]
+    lines += [_place_line(p, init.get(p.id, 0)) for p in sorted(model.places, key=lambda p: p.id)]
+    lines += [_trans_line(t) for t in sorted(model.transitions, key=lambda t: t.id)]
+    lines += [_forbidden_line(*kv) for kv in sorted(model.forbidden, key=lambda kv: kv[0])]
+    lines += [_format_audit(r) for r in sorted(model.audit_rules, key=lambda r: r.id)]
     for md in sorted(model.modes, key=lambda m: m.id):
         line = f"mode {md.id}"
         if md.disabled:

@@ -11,10 +11,6 @@ class UnknownTransition(RespetriError):
     pass
 
 
-class UnknownPlace(RespetriError):
-    pass
-
-
 class UnknownReference(RespetriError):
     """A predicate refers to a place, transition, or mode the net does not declare."""
 

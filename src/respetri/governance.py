@@ -11,22 +11,35 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .analysis import DEFAULT_BOUND, ExplorationBound, Verdict, explore, graph_verdict
+from .analysis import (
+    DEFAULT_BOUND,
+    ExplorationBound,
+    Verdict,
+    VerdictKind,
+    explore,
+    graph_verdict,
+)
 from .dsl import (
     _Cursor,
     _Err,
+    _forbidden_line,
+    _parse_forbidden,
+    _parse_lines,
+    _parse_place,
     _parse_pred,
-    _tokenize_line,
+    _parse_trans,
+    _place_line,
+    _quote,
+    _trans_line,
     format_predicate,
     model_hash,
 )
 from .errors import (
     DanglingReference,
     HashChainBroken,
-    ParseFailure,
     PatchError,
     ResultingModelInvalid,
     UnknownTarget,
@@ -43,7 +56,8 @@ from .net import (
     validate_net,
 )
 
-ARC_KINDS = ("in", "out", "inhibit", "read")
+ARC_FIELDS = {"in": "inputs", "out": "outputs", "inhibit": "inhibitors", "read": "reads"}
+ARC_KINDS = tuple(ARC_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +129,11 @@ EditOp = Union[AddPlace, RemovePlace, AddTransition, RemoveTransition, AddArc,
 
 def format_op(op: EditOp) -> str:
     if isinstance(op, AddPlace):
-        parts = [f"add place {op.place.id}"]
-        if op.place.capacity is not None:
-            parts.append(f"cap {op.place.capacity}")
-        if op.init:
-            parts.append(f"init {op.init}")
-        if op.place.label:
-            parts.append(f'label "{op.place.label}"')
-        return " ".join(parts)
+        return "add " + _place_line(op.place, op.init)
     if isinstance(op, RemovePlace):
         return f"remove place {op.place}"
     if isinstance(op, AddTransition):
-        t = op.transition
-        line = f"add trans {t.id}"
-        for kw, arcs in (("in", t.inputs), ("out", t.outputs),
-                         ("inhibit", t.inhibitors), ("read", t.reads)):
-            if arcs:
-                line += " " + kw + " " + " ".join(f"{p}:{w}" for p, w in arcs)
-        if t.guard is not None:
-            line += " guard " + format_predicate(t.guard)
-        if t.counted:
-            line += " counted"
-        return line
+        return "add " + _trans_line(op.transition)
     if isinstance(op, RemoveTransition):
         return f"remove trans {op.transition}"
     if isinstance(op, AddArc):
@@ -150,7 +147,7 @@ def format_op(op: EditOp) -> str:
         rhs = str(op.capacity) if op.capacity is not None else "none"
         return f"set capacity {op.place} {rhs}"
     if isinstance(op, AddForbidden):
-        return f"add forbidden {op.name} := {format_predicate(op.predicate)}"
+        return "add " + _forbidden_line(op.name, op.predicate)
     if isinstance(op, SwitchMode):
         return f"switch mode {op.mode}"
     raise TypeError(f"not an edit op: {op!r}")
@@ -168,12 +165,9 @@ class Patch:
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     def to_text(self) -> str:
-        lines = []
-        if self.author:
-            lines.append(f'author "{self.author}"')
-        if self.rationale:
-            lines.append(f'rationale "{self.rationale}"')
-        lines.extend(format_op(op) for op in self.ops)
+        lines = [f"{key} {_quote(value)}" for key, value in
+                 (("author", self.author), ("rationale", self.rationale)) if value]
+        lines += [format_op(op) for op in self.ops]
         return "\n".join(lines) + "\n"
 
 
@@ -182,77 +176,50 @@ class Patch:
 # ---------------------------------------------------------------------------
 
 def parse_patch(text: str) -> Patch:
-    """Parse the `.patch` text format (same keyword style as the model DSL)."""
-    author = ""
-    rationale = ""
+    """Parse the `.patch` text format; `add place|trans|forbidden` is `add `
+    followed by the model line it adds."""
+    header = {"author": "", "rationale": ""}
     ops: list[EditOp] = []
-    errors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            tokens = _tokenize_line(line, lineno)
-            if not tokens:
-                continue
-            cur = _Cursor(tokens, lineno, len(line))
-            head = cur.take_ident().value
-            if head == "author":
-                author = cur.take("string").value[1:-1]
-            elif head == "rationale":
-                rationale = cur.take("string").value[1:-1]
-            elif head == "add":
-                ops.append(_parse_add(cur))
-            elif head == "remove":
-                ops.append(_parse_remove(cur))
-            elif head == "set":
-                ops.append(_parse_set(cur))
-            elif head == "switch":
-                cur.take_keyword("mode")
-                ops.append(SwitchMode(cur.take_ident().value))
-            else:
-                raise _Err((lineno, tokens[0].col), f"unknown patch keyword {head!r}",
-                           ("author", "rationale", "add", "remove", "set", "switch"))
-            cur.expect_end()
-        except _Err as e:
-            errors.append(e.error)
-    if errors:
-        raise ParseFailure(errors)
-    return Patch(tuple(ops), author, rationale)
+
+    def parse_line(cur: _Cursor):
+        tok = cur.take_ident()
+        if tok.value in header:
+            header[tok.value] = cur.take_string()
+        elif tok.value == "add":
+            ops.append(_parse_add(cur))
+        elif tok.value == "remove":
+            ops.append(_parse_remove(cur))
+        elif tok.value == "set":
+            ops.append(_parse_set(cur))
+        elif tok.value == "switch":
+            cur.take_keyword("mode")
+            ops.append(SwitchMode(cur.take_ident().value))
+        else:
+            raise _Err((tok.line, tok.col), f"unknown patch keyword {tok.value!r}",
+                       ("author", "rationale", "add", "remove", "set", "switch"))
+
+    _parse_lines(text, parse_line)
+    return Patch(tuple(ops), header["author"], header["rationale"])
+
+
+def _take_arc(cur: _Cursor) -> tuple[str, str, str]:
+    """`<kind> <place> <transition>` of an arc op."""
+    kind = cur.take_ident().value
+    if kind not in ARC_FIELDS:
+        raise _Err(cur._here(), f"bad arc kind {kind!r}", ARC_KINDS)
+    return kind, cur.take_ident().value, cur.take_ident().value
 
 
 def _parse_add(cur: _Cursor) -> EditOp:
     what = cur.take_ident().value
     if what == "place":
-        pid = cur.take_ident().value
-        cap = None
-        init = 0
-        label = ""
-        while not cur.at_end():
-            if cur.accept_keyword("cap"):
-                cap = cur.take_int(minimum=1)
-            elif cur.accept_keyword("init"):
-                init = cur.take_int(minimum=0)
-            elif cur.accept_keyword("label"):
-                label = cur.take("string").value[1:-1]
-            else:
-                raise _Err(cur._here(), "bad place clause", ("cap", "init", "label"))
-        return AddPlace(PlaceDef(pid, cap, label), init)
+        return AddPlace(*_parse_place(cur))
     if what == "trans":
-        from .dsl import _Draft, _parse_trans
-
-        draft = _Draft()
-        _parse_trans(cur, draft)
-        return AddTransition(draft.transitions[0])
+        return AddTransition(_parse_trans(cur))
     if what == "arc":
-        kind = cur.take_ident().value
-        if kind not in ARC_KINDS:
-            raise _Err(cur._here(), f"bad arc kind {kind!r}", ARC_KINDS)
-        place = cur.take_ident().value
-        trans = cur.take_ident().value
-        weight = cur.take_int(minimum=1) if not cur.at_end() else 1
-        return AddArc(kind, place, trans, weight)
+        return AddArc(*_take_arc(cur), cur.take_int(minimum=1) if not cur.at_end() else 1)
     if what == "forbidden":
-        name = cur.take_ident().value
-        cur.take("op", ":=")
-        return AddForbidden(name, _parse_pred(cur))
+        return AddForbidden(*_parse_forbidden(cur))
     raise _Err(cur._here(), f"cannot add {what!r}", ("place", "trans", "arc", "forbidden"))
 
 
@@ -263,10 +230,7 @@ def _parse_remove(cur: _Cursor) -> EditOp:
     if what == "trans":
         return RemoveTransition(cur.take_ident().value)
     if what == "arc":
-        kind = cur.take_ident().value
-        if kind not in ARC_KINDS:
-            raise _Err(cur._here(), f"bad arc kind {kind!r}", ARC_KINDS)
-        return RemoveArc(kind, cur.take_ident().value, cur.take_ident().value)
+        return RemoveArc(*_take_arc(cur))
     raise _Err(cur._here(), f"cannot remove {what!r}", ("place", "trans", "arc"))
 
 
@@ -274,14 +238,10 @@ def _parse_set(cur: _Cursor) -> EditOp:
     what = cur.take_ident().value
     if what == "guard":
         t = cur.take_ident().value
-        if cur.accept_keyword("none"):
-            return SetGuard(t, None)
-        return SetGuard(t, _parse_pred(cur))
+        return SetGuard(t, None if cur.accept_keyword("none") else _parse_pred(cur))
     if what == "capacity":
         p = cur.take_ident().value
-        if cur.accept_keyword("none"):
-            return SetCapacity(p, None)
-        return SetCapacity(p, cur.take_int(minimum=1))
+        return SetCapacity(p, None if cur.accept_keyword("none") else cur.take_int(minimum=1))
     raise _Err(cur._here(), f"cannot set {what!r}", ("guard", "capacity"))
 
 
@@ -291,10 +251,8 @@ def _parse_set(cur: _Cursor) -> EditOp:
 
 def _referencing(model_transitions, place: str):
     for t in model_transitions:
-        for arcs in (t.inputs, t.outputs, t.inhibitors, t.reads):
-            if any(p == place for p, _ in arcs):
-                yield t.id
-                break
+        if any(p == place for f in ARC_FIELDS.values() for p, _ in getattr(t, f)):
+            yield t.id
 
 
 def apply_patch(model: NetModel, patch: Patch) -> NetModel:
@@ -309,15 +267,6 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
     counters = dict(model.initial.counters_map)
     forbidden = list(model.forbidden)
     modes = list(model.modes)
-
-    def arc_field(t: TransitionDef, kind: str):
-        return {"in": t.inputs, "out": t.outputs, "inhibit": t.inhibitors, "read": t.reads}[kind]
-
-    def with_arcs(t: TransitionDef, kind: str, arcs):
-        fields = {"in": t.inputs, "out": t.outputs, "inhibit": t.inhibitors, "read": t.reads}
-        fields[kind] = tuple(arcs)
-        return TransitionDef(t.id, fields["in"], fields["out"], fields["inhibit"],
-                             fields["read"], t.guard, t.counted)
 
     for op in patch.ops:
         if isinstance(op, AddPlace):
@@ -366,30 +315,28 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
             if op.place not in places:
                 raise UnknownTarget(f"no place {op.place!r}")
             t = transitions[op.transition]
-            arcs = list(arc_field(t, op.kind))
+            arcs = getattr(t, ARC_FIELDS[op.kind])
             if any(p == op.place for p, _ in arcs):
                 raise PatchError(f"{op.kind}-arc {op.place}->{op.transition} already present")
-            arcs.append((op.place, op.weight))
-            transitions[op.transition] = with_arcs(t, op.kind, arcs)
+            transitions[op.transition] = replace(
+                t, **{ARC_FIELDS[op.kind]: arcs + ((op.place, op.weight),)})
         elif isinstance(op, RemoveArc):
             if op.transition not in transitions:
                 raise UnknownTarget(f"no transition {op.transition!r}")
             t = transitions[op.transition]
-            arcs = [a for a in arc_field(t, op.kind) if a[0] != op.place]
-            if len(arcs) == len(arc_field(t, op.kind)):
+            arcs = getattr(t, ARC_FIELDS[op.kind])
+            kept = tuple(a for a in arcs if a[0] != op.place)
+            if len(kept) == len(arcs):
                 raise UnknownTarget(f"no {op.kind}-arc {op.place}->{op.transition}")
-            transitions[op.transition] = with_arcs(t, op.kind, arcs)
+            transitions[op.transition] = replace(t, **{ARC_FIELDS[op.kind]: kept})
         elif isinstance(op, SetGuard):
             if op.transition not in transitions:
                 raise UnknownTarget(f"no transition {op.transition!r}")
-            t = transitions[op.transition]
-            transitions[op.transition] = TransitionDef(
-                t.id, t.inputs, t.outputs, t.inhibitors, t.reads, op.guard, t.counted)
+            transitions[op.transition] = replace(transitions[op.transition], guard=op.guard)
         elif isinstance(op, SetCapacity):
             if op.place not in places:
                 raise UnknownTarget(f"no place {op.place!r}")
-            p = places[op.place]
-            places[op.place] = PlaceDef(p.id, op.capacity, p.label)
+            places[op.place] = replace(places[op.place], capacity=op.capacity)
         elif isinstance(op, AddForbidden):
             if any(n == op.name for n, _ in forbidden):
                 raise PatchError(f"forbidden predicate {op.name!r} already exists")
@@ -436,6 +383,35 @@ class VerificationReport:
     predicates_removed: tuple[str, ...]
 
 
+def patch_report(model: NetModel, post: NetModel, patch: Patch,
+                 before: tuple[tuple[str, Verdict], ...] = (),
+                 after: tuple[tuple[str, Verdict], ...] = (),
+                 states: tuple[int, int] = (0, 0)) -> VerificationReport:
+    """The report for `post = apply_patch(model, patch)`, given the verdicts
+    and state counts of each side; without them it records only the hashes
+    and the change to the predicate set."""
+    names_before = [n for n, _ in model.forbidden]
+    names_after = [n for n, _ in post.forbidden]
+    before_map = dict(before)
+    return VerificationReport(
+        patch_id=patch.id,
+        pre_hash=model_hash(model),
+        post_hash=model_hash(post),
+        verdicts_before=before,
+        verdicts_after=after,
+        states_before=states[0],
+        states_after=states[1],
+        regressions=tuple(
+            n for n, v in after
+            if n in before_map
+            and before_map[n].kind is VerdictKind.SAFE
+            and v.kind is not VerdictKind.SAFE
+        ),
+        predicates_added=tuple(n for n in names_after if n not in names_before),
+        predicates_removed=tuple(n for n in names_before if n not in names_after),
+    )
+
+
 def verify_patch(model: NetModel, patch: Patch,
                  bound: ExplorationBound = DEFAULT_BOUND) -> VerificationReport:
     """Before/after verdicts for every named forbidden predicate.
@@ -444,33 +420,14 @@ def verify_patch(model: NetModel, patch: Patch,
     to the predicate set itself, which governance must see explicitly. Each
     side is explored once, for all its verdicts and its state count.
     """
-    from .analysis import VerdictKind
-
     post = apply_patch(model, patch)
-    names_before = [n for n, _ in model.forbidden]
-    names_after = [n for n, _ in post.forbidden]
     graph_before = explore(model, bound)
     graph_after = explore(post, bound)
-    before = tuple((n, graph_verdict(model, graph_before, n)) for n in names_before)
-    after = tuple((n, graph_verdict(post, graph_after, n)) for n in names_after)
-    before_map = dict(before)
-    regressions = tuple(
-        n for n, v in after
-        if n in before_map
-        and before_map[n].kind is VerdictKind.SAFE
-        and v.kind is not VerdictKind.SAFE
-    )
-    return VerificationReport(
-        patch_id=patch.id,
-        pre_hash=model_hash(model),
-        post_hash=model_hash(post),
-        verdicts_before=before,
-        verdicts_after=after,
-        states_before=len(graph_before.states),
-        states_after=len(graph_after.states),
-        regressions=regressions,
-        predicates_added=tuple(n for n in names_after if n not in names_before),
-        predicates_removed=tuple(n for n in names_before if n not in names_after),
+    return patch_report(
+        model, post, patch,
+        tuple((n, graph_verdict(model, graph_before, n)) for n, _ in model.forbidden),
+        tuple((n, graph_verdict(post, graph_after, n)) for n, _ in post.forbidden),
+        (len(graph_before.states), len(graph_after.states)),
     )
 
 

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from respetri import (
     And,
     CounterAtom,
+    Marking,
     ModeAtom,
+    NetModel,
     Not,
     Or,
     ParseFailure,
+    PlaceDef,
     StructureFailure,
     TokenAtom,
     canonical_form,
@@ -95,6 +98,31 @@ class TestParsing:
     def test_string_escapes_not_needed_for_plain_labels(self):
         m = parse_model('place p label "hello world"\n')
         assert m.place("p").label == "hello world"
+
+    def test_string_escapes(self):
+        m = parse_model('place p label "a\\"b\\\\c\\nd\\u2028e"\n')
+        assert m.place("p").label == 'a"b\\c\nd\u2028e'
+        text = serialize_model(m).text
+        assert text == 'place p label "a\\"b\\\\c\\nd\\u2028e"\n'
+        assert parse_model(text) == m
+
+    def test_every_line_break_is_escaped(self):
+        label = '\\"\n\r\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029'
+        assert len(label.splitlines()) == 11  # one break per character, \r\n as one
+        m = NetModel(places=(PlaceDef("p", None, label),), transitions=(),
+                     initial=Marking.make({"p": 0}), metadata=(("note", label),))
+        text = serialize_model(m).text
+        assert len(text.splitlines()) == 2
+        assert parse_model(text) == m
+
+    def test_bad_escape_is_a_positioned_parse_error(self):
+        for text, col in (('place p label "a\\qb"', 17), ('meta k "\\u12x"', 9),
+                          ('meta k "ok \\ud800"', 12)):
+            with pytest.raises(ParseFailure) as exc:
+                parse_model(text + "\n")
+            (error,) = exc.value.errors
+            assert error.position == (1, col)
+            assert "bad escape" in error.message
 
 
 class TestModes:
@@ -227,6 +255,15 @@ class TestSerialization:
             And((TokenAtom("p", ">", 0), CounterAtom("t", "<=", 3)))
         ) == "(p > 0 and #t <= 3)"
         assert format_predicate(Not(ModeAtom("x"))) == "not mode = x"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text())
+    def test_round_trip_any_label_and_meta_value(self, label, value):
+        model = NetModel(places=(PlaceDef("p", None, label),), transitions=(),
+                         initial=Marking.make({"p": 1}), metadata=(("note", value),))
+        text = serialize_model(model).text
+        assert len(text.splitlines()) == 2
+        assert parse_model(text) == model
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9))

@@ -1,15 +1,23 @@
 """Patches, verification reports, and the hash-chained governance log."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respetri import (
     AddArc,
     AddForbidden,
     AddPlace,
     AddTransition,
+    CounterAtom,
     DanglingReference,
     GovernanceLog,
     HashChainBroken,
+    ModeAtom,
+    Not,
+    Or,
     Patch,
     PlaceDef,
     RemoveArc,
@@ -30,11 +38,15 @@ from respetri import (
     parse_patch,
     record_decision,
     replay_log,
+    serialize_model,
     structurally_equal,
     verify_patch,
 )
 from respetri.governance import replay_log as _replay  # noqa: F401 (re-export check)
-from respetri.models import FixtureConfig, build_traffic_model
+from respetri.governance import EditOp, format_op
+from respetri.models import FIXTURES, FixtureConfig, build_traffic_model
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
 
 SAFEGUARD = Patch(
     ops=(AddArc("inhibit", "p3", "t4", 2),
@@ -187,6 +199,56 @@ class TestPatchText:
         with pytest.raises(ParseFailure) as exc:
             parse_patch("add gizmo x\nremove arc sideways p t\n")
         assert len(exc.value.errors) == 2
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text())
+    def test_any_author_and_rationale_round_trip(self, author, rationale):
+        patch = Patch(SAFEGUARD.ops, author=author, rationale=rationale)
+        assert parse_patch(patch.to_text()) == patch
+
+    def test_add_lines_are_model_lines(self):
+        m = build_traffic_model()
+        model_lines = serialize_model(m).text.splitlines()
+        init = m.initial.tokens_map
+        ops = ([AddPlace(p, init[p.id]) for p in m.places]
+               + [AddTransition(t) for t in m.transitions]
+               + [AddForbidden(n, pred) for n, pred in m.forbidden])
+        for op in ops:
+            line = format_op(op)
+            assert line.startswith("add ") and line[4:] in model_lines
+
+
+class TestPinnedBytes:
+    """Patch ids and model hashes that logs and reports already carry."""
+
+    def test_safeguard_patch_id(self):
+        text = (DATA / "traffic_safeguards.patch").read_text(encoding="utf-8")
+        assert parse_patch(text).id == (
+            "7a9cdee17829c19d2421727e1ae6edadfb017f6161a171574cf61f242ee9121d")
+
+    def test_fixture_model_hashes(self):
+        assert {name: model_hash(build()) for name, build in FIXTURES.items()} == {
+            "traffic": "e092577d0eca0cb103a743d12352f3ad010485614431b18ea841e484a952d817",
+            "risk_scoring": "ee706cdd1b2e18093da89a677573e2e166641b60c2c47424567fa3cb1e49e484",
+            "srs_symbolic": "df68dfe7204856aa193ce57812f4a7bd8e1c9a15919f59e7b9a40776f87459bd",
+        }
+
+    def test_every_op_kind_round_trips(self):
+        patch = Patch(
+            ops=(AddPlace(PlaceDef("buffer", 2, 'say "hi"\\'), 1),
+                 AddTransition(TransitionDef(
+                     "t9", (("buffer", 1),), (("p1", 2),), (("p2", 1),), (("p3", 1),),
+                     Or((TokenAtom("buffer", ">=", 1), Not(CounterAtom("t9", "<", 2)))),
+                     counted=True)),
+                 AddArc("read", "buffer", "t1", 3), AddForbidden("f2", TokenAtom("buffer", ">=", 2)),
+                 SetGuard("t9", None), SetGuard("t1", ModeAtom("strict")),
+                 SetCapacity("buffer", None), SetCapacity("p1", 4),
+                 RemoveArc("inhibit", "p2", "t9"), RemoveTransition("t9"),
+                 RemovePlace("buffer"), SwitchMode("strict")),
+            author="ops\nteam", rationale="keep a \"slack\" buffer")
+        assert {type(op) for op in patch.ops} == set(EditOp.__args__)
+        assert parse_patch(patch.to_text()) == patch
 
 
 class TestVerifyPatch:
