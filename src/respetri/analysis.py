@@ -22,17 +22,12 @@ from .errors import NodeNotInGraph, NotUpwardClosed
 from .net import (
     And,
     CompiledNet,
-    CounterAtom,
     Marking,
-    ModeAtom,
     NetModel,
     Or,
     Predicate,
     TokenAtom,
     compiled,
-    initial_marking,
-    is_upward_closed,
-    predicate_atoms,
 )
 
 
@@ -140,7 +135,7 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     compatibility and does not change the result.
     """
     net = compiled(model)
-    root = net.state(initial_marking(model))
+    root = net.root
     states = [root]
     index = {root: 0}
     discovered_by = [-1]
@@ -219,8 +214,7 @@ def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Ve
         return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
     if not graph.truncated:
         return Verdict(VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED, predicate_name)
-    if (_coverability_target(pred)
-            and _backward_coverable(model, pred, graph.bound.max_states) is False):
+    if _backward_coverable(model, pred, graph.bound.max_states) is False:
         return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
     return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
 
@@ -247,51 +241,43 @@ class CoverabilityResult:
     covering_path: Optional[tuple[str, ...]] = None
 
 
-def _coverability_target(pred: Predicate) -> bool:
-    """Upward-closed and over tokens only: what coverability can decide."""
-    return is_upward_closed(pred) and not any(
-        isinstance(a, (CounterAtom, ModeAtom)) for a in predicate_atoms(pred))
+def _target_basis(pred: Predicate, place_ids: tuple[str, ...]) -> Optional[list[tuple[int, ...]]]:
+    """Minimal markings of the predicate, via DNF, or None unless it is
+    upward-closed and over tokens only (what coverability can decide)."""
+    slot = {p: i for i, p in enumerate(place_ids)}
 
-
-def _minimal_target_markings(pred: Predicate, place_order: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """Minimal markings of an upward-closed predicate, via DNF."""
-    idx = {p: i for i, p in enumerate(place_order)}
-
-    def rec(node) -> list[dict]:
-        if isinstance(node, TokenAtom):
+    def rec(node) -> Optional[list[dict]]:
+        if isinstance(node, TokenAtom) and node.op in (">=", ">"):
             need = node.value if node.op == ">=" else node.value + 1
             return [{node.place: max(need, 0)}]
-        if isinstance(node, And):
-            combos = [{}]
-            for op in node.operands:
-                combos = [
-                    {p: max(a.get(p, 0), b.get(p, 0)) for p in {*a, *b}}
-                    for a in combos
-                    for b in rec(op)
-                ]
-            return combos
+        if not isinstance(node, (And, Or)):
+            return None  # a negation, a token atom with <, <= or =, or a counter or mode atom
+        parts = [rec(op) for op in node.operands]
+        if None in parts:
+            return None
         if isinstance(node, Or):
-            out = []
-            for op in node.operands:
-                out.extend(rec(op))
-            return out
-        raise NotUpwardClosed(f"unsupported atom in coverability target: {node!r}")
+            return [combo for part in parts for combo in part]
+        combos = [{}]
+        for part in parts:
+            combos = [{p: max(a.get(p, 0), b.get(p, 0)) for p in {*a, *b}}
+                      for a in combos for b in part]
+        return combos
 
-    result = []
-    for combo in rec(pred):
-        vec = [0] * len(place_order)
+    combos = rec(pred)
+    if combos is None:
+        return None
+    basis = []
+    for combo in combos:
+        vec = [0] * len(place_ids)
         for p, v in combo.items():
-            vec[idx[p]] = v
-        result.append(tuple(vec))
-    return result
-
-
-def _covers(m: tuple, target: tuple) -> bool:
-    return all(a >= b for a, b in zip(m, target))
+            vec[slot[p]] = v
+        basis.append(tuple(vec))
+    return basis
 
 
 def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Optional[bool]:
-    """Whether the plain projection can cover the target; None when the budget runs out.
+    """Whether the plain projection can cover the target; None when the budget
+    runs out or the target is not upward-closed and over tokens only.
 
     Backward search over a minimal basis of the markings from which the
     target can be covered (Abdulla, Cerans, Jonsson and Tsay, LICS 1996).
@@ -301,6 +287,9 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
     expanded breadth-first, at most `budget` of them.
     """
     net = compiled(model)
+    targets = _target_basis(target, net.place_ids)
+    if targets is None:
+        return None
     n = len(net.place_ids)
     rows = []
     for t in net.transitions:
@@ -311,7 +300,7 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
             if p < n:
                 delta[p] = d
         rows.append((tuple(need), tuple(delta)))
-    root = net.state(initial_marking(model))[:n]
+    root = net.root[:n]
     le, sub = operator.le, operator.sub
     basis: dict[tuple[int, ...], None] = {}   # a minimal antichain, insertion-ordered
     queue: deque[tuple[int, ...]] = deque()
@@ -326,7 +315,7 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
         queue.append(m)
         return all(map(le, m, root))
 
-    for m in _minimal_target_markings(target, net.place_ids):
+    for m in targets:
         if add(m):
             return True
     expanded = 0
@@ -353,21 +342,19 @@ def karp_miller(model: NetModel, target: Predicate, *,
     target is coverable, a concrete witness trace is extracted by bounded
     exploration under the full semantics when one can be found.
     """
-    if not _coverability_target(target):
+    net = compiled(model)
+    targets = _target_basis(target, net.place_ids)
+    if targets is None:
         raise NotUpwardClosed(
             "coverability targets must be upward-closed and use no counter or mode atoms")
-
-    net = compiled(model)
     n = len(net.place_ids)
     rows = [(t.id, t.needs, tuple((p, d) for p, d in t.delta if p < n))
             for t in net.transitions]
-    targets = _minimal_target_markings(target, net.place_ids)
-    root = net.state(initial_marking(model))[:n]
+    root = net.root[:n]
 
     tree_nodes: list[tuple] = [root]
     tree_edges: list[tuple[int, str, int]] = []
     parents = [-1]                       # parent of each tree node; -1 for the root
-    via: list[Optional[str]] = [None]    # transition of the edge into each node
     seen: dict[tuple, int] = {root: 0}
     worklist = deque([0])
     le = operator.le
@@ -400,17 +387,12 @@ def karp_miller(model: NetModel, target: Predicate, *,
             tree_nodes.append(m2)
             tree_edges.append((node, tid, child))
             parents.append(node)
-            via.append(tid)
             if m2 not in seen:
                 seen[m2] = child
                 worklist.append(child)
 
-    covering = None
-    for i, m in enumerate(tree_nodes):
-        if any(_covers(m, t) for t in targets):
-            covering = i
-            break
-
+    covering = next((i for i, m in enumerate(tree_nodes)
+                     if any(all(map(le, t, m)) for t in targets)), None)
     if covering is None:
         verdict = Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
         return CoverabilityResult(verdict, tree_nodes, tree_edges)
@@ -418,17 +400,16 @@ def karp_miller(model: NetModel, target: Predicate, *,
     path = []
     i = covering
     while i > 0:
-        path.append(via[i])
+        path.append(tree_edges[i - 1][1])  # the edge into node i
         i = parents[i]
-    trace = _concrete_witness(model, target)
+    trace = _concrete_witness(model, target, max(map(max, targets), default=1))
     verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
     return CoverabilityResult(verdict, tree_nodes, tree_edges, tuple(reversed(path)))
 
 
-def _concrete_witness(model: NetModel, target: Predicate):
-    """Bounded search under the full semantics for a marking covering the target."""
-    targets = _minimal_target_markings(target, compiled(model).place_ids)
-    base_cap = max((max(t) for t in targets), default=1)
+def _concrete_witness(model: NetModel, target: Predicate, base_cap: int):
+    """Bounded search under the full semantics for a marking covering the
+    target, with token cuts scaled from `base_cap`, its largest basis entry."""
     for cap in (base_cap + 2, (base_cap + 2) * 4, (base_cap + 2) * 16):
         bound = ExplorationBound(max_states=200_000, max_depth=10_000, max_tokens_per_place=cap)
         graph = explore(model, bound)

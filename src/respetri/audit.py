@@ -29,7 +29,6 @@ from .net import (
     RateThreshold,
     _OPS,
     compiled,
-    initial_marking,
 )
 
 
@@ -87,7 +86,7 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
     the finished run; pressure rules explore within `bound`.
     """
     net = compiled(model)
-    v = net.state(initial_marking(model))
+    v = net.root
     states = [v]
     firings: list[str] = []
     deadlock: Optional[int] = None

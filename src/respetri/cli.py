@@ -3,9 +3,9 @@
 Exit codes are a stable contract:
 
 * ``check``   — 0 all safe, 1 any unsafe, 2 any unknown (none unsafe),
-  3 usage/parse error.
-* ``simulate`` — 0 run completed, 3 usage/parse error, 4 a scripted firing
-  was disabled.
+  3 usage, parse or I/O error.
+* ``simulate`` — 0 run completed, 3 usage, parse or I/O error, 4 a scripted
+  firing was disabled.
 * ``edit``    — 0 patch applied, 1 ``--verify`` found a safe-to-not-safe
   regression, 3 any error (atomic: nothing is written on failure).
 
@@ -58,7 +58,6 @@ from .governance import (
     parse_patch,
     patch_report,
     record_decision,
-    verify_patch,
 )
 from .net import NetModel
 
@@ -137,11 +136,11 @@ def _emit_report(command: str, model: NetModel, parameters: dict, results: dict,
 
 
 def _bound_options(f):
-    f = click.option("--bound-states", type=int, default=DEFAULT_BOUND.max_states,
+    f = click.option("--bound-states", type=click.IntRange(min=0), default=DEFAULT_BOUND.max_states,
                      show_default=True, help="State-count exploration bound.")(f)
-    f = click.option("--bound-depth", type=int, default=DEFAULT_BOUND.max_depth,
+    f = click.option("--bound-depth", type=click.IntRange(min=0), default=DEFAULT_BOUND.max_depth,
                      show_default=True, help="Depth (firing-count) bound.")(f)
-    f = click.option("--bound-tokens", type=int,
+    f = click.option("--bound-tokens", type=click.IntRange(min=0),
                      default=DEFAULT_BOUND.max_tokens_per_place, show_default=True,
                      help="Per-place token cap; successors beyond it are cut.")(f)
     return f
@@ -173,14 +172,12 @@ def cmd_check(model_path, predicate, bound_states, bound_depth, bound_tokens,
     model = _load_model(model_path)
     bound = _bound(bound_states, bound_depth, bound_tokens)
     names = [predicate] if predicate else [n for n, _ in model.forbidden]
-    if predicate and not any(n == predicate for n, _ in model.forbidden):
-        raise _Fail(f"no forbidden predicate named {predicate!r}", 3)
-    pred = None
-    if pressure_pred:
-        try:
-            pred = model.forbidden_predicate(pressure_pred)
-        except UnknownPredicate as e:
-            raise _Fail(str(e), 3)
+    try:
+        if predicate:
+            model.forbidden_predicate(predicate)
+        pred = model.forbidden_predicate(pressure_pred) if pressure_pred else None
+    except UnknownPredicate as e:
+        raise _Fail(str(e), 3)
     graph = explore(model, bound, workers=workers) if names or pred is not None else None
     verdicts = {name: _verdict_json(graph_verdict(model, graph, name)) for name in names}
     results: dict = {"verdicts": verdicts}
@@ -207,13 +204,13 @@ def cmd_check(model_path, predicate, bound_states, bound_depth, bound_tokens,
     return 0
 
 
-def _parse_policy(spec: str):
+def _parse_policy(spec: str, seed: int):
     if spec == "uniform":
-        return None  # seed applied by the caller
+        return UniformRandom(seed)
     kind, sep, rest = spec.partition(":")
     names = tuple(x for x in rest.split(",") if x)
     if kind == "priority" and sep:
-        return names
+        return Priority(names, seed)
     if kind == "scripted" and sep:
         return Scripted(names)
     raise _Fail(f"bad --policy {spec!r}; use uniform, priority:t1,t2 or scripted:t1,t2", 3)
@@ -234,13 +231,7 @@ def cmd_simulate(model_path, steps, seed, policy, pressure_pred,
     """Deterministic seeded run with audit alarms."""
     started = time.monotonic()
     model = _load_model(model_path)
-    parsed = _parse_policy(policy)
-    if parsed is None:
-        pol = UniformRandom(seed)
-    elif isinstance(parsed, Scripted):
-        pol = parsed
-    else:
-        pol = Priority(parsed, seed)
+    pol = _parse_policy(policy, seed)
     bound = _bound(bound_states, bound_depth, bound_tokens)
     try:
         run = simulate(model, pol, steps, bound)
@@ -295,8 +286,7 @@ def cmd_edit(model_path, patch_path, verify, bound_states, bound_depth,
     bound = _bound(bound_states, bound_depth, bound_tokens)
     try:
         patched = apply_patch(model, patch)
-        vreport = (verify_patch(model, patch, bound) if verify
-                   else patch_report(model, patched, patch))
+        vreport = patch_report(model, patched, patch, bound if verify else None)
     except RespetriError as e:
         raise _Fail(f"patch failed: {e}", 3)
 
@@ -349,6 +339,9 @@ def main(argv=None):
         e.show()
         sys.exit(e.exit_code)
     except click.exceptions.Abort:
+        sys.exit(3)
+    except OSError as e:  # a report, model or log path that cannot be written or read
+        click.echo(f"error: {e}", err=True)
         sys.exit(3)
     sys.exit(rv if isinstance(rv, int) else 0)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     MacroArity,
@@ -23,6 +23,8 @@ from .errors import (
     UnknownTransitionInMacro,
 )
 from .net import (
+    ARC_FIELDS,
+    _OPS,
     And,
     AuditRule,
     CounterAtom,
@@ -206,7 +208,7 @@ def _unquote(tok: Token) -> str:
 # Predicate grammar: or_expr > and_expr > not_expr > atom
 # ---------------------------------------------------------------------------
 
-_CMP_OPS = ("<", "<=", "=", ">=", ">")
+_CMP_OPS = tuple(_OPS)
 
 
 def _parse_pred(cur: _Cursor) -> Predicate:
@@ -331,13 +333,14 @@ def _parse_place(cur: _Cursor) -> tuple[PlaceDef, int]:
     return PlaceDef(name, cap, label), init
 
 
+_TRANS_WORDS = (*ARC_FIELDS, "guard", "counted")
+
+
 def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
     arcs = []
     while True:
         tok = cur.peek()
-        if tok is None or tok.kind != "ident" or tok.value in (
-            "in", "out", "inhibit", "read", "guard", "counted",
-        ):
+        if tok is None or tok.kind != "ident" or tok.value in _TRANS_WORDS:
             break
         place = cur.take_ident().value
         cur.take("op", ":")
@@ -349,31 +352,22 @@ def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
 def _parse_trans(cur: _Cursor) -> TransitionDef:
     """`<id> [in|out|inhibit|read p:w ...] [guard pred] [counted]`, after `trans`."""
     name = cur.take_ident().value
-    inputs: list = []
-    outputs: list = []
-    inhibitors: list = []
-    reads: list = []
+    arcs: dict[str, list] = {}
     guard = None
     counted = False
     while not cur.at_end():
-        if cur.accept_keyword("in"):
-            inputs += _parse_arc_list(cur)
-        elif cur.accept_keyword("out"):
-            outputs += _parse_arc_list(cur)
-        elif cur.accept_keyword("inhibit"):
-            inhibitors += _parse_arc_list(cur)
-        elif cur.accept_keyword("read"):
-            reads += _parse_arc_list(cur)
+        tok = cur.peek()
+        if tok.kind == "ident" and tok.value in ARC_FIELDS:
+            cur.i += 1
+            arcs.setdefault(ARC_FIELDS[tok.value], []).extend(_parse_arc_list(cur))
         elif cur.accept_keyword("guard"):
             guard = _parse_pred(cur)
         elif cur.accept_keyword("counted"):
             counted = True
         else:
-            tok = cur.peek()
             raise _Err((tok.line, tok.col), f"unexpected {tok.value!r} in transition declaration",
-                       ("in", "out", "inhibit", "read", "guard", "counted"))
-    return TransitionDef(name, tuple(inputs), tuple(outputs), tuple(inhibitors),
-                         tuple(reads), guard, counted)
+                       _TRANS_WORDS)
+    return TransitionDef(name, guard=guard, counted=counted, **arcs)
 
 
 def _parse_forbidden(cur: _Cursor) -> tuple[str, Predicate]:
@@ -537,12 +531,8 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
             places.append(PlaceDef(s))
             tokens[s] = 0
         t = transitions[rl.transition]
-        transitions[rl.transition] = TransitionDef(
-            t.id,
-            t.inputs + ((budget, 1),),
-            t.outputs + ((stages[0], 1),),
-            t.inhibitors, t.reads, t.guard, t.counted,
-        )
+        transitions[rl.transition] = replace(
+            t, inputs=t.inputs + ((budget, 1),), outputs=t.outputs + ((stages[0], 1),))
         transitions[f"{rl.transition}__tick"] = TransitionDef(
             f"{rl.transition}__tick", outputs=((permit, 1),))
         chain = stages + [budget]
@@ -553,15 +543,8 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
                 outputs=((chain[i + 1], 1),),
             )
 
-    return NetModel(
-        places=tuple(places),
-        transitions=tuple(transitions.values()),
-        initial=Marking.make(tokens, dict(model.initial.counters_map)),
-        forbidden=model.forbidden,
-        audit_rules=model.audit_rules,
-        modes=model.modes,
-        metadata=model.metadata,
-    )
+    return replace(model, places=tuple(places), transitions=tuple(transitions.values()),
+                   initial=Marking.make(tokens, dict(model.initial.counters_map)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +579,8 @@ def _place_line(p: PlaceDef, init: int) -> str:
 
 def _trans_line(t: TransitionDef) -> str:
     line = f"trans {t.id}"
-    for keyword, arcs in (("in", t.inputs), ("out", t.outputs),
-                          ("inhibit", t.inhibitors), ("read", t.reads)):
-        if arcs:
+    for keyword, f in ARC_FIELDS.items():
+        if arcs := getattr(t, f):
             line += f" {keyword} " + " ".join(f"{p}:{w}" for p, w in arcs)
     if t.guard is not None:
         line += " guard " + format_predicate(t.guard)
@@ -647,14 +629,13 @@ def serialize_model(model: NetModel) -> ModelSource:
 
 def canonical_form(model: NetModel) -> NetModel:
     """The same model with all blocks in canonical (sorted) order."""
-    return NetModel(
-        places=tuple(sorted(model.places, key=lambda p: p.id)),
-        transitions=tuple(sorted(model.transitions, key=lambda t: t.id)),
-        initial=model.initial,
-        forbidden=tuple(sorted(model.forbidden, key=lambda kv: kv[0])),
-        audit_rules=tuple(sorted(model.audit_rules, key=lambda r: r.id)),
-        modes=tuple(sorted(model.modes, key=lambda m: m.id)),
-        metadata=model.metadata,
+    return replace(
+        model,
+        places=sorted(model.places, key=lambda p: p.id),
+        transitions=sorted(model.transitions, key=lambda t: t.id),
+        forbidden=sorted(model.forbidden, key=lambda kv: kv[0]),
+        audit_rules=sorted(model.audit_rules, key=lambda r: r.id),
+        modes=sorted(model.modes, key=lambda m: m.id),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 from .analysis import (
@@ -45,6 +45,7 @@ from .errors import (
     UnknownTarget,
 )
 from .net import (
+    ARC_FIELDS,
     CounterAtom,
     Marking,
     NetModel,
@@ -55,9 +56,6 @@ from .net import (
     predicate_atoms,
     validate_net,
 )
-
-ARC_FIELDS = {"in": "inputs", "out": "outputs", "inhibit": "inhibitors", "read": "reads"}
-ARC_KINDS = tuple(ARC_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +202,14 @@ def parse_patch(text: str) -> Patch:
 
 def _take_arc(cur: _Cursor) -> tuple[str, str, str]:
     """`<kind> <place> <transition>` of an arc op."""
-    kind = cur.take_ident().value
+    at, kind = cur._here(), cur.take_ident().value
     if kind not in ARC_FIELDS:
-        raise _Err(cur._here(), f"bad arc kind {kind!r}", ARC_KINDS)
+        raise _Err(at, f"bad arc kind {kind!r}", tuple(ARC_FIELDS))
     return kind, cur.take_ident().value, cur.take_ident().value
 
 
 def _parse_add(cur: _Cursor) -> EditOp:
-    what = cur.take_ident().value
+    at, what = cur._here(), cur.take_ident().value
     if what == "place":
         return AddPlace(*_parse_place(cur))
     if what == "trans":
@@ -220,29 +218,29 @@ def _parse_add(cur: _Cursor) -> EditOp:
         return AddArc(*_take_arc(cur), cur.take_int(minimum=1) if not cur.at_end() else 1)
     if what == "forbidden":
         return AddForbidden(*_parse_forbidden(cur))
-    raise _Err(cur._here(), f"cannot add {what!r}", ("place", "trans", "arc", "forbidden"))
+    raise _Err(at, f"cannot add {what!r}", ("place", "trans", "arc", "forbidden"))
 
 
 def _parse_remove(cur: _Cursor) -> EditOp:
-    what = cur.take_ident().value
+    at, what = cur._here(), cur.take_ident().value
     if what == "place":
         return RemovePlace(cur.take_ident().value)
     if what == "trans":
         return RemoveTransition(cur.take_ident().value)
     if what == "arc":
         return RemoveArc(*_take_arc(cur))
-    raise _Err(cur._here(), f"cannot remove {what!r}", ("place", "trans", "arc"))
+    raise _Err(at, f"cannot remove {what!r}", ("place", "trans", "arc"))
 
 
 def _parse_set(cur: _Cursor) -> EditOp:
-    what = cur.take_ident().value
+    at, what = cur._here(), cur.take_ident().value
     if what == "guard":
         t = cur.take_ident().value
         return SetGuard(t, None if cur.accept_keyword("none") else _parse_pred(cur))
     if what == "capacity":
         p = cur.take_ident().value
         return SetCapacity(p, None if cur.accept_keyword("none") else cur.take_int(minimum=1))
-    raise _Err(cur._here(), f"cannot set {what!r}", ("guard", "capacity"))
+    raise _Err(at, f"cannot set {what!r}", ("guard", "capacity"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,6 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
     tokens = dict(model.initial.tokens_map)
     counters = dict(model.initial.counters_map)
     forbidden = list(model.forbidden)
-    modes = list(model.modes)
 
     for op in patch.ops:
         if isinstance(op, AddPlace):
@@ -342,23 +339,16 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
                 raise PatchError(f"forbidden predicate {op.name!r} already exists")
             forbidden.append((op.name, op.predicate))
         elif isinstance(op, SwitchMode):
-            mode_ids = [m.id for m in modes]
-            if op.mode not in mode_ids:
+            if op.mode not in [m.id for m in model.modes]:
                 raise UnknownTarget(f"no mode {op.mode!r}")
-            for m in modes:
+            for m in model.modes:
                 tokens[m.place_id] = 1 if m.id == op.mode else 0
         else:
             raise TypeError(f"not an edit op: {op!r}")
 
-    patched = NetModel(
-        places=tuple(places.values()),
-        transitions=tuple(transitions.values()),
-        initial=Marking.make(tokens, counters),
-        forbidden=tuple(forbidden),
-        audit_rules=model.audit_rules,
-        modes=tuple(modes),
-        metadata=model.metadata,
-    )
+    patched = replace(model, places=tuple(places.values()),
+                      transitions=tuple(transitions.values()),
+                      initial=Marking.make(tokens, counters), forbidden=tuple(forbidden))
     errs = validate_net(patched)
     if errs:
         raise ResultingModelInvalid(errs)
@@ -383,13 +373,24 @@ class VerificationReport:
     predicates_removed: tuple[str, ...]
 
 
+def _verdicts(model: NetModel, bound: Optional[ExplorationBound]):
+    """Every forbidden verdict of the model and its state count, from one exploration."""
+    if bound is None:
+        return (), 0
+    graph = explore(model, bound)
+    return tuple((n, graph_verdict(model, graph, n)) for n, _ in model.forbidden), len(graph.states)
+
+
 def patch_report(model: NetModel, post: NetModel, patch: Patch,
-                 before: tuple[tuple[str, Verdict], ...] = (),
-                 after: tuple[tuple[str, Verdict], ...] = (),
-                 states: tuple[int, int] = (0, 0)) -> VerificationReport:
-    """The report for `post = apply_patch(model, patch)`, given the verdicts
-    and state counts of each side; without them it records only the hashes
-    and the change to the predicate set."""
+                 bound: Optional[ExplorationBound] = None) -> VerificationReport:
+    """The report for `post = apply_patch(model, patch)`.
+
+    With a bound, each side is explored once for all its verdicts and its
+    state count; without one, the report records only the hashes and the
+    change to the predicate set.
+    """
+    before, states_before = _verdicts(model, bound)
+    after, states_after = _verdicts(post, bound)
     names_before = [n for n, _ in model.forbidden]
     names_after = [n for n, _ in post.forbidden]
     before_map = dict(before)
@@ -399,8 +400,8 @@ def patch_report(model: NetModel, post: NetModel, patch: Patch,
         post_hash=model_hash(post),
         verdicts_before=before,
         verdicts_after=after,
-        states_before=states[0],
-        states_after=states[1],
+        states_before=states_before,
+        states_after=states_after,
         regressions=tuple(
             n for n, v in after
             if n in before_map
@@ -417,18 +418,9 @@ def verify_patch(model: NetModel, patch: Patch,
     """Before/after verdicts for every named forbidden predicate.
 
     Flags regressions (Safe before, Unsafe or Unknown after) and any change
-    to the predicate set itself, which governance must see explicitly. Each
-    side is explored once, for all its verdicts and its state count.
+    to the predicate set itself, which governance must see explicitly.
     """
-    post = apply_patch(model, patch)
-    graph_before = explore(model, bound)
-    graph_after = explore(post, bound)
-    return patch_report(
-        model, post, patch,
-        tuple((n, graph_verdict(model, graph_before, n)) for n, _ in model.forbidden),
-        tuple((n, graph_verdict(post, graph_after, n)) for n, _ in post.forbidden),
-        (len(graph_before.states), len(graph_after.states)),
-    )
+    return patch_report(model, apply_patch(model, patch), patch, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +450,12 @@ class LogEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "LogEntry":
+        """Raises ValueError unless the line is a JSON object of exactly the entry's fields."""
         d = json.loads(line)
-        return cls(d["timestamp"], d["patch_id"], d["pre_hash"], d["post_hash"],
-                   d["author"], d["rationale"], tuple(sorted(d["verdicts"].items())))
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or sorted(d) != sorted(names) or not isinstance(d["verdicts"], dict):
+            raise ValueError("not a JSON object with the fields " + ", ".join(names))
+        return cls(**{**d, "verdicts": tuple(sorted(d["verdicts"].items()))})
 
 
 @dataclass(frozen=True)
@@ -480,8 +475,14 @@ class GovernanceLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "GovernanceLog":
-        entries = tuple(LogEntry.from_json(line) for line in text.splitlines() if line.strip())
-        log = cls(entries)
+        entries = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                if line.strip():
+                    entries.append(LogEntry.from_json(line))
+            except ValueError as e:  # json.JSONDecodeError included
+                raise HashChainBroken(f"governance log line {lineno}: {e}") from None
+        log = cls(tuple(entries))
         if not log.verify_chain():
             raise HashChainBroken("governance log hash chain does not verify")
         return log

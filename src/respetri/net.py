@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .errors import NotEnabled, UnknownReference, UnknownTransition
+from .errors import NotEnabled, UnknownPredicate, UnknownReference, UnknownTransition
 
 MODE_PLACE_PREFIX = "mode_"
 
@@ -22,6 +22,14 @@ _OPS = {
     ">=": operator.ge,
     ">": operator.gt,
 }
+
+# arc keyword -> TransitionDef field, in canonical order
+ARC_FIELDS = {"in": "inputs", "out": "outputs", "inhibit": "inhibitors", "read": "reads"}
+
+
+def _check_op(self):
+    if self.op not in _OPS:
+        raise ValueError(f"bad comparison operator {self.op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +44,7 @@ class TokenAtom:
     op: str
     value: int
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    __post_init__ = _check_op
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,7 @@ class CounterAtom:
     op: str
     value: int
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    __post_init__ = _check_op
 
 
 @dataclass(frozen=True)
@@ -200,10 +204,8 @@ class TransitionDef:
     counted: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _norm_arcs(self.inputs))
-        object.__setattr__(self, "outputs", _norm_arcs(self.outputs))
-        object.__setattr__(self, "inhibitors", _norm_arcs(self.inhibitors))
-        object.__setattr__(self, "reads", _norm_arcs(self.reads))
+        for f in ARC_FIELDS.values():
+            object.__setattr__(self, f, _norm_arcs(getattr(self, f)))
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,8 @@ class OccupancyThreshold:
     place: str
     op: str
     level: int
+
+    __post_init__ = _check_op
 
 
 @dataclass(frozen=True)
@@ -321,8 +325,6 @@ class NetModel:
         for n, p in self.forbidden:
             if n == name:
                 return p
-        from .errors import UnknownPredicate
-
         raise UnknownPredicate(f"no forbidden predicate named {name!r}")
 
     @property
@@ -383,9 +385,9 @@ def validate_net(model: NetModel) -> list[StructureError]:
         if t.id in seen:
             errs.append(StructureError("DuplicateId", t.id, "identifier already used"))
         seen.add(t.id)
-        for role, arcs in (("in", t.inputs), ("out", t.outputs), ("inhibit", t.inhibitors), ("read", t.reads)):
+        for role, f in ARC_FIELDS.items():
             role_places = set()
-            for p, w in arcs:
+            for p, w in getattr(t, f):
                 if not model.has_place(p):
                     errs.append(StructureError("UnknownEndpoint", p, f"{role}-arc of {t.id} targets unknown place"))
                 if w < 1:
@@ -488,10 +490,10 @@ class CompiledNet:
     """A NetModel compiled to integer state vectors, built once per model.
 
     A state is a tuple of ints: the tokens of each place in declaration
-    order, then the counter of each counted transition. Transitions keep
-    declaration order, which fixes the order of enabled sets, exploration
-    and simulation choices. Guards and predicates become closures over the
-    vector.
+    order, then the counter of each counted transition; `root` is the
+    initial one. Transitions keep declaration order, which fixes the order
+    of enabled sets, exploration and simulation choices. Guards and
+    predicates become closures over the vector.
     """
 
     def __init__(self, model: NetModel):
@@ -504,6 +506,7 @@ class CompiledNet:
         self.unbounded = tuple(i for i, p in enumerate(model.places) if p.capacity is None)
         self.mode_slots = tuple(self._place(md.place_id) for md in model.modes)
         self.transitions = tuple(self._compile(model, t) for t in model.transitions)
+        self.root = self.state(model.initial)
 
     def _place(self, pid: str) -> int:
         try:

@@ -24,7 +24,9 @@ from respetri import (
     TransitionDef,
     UniformRandom,
     drift_report,
+    parse_model,
     run_record_to_jsonl,
+    serialize_model,
     simulate,
 )
 from respetri.models import FixtureConfig, build_srs_symbolic_model, build_traffic_model
@@ -133,6 +135,17 @@ class TestAuditRules:
         )
         run = simulate(m, Scripted(("t", "t")), 2)
         assert [a.step for a in run.alarms] == [2]
+
+    def test_occupancy_rule_rejects_an_unknown_operator(self):
+        # `!=` has no evaluator, and its canonical line would not parse back
+        with pytest.raises(ValueError, match="bad comparison operator"):
+            OccupancyThreshold("o", "q", "!=", 1)
+
+    @pytest.mark.parametrize("op", ["<", "<=", "=", ">=", ">"])
+    def test_occupancy_rule_round_trips_every_operator(self, op):
+        m = parse_model(f"place q init 1\naudit o := occupancy q {op} 1\n")
+        assert m.audit_rules == (OccupancyThreshold("o", "q", op, 1),)
+        assert parse_model(serialize_model(m)) == m
 
     def test_pressure_threshold(self):
         cfg = FixtureConfig()

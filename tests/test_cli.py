@@ -99,6 +99,20 @@ class TestCheck:
         run_cli("check", "traffic.net", "--report", str(out), cwd=workdir)
         assert report_of(None, out)["command"] == "check"
 
+    @pytest.mark.parametrize("option", ["--bound-states", "--bound-depth", "--bound-tokens"])
+    def test_negative_bound_exit_3(self, workdir, option):
+        r = run_cli("check", "traffic.net", option, "-5", cwd=workdir)
+        assert r.returncode == 3
+        assert option in r.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_unwritable_report_exit_3(workdir, command):
+    r = run_cli(command, "traffic.net", "--report", str(workdir / "missing" / "r.json"),
+                cwd=workdir)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
 
 class TestSimulate:
     def test_zero_steps_exit_0(self, workdir):
@@ -187,6 +201,25 @@ class TestEdit:
         assert r.returncode == 3
         assert not (workdir / "traffic.patched.net").exists()
         assert not (workdir / "gov.jsonl").exists()
+
+    @pytest.mark.parametrize("log_text", ["not json\n", '{"timestamp": "x"}\n'])
+    def test_corrupt_log_exit_3_no_write(self, workdir, log_text):
+        log = workdir / "gov.jsonl"
+        log.write_text(log_text)
+        r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,
+                    env={"RESPETRI_LOG": str(log)})
+        assert r.returncode == 3
+        assert "line 1" in r.stderr and "Traceback" not in r.stderr
+        assert not (workdir / "traffic.patched.net").exists()
+        assert log.read_text() == log_text
+
+    def test_unreadable_log_exit_3(self, workdir):
+        (workdir / "gov").mkdir()
+        r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,
+                    env={"RESPETRI_LOG": str(workdir / "gov")})
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        assert not (workdir / "traffic.patched.net").exists()
 
     def test_log_chain_grows(self, workdir):
         env = {"RESPETRI_LOG": str(workdir / "gov.jsonl")}

@@ -1,5 +1,6 @@
 """Patches, verification reports, and the hash-chained governance log."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from respetri import (
+    DEFAULT_BOUND,
     AddArc,
     AddForbidden,
     AddPlace,
@@ -43,7 +45,7 @@ from respetri import (
     verify_patch,
 )
 from respetri.governance import replay_log as _replay  # noqa: F401 (re-export check)
-from respetri.governance import EditOp, format_op
+from respetri.governance import EditOp, format_op, patch_report
 from respetri.models import FIXTURES, FixtureConfig, build_traffic_model
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
@@ -200,6 +202,20 @@ class TestPatchText:
             parse_patch("add gizmo x\nremove arc sideways p t\n")
         assert len(exc.value.errors) == 2
 
+    @pytest.mark.parametrize("text, position", [
+        ("add gizmo x", (1, 5)),
+        ("add arc sideways p t", (1, 9)),
+        ("remove arc sideways p t", (1, 12)),
+        ("set colour t", (1, 5)),
+        ("remove gizmo x", (1, 8)),
+    ])
+    def test_error_points_at_the_bad_word(self, text, position):
+        from respetri import ParseFailure
+
+        with pytest.raises(ParseFailure) as exc:
+            parse_patch(text)
+        assert [e.position for e in exc.value.errors] == [position]
+
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(), st.text())
@@ -281,6 +297,15 @@ class TestVerifyPatch:
                [ (n, v.kind) for n, v in report.verdicts_after ]
         assert report.pre_hash == report.post_hash
 
+    def test_patch_report_explores_only_with_a_bound(self):
+        m = build_traffic_model()
+        post = apply_patch(m, SAFEGUARD)
+        assert patch_report(m, post, SAFEGUARD, DEFAULT_BOUND) == verify_patch(m, SAFEGUARD)
+        bare = patch_report(m, post, SAFEGUARD)
+        assert (bare.verdicts_before, bare.verdicts_after, bare.regressions) == ((), (), ())
+        assert (bare.states_before, bare.states_after) == (0, 0)
+        assert (bare.pre_hash, bare.post_hash) == (model_hash(m), model_hash(post))
+
 
 class TestGovernanceLog:
     def _entry(self, model, patch):
@@ -319,6 +344,21 @@ class TestGovernanceLog:
         tampered = log2.to_jsonl().replace(model_hash(m1), "0" * 64, 1)
         with pytest.raises(HashChainBroken):
             GovernanceLog.from_jsonl(tampered)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda e: "not json",
+        lambda e: '{"timestamp": "x"}',
+        lambda e: "[1, 2]",
+        lambda e: json.dumps({k: v for k, v in e.items() if k != "author"}),
+        lambda e: json.dumps({**e, "note": "x"}),
+        lambda e: json.dumps({**e, "verdicts": ["safe/exhaustive-bounded"]}),
+    ], ids=["not-json", "one-field", "array", "missing-field", "extra-field", "verdicts-list"])
+    def test_a_line_that_is_not_an_entry_is_named(self, corrupt):
+        m0 = build_traffic_model()
+        m1, r1 = self._entry(m0, SAFEGUARD)
+        good = record_decision(GovernanceLog(), m0, m1, SAFEGUARD, r1).to_jsonl().strip()
+        with pytest.raises(HashChainBroken, match="line 3"):
+            GovernanceLog.from_jsonl(f"{good}\n\n{corrupt(json.loads(good))}\n")
 
     def test_replay_reproduces_final_hash(self):
         m0 = build_traffic_model()
