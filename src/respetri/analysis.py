@@ -241,11 +241,9 @@ class CoverabilityResult:
     covering_path: Optional[tuple[str, ...]] = None
 
 
-def _target_basis(pred: Predicate, place_ids: tuple[str, ...]) -> Optional[list[tuple[int, ...]]]:
+def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int, ...]]]:
     """Minimal markings of the predicate, via DNF, or None unless it is
     upward-closed and over tokens only (what coverability can decide)."""
-    slot = {p: i for i, p in enumerate(place_ids)}
-
     def rec(node) -> Optional[list[dict]]:
         if isinstance(node, TokenAtom) and node.op in (">=", ">"):
             need = node.value if node.op == ">=" else node.value + 1
@@ -268,9 +266,9 @@ def _target_basis(pred: Predicate, place_ids: tuple[str, ...]) -> Optional[list[
         return None
     basis = []
     for combo in combos:
-        vec = [0] * len(place_ids)
+        vec = [0] * len(net.place_ids)
         for p, v in combo.items():
-            vec[slot[p]] = v
+            vec[net.place_index(p)] = v
         basis.append(tuple(vec))
     return basis
 
@@ -282,12 +280,13 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
     Backward search over a minimal basis of the markings from which the
     target can be covered (Abdulla, Cerans, Jonsson and Tsay, LICS 1996).
     The projection keeps input, read and token changes and drops inhibitors,
-    guards, capacities, modes and counters, as the Karp-Miller tree does, so
-    False proves the target uncoverable in the full net. Basis elements are
-    expanded breadth-first, at most `budget` of them.
+    guards, capacities and counters, as the Karp-Miller tree does; a mode
+    compiles to inhibitors and guards, so it goes too. False proves the
+    target uncoverable in the full net. Basis elements are expanded
+    breadth-first, at most `budget` of them.
     """
     net = compiled(model)
-    targets = _target_basis(target, net.place_ids)
+    targets = _target_basis(target, net)
     if targets is None:
         return None
     n = len(net.place_ids)
@@ -337,13 +336,13 @@ def karp_miller(model: NetModel, target: Predicate, *,
     """Classical Karp-Miller tree with omega-acceleration.
 
     The tree is built over the plain projection of the net (inhibitors,
-    guards, capacities, and modes dropped), which over-approximates
+    guards and capacities dropped, so modes too), which over-approximates
     reachability: an uncoverable verdict is sound for the full net. When the
     target is coverable, a concrete witness trace is extracted by bounded
     exploration under the full semantics when one can be found.
     """
     net = compiled(model)
-    targets = _target_basis(target, net.place_ids)
+    targets = _target_basis(target, net)
     if targets is None:
         raise NotUpwardClosed(
             "coverability targets must be upward-closed and use no counter or mode atoms")

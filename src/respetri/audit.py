@@ -118,7 +118,7 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
                    deadlock_step=deadlock)
 
 
-def _rule_condition(model: NetModel, rule: AuditRule, run: RunRecord, step: int,
+def _rule_condition(rule: AuditRule, run: RunRecord, step: int,
                     pressures: Optional[list]) -> tuple[bool, int]:
     """(holds, observed value) for one rule at one step (post-firing state)."""
     m = run.markings[step]
@@ -160,8 +160,7 @@ def evaluate_audit_rules(model: NetModel, run: RunRecord,
     alarms: list[Alarm] = []
     for step in range(len(run.markings)):
         for rule in model.audit_rules:
-            holds, observed = _rule_condition(
-                model, rule, run, step, pressures.get(getattr(rule, "id", None)))
+            holds, observed = _rule_condition(rule, run, step, pressures.get(rule.id))
             if holds:
                 alarms.append(Alarm(step, rule.id, observed))
     return alarms
@@ -198,13 +197,7 @@ def drift_report(model: NetModel, run: RunRecord, predicate: Union[str, Predicat
     episodes = []
     start = 0
     for i in range(1, len(series) + 1):
-        decreasing = (
-            i < len(series)
-            and series[i - 1] >= 0
-            and series[i] >= 0
-            and series[i] < series[i - 1]
-        )
-        if not decreasing:
+        if not (i < len(series) and 0 <= series[i] < series[i - 1]):
             if i - start >= 3:
                 episodes.append((start, i - 1))
             start = i

@@ -276,10 +276,6 @@ def pred_and(*preds: Predicate) -> Predicate:
     return preds[0] if len(preds) == 1 else And(tuple(preds))
 
 
-def pred_or(*preds: Predicate) -> Predicate:
-    return preds[0] if len(preds) == 1 else Or(tuple(preds))
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -551,7 +547,7 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
 # Serializer
 # ---------------------------------------------------------------------------
 
-def format_predicate(pred: Predicate, top: bool = True) -> str:
+def format_predicate(pred: Predicate) -> str:
     if isinstance(pred, TokenAtom):
         return f"{pred.place} {pred.op} {pred.value}"
     if isinstance(pred, CounterAtom):
@@ -559,10 +555,10 @@ def format_predicate(pred: Predicate, top: bool = True) -> str:
     if isinstance(pred, ModeAtom):
         return f"mode = {pred.mode}"
     if isinstance(pred, Not):
-        return "not " + format_predicate(pred.operand, top=False)
+        return "not " + format_predicate(pred.operand)
     if isinstance(pred, (And, Or)):
         word = " and " if isinstance(pred, And) else " or "
-        return "(" + word.join(format_predicate(p, top=False) for p in pred.operands) + ")"
+        return "(" + word.join(map(format_predicate, pred.operands)) + ")"
     raise TypeError(f"not a predicate: {pred!r}")
 
 

@@ -450,11 +450,15 @@ class LogEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "LogEntry":
-        """Raises ValueError unless the line is a JSON object of exactly the entry's fields."""
+        """Raises ValueError unless the line is a JSON object of exactly the
+        entry's fields, each a string but `verdicts`, an object of strings."""
         d = json.loads(line)
         names = [f.name for f in fields(cls)]
         if not isinstance(d, dict) or sorted(d) != sorted(names) or not isinstance(d["verdicts"], dict):
             raise ValueError("not a JSON object with the fields " + ", ".join(names))
+        texts = [d[n] for n in names if n != "verdicts"] + list(d["verdicts"].values())
+        if not all(isinstance(v, str) for v in texts):
+            raise ValueError("every field but verdicts, and every verdict, must be a string")
         return cls(**{**d, "verdicts": tuple(sorted(d["verdicts"].items()))})
 
 

@@ -222,12 +222,6 @@ class ModeDef:
     def place_id(self) -> str:
         return MODE_PLACE_PREFIX + self.id
 
-    def override_for(self, transition: str) -> Optional[Predicate]:
-        for t, g in self.guard_overrides:
-            if t == transition:
-                return g
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Audit rules (model-level declarations; evaluated by the audit module)
@@ -331,18 +325,13 @@ class NetModel:
     def counted_transitions(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.transitions if t.counted)
 
-    def mode(self, mid: str) -> ModeDef:
-        for m in self.modes:
-            if m.id == mid:
-                return m
-        raise UnknownReference(f"unknown mode {mid!r}")
-
     def active_mode(self, m: Marking) -> Optional[ModeDef]:
-        """The mode whose place carries the token, or None for mode-free nets."""
-        if not self.modes:
-            return None
-        net = compiled(self)
-        return self.modes[net.active_mode(net.state(m))]
+        """The mode whose place carries the token, or None for mode-free nets;
+        UnknownReference unless m marks exactly one mode place."""
+        marked = [md for md in self.modes if m.tokens_at(md.place_id) >= 1]
+        if len(marked) != (1 if self.modes else 0):
+            raise UnknownReference(f"expected exactly one marked mode place, found {len(marked)}")
+        return marked[0] if marked else None
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +412,8 @@ def validate_net(model: NetModel) -> list[StructureError]:
     for tid, v in model.initial.counters_map.items():
         if not model.has_transition(tid):
             errs.append(StructureError("UnknownEndpoint", tid, "initial counter names unknown transition"))
-        elif v < 0:
-            errs.append(StructureError("BadInitial", tid, f"negative initial counter {v}"))
+        elif v != 0:
+            errs.append(StructureError("BadInitial", tid, f"initial counter {v} is not 0"))
 
     for name, pred in model.forbidden:
         errs.extend(_predicate_errors(model, pred, f"forbidden {name}"))
@@ -443,15 +432,15 @@ def validate_net(model: NetModel) -> list[StructureError]:
         if isinstance(rule, RateThreshold) and rule.window < 1:
             errs.append(StructureError("BadWeight", rule.id, "rate window must be >= 1"))
 
-    # modes: mode places exist, referenced transitions exist, exactly one token
+    # modes: mode places and referenced transitions exist, and the mode places
+    # hold one token that every transition gives back as often as it takes it
+    # (a place invariant), so each reachable marking marks exactly one of them
     if model.modes:
-        marked = 0
+        mode_places = {md.place_id for md in model.modes}
         for md in model.modes:
             if not model.has_place(md.place_id):
                 errs.append(StructureError("ModeInvariant", md.id, f"mode place {md.place_id} missing (modes must be expanded)"))
                 continue
-            if init.get(md.place_id, 0) >= 1:
-                marked += 1
             for t in md.disabled:
                 if not model.has_transition(t):
                     errs.append(StructureError("UnknownEndpoint", t, f"mode {md.id} disables unknown transition"))
@@ -460,18 +449,21 @@ def validate_net(model: NetModel) -> list[StructureError]:
                     errs.append(StructureError("UnknownEndpoint", t, f"mode {md.id} overrides unknown transition"))
                 else:
                     errs.extend(_predicate_errors(model, g, f"mode {md.id} override for {t}"))
-        if all(model.has_place(md.place_id) for md in model.modes) and marked != 1:
+        tokens = sum(init.get(p, 0) for p in mode_places)
+        if all(map(model.has_place, mode_places)) and tokens != 1:
             errs.append(StructureError("ModeInvariant", ",".join(md.id for md in model.modes),
-                                       f"exactly one mode place must be marked, found {marked}"))
+                                       f"the mode places must start with one token, found {tokens}"))
+        for t in model.transitions:
+            taken, given = (sum(w for p, w in arcs if p in mode_places) for arcs in (t.inputs, t.outputs))
+            if taken != given:
+                errs.append(StructureError("ModeInvariant", t.id,
+                                           f"takes {taken} and gives back {given} mode tokens"))
     return errs
 
 
 # ---------------------------------------------------------------------------
 # Compiled form and token game
 # ---------------------------------------------------------------------------
-
-_DISABLED = object()  # by_mode entry of a transition its mode disables
-
 
 @dataclass(frozen=True, slots=True)
 class CompiledTransition:
@@ -483,7 +475,6 @@ class CompiledTransition:
     limits: tuple[tuple[int, int], ...]      # most tokens that leave room for the outputs
     delta: tuple[tuple[int, int], ...]       # nonzero changes, counter included
     guard: Optional[Callable]
-    by_mode: tuple                           # per mode: the guard in force, or _DISABLED
 
 
 class CompiledNet:
@@ -493,7 +484,9 @@ class CompiledNet:
     order, then the counter of each counted transition; `root` is the
     initial one. Transitions keep declaration order, which fixes the order
     of enabled sets, exploration and simulation choices. Guards and
-    predicates become closures over the vector.
+    predicates become closures over the vector. Modes are structure too: a
+    mode that disables a transition inhibits it from the mode place, and
+    guard overrides fold into the transition's guard.
     """
 
     def __init__(self, model: NetModel):
@@ -504,11 +497,10 @@ class CompiledNet:
         self._counter = {t: len(self._slot) + i for i, t in enumerate(self.counted)}
         self._index = {t: i for i, t in enumerate(self.ids)}
         self.unbounded = tuple(i for i, p in enumerate(model.places) if p.capacity is None)
-        self.mode_slots = tuple(self._place(md.place_id) for md in model.modes)
         self.transitions = tuple(self._compile(model, t) for t in model.transitions)
         self.root = self.state(model.initial)
 
-    def _place(self, pid: str) -> int:
+    def place_index(self, pid: str) -> int:
         try:
             return self._slot[pid]
         except KeyError:
@@ -524,21 +516,27 @@ class CompiledNet:
             needs[p] = max(needs.get(p, 0), w)
         for p, w in t.outputs:
             delta[p] = delta.get(p, 0) + w
-        limits = tuple((self._place(p), cap - d) for p, d in delta.items()
+        limits = tuple((self.place_index(p), cap - d) for p, d in delta.items()
                        if (cap := model.place(p).capacity) is not None)
-        changes = tuple((self._place(p), d) for p, d in delta.items() if d)
+        changes = tuple((self.place_index(p), d) for p, d in delta.items() if d)
         if t.counted:
             changes += ((self._counter[t.id], 1),)
+        inhibitors = t.inhibitors + tuple((md.place_id, 1) for md in model.modes if t.id in md.disabled)
         guard = None if t.guard is None else self.predicate(t.guard)
-        by_mode = []
-        for md in model.modes:
-            override = md.override_for(t.id)
-            by_mode.append(_DISABLED if t.id in md.disabled
-                           else guard if override is None else self.predicate(override))
+        overrides = tuple((self.place_index(md.place_id), self.predicate(g))
+                          for md in model.modes for tid, g in md.guard_overrides if tid == t.id)
+        if overrides:
+            base = guard or (lambda v: True)
+
+            def guard(v):
+                """The override of the marked mode, else the base guard."""
+                for i, g in overrides:
+                    if v[i]:
+                        return g(v)
+                return base(v)
         return CompiledTransition(
-            t.id, tuple((self._place(p), w) for p, w in needs.items()),
-            tuple((self._place(p), th) for p, th in t.inhibitors),
-            limits, changes, guard, tuple(by_mode))
+            t.id, tuple((self.place_index(p), w) for p, w in needs.items()),
+            tuple((self.place_index(p), th) for p, th in inhibitors), limits, changes, guard)
 
     # -- vectors and markings ---------------------------------------------------
 
@@ -563,10 +561,10 @@ class CompiledNet:
     def predicate(self, pred: Predicate) -> Callable[[tuple], bool]:
         """The predicate as a test over state vectors (see eval_predicate)."""
         if isinstance(pred, TokenAtom):
-            i, op, value = self._place(pred.place), _OPS[pred.op], pred.value
+            i, op, value = self.place_index(pred.place), _OPS[pred.op], pred.value
             return lambda v: op(v[i], value)
         if isinstance(pred, ModeAtom):
-            i = self._place(MODE_PLACE_PREFIX + pred.mode)
+            i = self.place_index(MODE_PLACE_PREFIX + pred.mode)
             return lambda v: v[i] >= 1
         if isinstance(pred, CounterAtom):
             op, value, i = _OPS[pred.op], pred.value, self._counter.get(pred.transition)
@@ -586,27 +584,15 @@ class CompiledNet:
 
     # -- firing rule ------------------------------------------------------------
 
-    def active_mode(self, v: tuple[int, ...]) -> int:
-        marked = [i for i, p in enumerate(self.mode_slots) if v[p] >= 1]
-        if len(marked) != 1:
-            raise UnknownReference(
-                f"expected exactly one marked mode place, found {len(marked)}")
-        return marked[0]
-
     def admits(self, t: CompiledTransition, v: tuple[int, ...]) -> bool:
-        """The enabling rule: inputs, reads, inhibitors, mode, guard, capacities."""
+        """The enabling rule: inputs, reads, inhibitors, guard, capacities."""
         for p, w in t.needs:
             if v[p] < w:
                 return False
         for p, th in t.inhibitors:
             if v[p] >= th:
                 return False
-        guard = t.guard
-        if self.mode_slots:
-            guard = t.by_mode[self.active_mode(v)]
-            if guard is _DISABLED:
-                return False
-        if guard is not None and not guard(v):
+        if t.guard is not None and not t.guard(v):
             return False
         for p, top in t.limits:
             if v[p] > top:
@@ -641,6 +627,7 @@ def is_enabled(model: NetModel, m: Marking, tid: str) -> bool:
     Checks inputs, read arcs, inhibitor thresholds, the (mode-resolved) guard,
     mode-disabled sets, and output capacities (contact-free semantics).
     """
+    model.active_mode(m)
     net = compiled(model)
     t = net.transitions[net.transition_index(tid)]
     return net.admits(t, net.state(m))
@@ -648,6 +635,7 @@ def is_enabled(model: NetModel, m: Marking, tid: str) -> bool:
 
 def enabled_set(model: NetModel, m: Marking) -> list[str]:
     """Enabled transitions in canonical (declaration) order."""
+    model.active_mode(m)
     net = compiled(model)
     return [net.ids[i] for i in net.enabled(net.state(m))]
 
@@ -658,6 +646,7 @@ def fire(model: NetModel, m: Marking, tid: str) -> Marking:
     Reads and inhibitors consume nothing; the transition's counter is
     incremented when it is counted.
     """
+    model.active_mode(m)
     net = compiled(model)
     i = net.transition_index(tid)
     v = net.state(m)

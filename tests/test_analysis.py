@@ -264,6 +264,12 @@ class TestKarpMiller:
         with pytest.raises(NotUpwardClosed):
             karp_miller(chain_net(), CounterAtom("t2", ">=", 1))
 
+    def test_unknown_place_is_named(self):
+        from respetri import UnknownReference
+
+        with pytest.raises(UnknownReference, match="ghost"):
+            karp_miller(build_traffic_model(), TokenAtom("ghost", ">=", 1))
+
     def test_source_net_unsafe_via_omega(self):
         cov = karp_miller(source_net(), TokenAtom("p", ">=", 10))
         assert cov.verdict.kind is VerdictKind.UNSAFE

@@ -95,6 +95,28 @@ def test_modes_overrides_ratelimit_counter_inhibitors_capacities(bound):
     assert_matches_oracle(strict, bound)
 
 
+# Switch transitions move the mode token, so the mode changes during a run:
+# after `tighten`, strict's disable set and override are in force.
+SWITCH = """
+place p init 2
+place q
+trans go in p:1 out q:1
+trans back in q:1 out p:1
+trans tighten in mode_normal:1 out mode_strict:1
+trans relax in mode_strict:1 out mode_normal:1 guard q >= 1
+mode normal
+mode strict disable back
+override strict go := q <= 0
+forbidden both := q >= 2
+forbidden late := mode = strict and p <= 0
+"""
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_switch_transitions_move_the_mode(bound):
+    assert_matches_oracle(parse_model(SWITCH), bound)
+
+
 def test_truncated_upward_closed_check_is_decided_by_coverability():
     # go and back move one token between p and q in the plain projection
     # too, so p + q stays 2 and p >= 4 is uncoverable

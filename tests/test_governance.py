@@ -352,7 +352,11 @@ class TestGovernanceLog:
         lambda e: json.dumps({k: v for k, v in e.items() if k != "author"}),
         lambda e: json.dumps({**e, "note": "x"}),
         lambda e: json.dumps({**e, "verdicts": ["safe/exhaustive-bounded"]}),
-    ], ids=["not-json", "one-field", "array", "missing-field", "extra-field", "verdicts-list"])
+        lambda e: json.dumps({**e, "patch_id": []}),
+        lambda e: json.dumps({**e, "pre_hash": None}),
+        lambda e: json.dumps({**e, "verdicts": {"gridlock": 3}}),
+    ], ids=["not-json", "one-field", "array", "missing-field", "extra-field", "verdicts-list",
+            "patch-id-list", "pre-hash-null", "verdict-number"])
     def test_a_line_that_is_not_an_entry_is_named(self, corrupt):
         m0 = build_traffic_model()
         m1, r1 = self._entry(m0, SAFEGUARD)

@@ -15,8 +15,10 @@ from respetri import (
     Not,
     NotEnabled,
     PlaceDef,
+    StructureFailure,
     TokenAtom,
     TransitionDef,
+    UnknownReference,
     UnknownTransition,
     enabled_set,
     eval_predicate,
@@ -24,6 +26,9 @@ from respetri import (
     initial_marking,
     is_enabled,
     is_upward_closed,
+    model_hash,
+    parse_model,
+    serialize_model,
     validate_net,
 )
 from respetri.models import build_srs_symbolic_model
@@ -220,6 +225,41 @@ class TestValidation:
             modes=(ModeDef("a"), ModeDef("b")),
         )
         assert any(e.code == "ModeInvariant" for e in validate_net(m))
+
+    def test_mode_token_must_be_given_back(self):
+        # y takes the mode token and gives none back, which would leave no
+        # mode marked; a switch from mode a to mode b conserves it
+        text = ("place p init 1\nplace q\ntrans x in p:1 out q:1\n{}\n"
+                "mode a\nmode b disable x\nforbidden f := q >= 2\n")
+        with pytest.raises(StructureFailure) as exc:
+            parse_model(text.format("trans y in mode_a:1 out q:1"))
+        assert [(e.code, e.element) for e in exc.value.errors] == [("ModeInvariant", "y")]
+        parse_model(text.format("trans y in mode_a:1 out mode_b:1"))
+
+    def test_nonzero_initial_counter(self):
+        # the text format starts every counter at 0, so a model that does not
+        # would share its hash with a reparse that answers differently
+        m = NetModel(places=(PlaceDef("p"),),
+                     transitions=(TransitionDef("t", inputs=(("p", 1),), counted=True),),
+                     initial=Marking.make({"p": 1}, {"t": 1}),
+                     forbidden=(("hot", CounterAtom("t", ">=", 2)),))
+        assert [(e.code, e.element) for e in validate_net(m)] == [("BadInitial", "t")]
+        assert model_hash(parse_model(serialize_model(m))) == model_hash(m)
+
+
+class TestModes:
+    TEXT = ("place p init 1\nplace q\ntrans x in p:1 out q:1\n"
+            "trans sw in mode_a:1 out mode_b:1\nmode a\nmode b disable x\n")
+
+    @pytest.mark.parametrize("marked", [(), ("mode_a", "mode_b")])
+    def test_caller_marking_must_mark_one_mode(self, marked):
+        m = parse_model(self.TEXT)
+        tokens = {p: int(p in marked) for p in m.place_ids}
+        mk = Marking.make(tokens)
+        for call in (lambda: fire(m, mk, "x"), lambda: is_enabled(m, mk, "x"),
+                     lambda: enabled_set(m, mk)):
+            with pytest.raises(UnknownReference, match=f"found {len(marked)}"):
+                call()
 
 
 def _random_walk(model, rng, steps=20):
