@@ -332,14 +332,33 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
 
 
 def karp_miller(model: NetModel, target: Predicate, *,
+                bound: ExplorationBound = DEFAULT_BOUND,
                 predicate_name: str = "<target>") -> CoverabilityResult:
     """Classical Karp-Miller tree with omega-acceleration.
 
     The tree is built over the plain projection of the net (inhibitors,
     guards and capacities dropped, so modes too), which over-approximates
-    reachability: an uncoverable verdict is sound for the full net. When the
-    target is coverable, a concrete witness trace is extracted by bounded
-    exploration under the full semantics when one can be found.
+    reachability: an uncoverable verdict is sound for the full net. A tree
+    that would grow past `bound.max_states` nodes stops with Unknown and no
+    covering path. When the projection covers the target, bounded
+    exploration under the full semantics decides the verdict: Unsafe with a
+    replayable trace, Safe when an exploration finishes without one (the
+    covering path is spurious), Unknown otherwise; never Unsafe without a
+    trace.
+
+    Acceleration works on place bitmasks. An expanded node m is compared
+    once with each ancestor a on its path, itself included: `above` holds
+    the places where a[i] > m[i], `below` those where a[i] < m[i] (omega
+    compares as infinity). A child m2 = m + delta differs from m only on the
+    places delta changes, so its fail mask (a[i] > m2[i]) and lift mask
+    (a[i] < m2[i]) are those of m elsewhere, recomputed there. With `fin`
+    the finite places of m2, a is <= m2 iff its fail mask misses `fin`;
+    the lift masks of those ancestors, restricted to `fin`, go to omega,
+    and rounds repeat over the other ancestors until one lifts nothing.
+    Each ancestor's lift is a monotone, inflationary operator on m2, so
+    rounds of simultaneous lifts reach the same least common fixpoint as
+    lifting one ancestor at a time in any order: the tree is the classical
+    one, node for node.
     """
     net = compiled(model)
     targets = _target_basis(target, net)
@@ -347,40 +366,71 @@ def karp_miller(model: NetModel, target: Predicate, *,
         raise NotUpwardClosed(
             "coverability targets must be upward-closed and use no counter or mode atoms")
     n = len(net.place_ids)
-    rows = [(t.id, t.needs, tuple((p, d) for p, d in t.delta if p < n))
-            for t in net.transitions]
+    rows = []
+    for t in net.transitions:
+        delta = tuple((p, d, 1 << p) for p, d in t.delta if p < n)
+        rows.append((t.id, t.needs, delta, ~sum(bit for _, _, bit in delta)))
     root = net.root[:n]
 
     tree_nodes: list[tuple] = [root]
     tree_edges: list[tuple[int, str, int]] = []
     parents = [-1]                       # parent of each tree node; -1 for the root
-    seen: dict[tuple, int] = {root: 0}
+    seen: dict[tuple, int] = {root: 0}   # first occurrence of each marking, in tree order
     worklist = deque([0])
-    le = operator.le
 
     while worklist:
         node = worklist.popleft()
         m = tree_nodes[node]
-        for tid, needs, delta in rows:
+        ancestors = []                   # (marking, above, below), the node first
+        a = node
+        while a >= 0:
+            am = tree_nodes[a]
+            above = below = 0
+            for i, (x, y) in enumerate(zip(am, m)):
+                if x > y:
+                    above |= 1 << i
+                elif x < y:
+                    below |= 1 << i
+            ancestors.append((am, above, below))
+            a = parents[a]
+        finite = sum(1 << i for i, x in enumerate(m) if x != OMEGA)
+        for tid, needs, delta, off in rows:
             if any(m[p] < w for p, w in needs):
                 continue
+            if len(tree_nodes) >= bound.max_states:
+                verdict = Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
+                return CoverabilityResult(verdict, tree_nodes, tree_edges)
             m2 = list(m)
-            for p, d in delta:
+            for p, d, _ in delta:
                 m2[p] += d
-            # omega-acceleration against the ancestors on the path, repeated
-            # until no ancestor lifts another place to omega
-            changed = True
-            while changed:
-                changed = False
-                anc = node
-                while anc >= 0:
-                    am = tree_nodes[anc]
-                    if all(map(le, am, m2)):
-                        for i in range(n):
-                            if am[i] < m2[i] != OMEGA:
-                                m2[i] = OMEGA
-                                changed = True
-                    anc = parents[anc]
+            # the first round of lifts, as each ancestor's masks are made
+            fin, grow, rest = finite, 0, []
+            for am, above, below in ancestors:
+                fail, lift = above & off, below & off
+                for p, _, bit in delta:
+                    if am[p] > m2[p]:
+                        fail |= bit
+                    elif am[p] < m2[p]:
+                        lift |= bit
+                if fail & fin:
+                    rest.append((fail, lift))
+                else:
+                    grow |= lift
+            grow &= fin
+            while grow:                  # later rounds, over the ancestors not yet <= m2
+                fin ^= grow
+                pending, grow, rest = rest, 0, []
+                for fail, lift in pending:
+                    if fail & fin:
+                        rest.append((fail, lift))
+                    else:
+                        grow |= lift
+                grow &= fin
+            lifted = finite ^ fin
+            while lifted:
+                low = lifted & -lifted
+                m2[low.bit_length() - 1] = OMEGA
+                lifted ^= low
             m2 = tuple(m2)
             child = len(tree_nodes)
             tree_nodes.append(m2)
@@ -390,7 +440,9 @@ def karp_miller(model: NetModel, target: Predicate, *,
                 seen[m2] = child
                 worklist.append(child)
 
-    covering = next((i for i, m in enumerate(tree_nodes)
+    le = operator.le
+    # the first covering occurrence of a marking is the first covering node
+    covering = next((i for m, i in seen.items()
                      if any(all(map(le, t, m)) for t in targets)), None)
     if covering is None:
         verdict = Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
@@ -401,23 +453,30 @@ def karp_miller(model: NetModel, target: Predicate, *,
     while i > 0:
         path.append(tree_edges[i - 1][1])  # the edge into node i
         i = parents[i]
-    trace = _concrete_witness(model, target, max(map(max, targets), default=1))
-    verdict = Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
+    verdict = _witness_verdict(model, target, max(map(max, targets), default=1),
+                               bound, predicate_name)
     return CoverabilityResult(verdict, tree_nodes, tree_edges, tuple(reversed(path)))
 
 
-def _concrete_witness(model: NetModel, target: Predicate, base_cap: int):
+def _witness_verdict(model: NetModel, target: Predicate, base_cap: int,
+                     bound: ExplorationBound, predicate_name: str) -> Verdict:
     """Bounded search under the full semantics for a marking covering the
-    target, with token cuts scaled from `base_cap`, its largest basis entry."""
+    target, with token cuts scaled from `base_cap`, its largest basis entry,
+    and at most `min(bound.max_states, 200_000)` states per search.
+
+    Unsafe carries the shortest trace found; Safe means one search finished
+    untruncated without a trace; Unknown means every search was cut short.
+    """
     for cap in (base_cap + 2, (base_cap + 2) * 4, (base_cap + 2) * 16):
-        bound = ExplorationBound(max_states=200_000, max_depth=10_000, max_tokens_per_place=cap)
-        graph = explore(model, bound)
+        graph = explore(model, ExplorationBound(max_states=min(bound.max_states, 200_000),
+                                                max_depth=bound.max_depth,
+                                                max_tokens_per_place=cap))
         trace = violation_trace(graph, target)
         if trace is not None:
-            return trace
+            return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
         if not graph.truncated:
-            return None
-    return None
+            return Verdict(VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED, predicate_name)
+    return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
 
 
 # ---------------------------------------------------------------------------

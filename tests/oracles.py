@@ -2,14 +2,21 @@
 
 Everything here re-derives the semantics from the data structures alone and
 deliberately avoids calling the library's enabling/firing/exploration code,
-so agreement between the two is meaningful evidence.
+so agreement between the two is meaningful evidence. The one exception is
+`oracle_karp_miller`, which keeps the straightforward acceleration loop as a
+differential reference for the bitmask one and shares the library's
+compiled rows and target basis.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
+from collections import deque
 from itertools import combinations
 
+from respetri.analysis import _target_basis
 from respetri.net import (
     And,
     CounterAtom,
@@ -21,6 +28,7 @@ from respetri.net import (
     PlaceDef,
     TokenAtom,
     TransitionDef,
+    compiled,
 )
 
 MODE_PREFIX = "mode_"
@@ -224,6 +232,71 @@ def oracle_trace(nodes, edges, pred):
         firings.append(t)
         path.append(k)
     return tuple(reversed(firings)), list(reversed(path))
+
+
+def oracle_karp_miller(model: NetModel, target):
+    """The classical Karp-Miller loop, one ancestor and one place at a time.
+
+    A differential reference for `respetri.analysis.karp_miller`: it shares
+    the library's compiled rows and target basis, and walks the parent
+    chain per child, lifting in place until a whole pass lifts nothing, then
+    scans every tree node for the first covering one. Returns (tree_nodes,
+    tree_edges, covering_path).
+    """
+    net = compiled(model)
+    targets = _target_basis(target, net)
+    n = len(net.place_ids)
+    rows = [(t.id, t.needs, tuple((p, d) for p, d in t.delta if p < n))
+            for t in net.transitions]
+    root = net.root[:n]
+
+    tree_nodes = [root]
+    tree_edges = []
+    parents = [-1]
+    seen = {root: 0}
+    worklist = deque([0])
+    le = operator.le
+
+    while worklist:
+        node = worklist.popleft()
+        m = tree_nodes[node]
+        for tid, needs, delta in rows:
+            if any(m[p] < w for p, w in needs):
+                continue
+            m2 = list(m)
+            for p, d in delta:
+                m2[p] += d
+            changed = True
+            while changed:
+                changed = False
+                anc = node
+                while anc >= 0:
+                    am = tree_nodes[anc]
+                    if all(map(le, am, m2)):
+                        for i in range(n):
+                            if am[i] < m2[i] != math.inf:
+                                m2[i] = math.inf
+                                changed = True
+                    anc = parents[anc]
+            m2 = tuple(m2)
+            child = len(tree_nodes)
+            tree_nodes.append(m2)
+            tree_edges.append((node, tid, child))
+            parents.append(node)
+            if m2 not in seen:
+                seen[m2] = child
+                worklist.append(child)
+
+    covering = next((i for i, m in enumerate(tree_nodes)
+                     if any(all(map(le, t, m)) for t in targets)), None)
+    if covering is None:
+        return tree_nodes, tree_edges, None
+    path = []
+    i = covering
+    while i > 0:
+        path.append(tree_edges[i - 1][1])
+        i = parents[i]
+    return tree_nodes, tree_edges, tuple(reversed(path))
 
 
 def marking_key(m: Marking):

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from respetri import (
@@ -19,8 +19,10 @@ from respetri import (
     TransitionDef,
     VerdictKind,
     check_forbidden,
+    eval_predicate,
     explore,
     find_cycles,
+    fire,
     initial_marking,
     karp_miller,
     parse_model,
@@ -30,9 +32,10 @@ from respetri import (
     violation_trace,
 )
 from respetri.analysis import _backward_coverable
-from respetri.models import build_traffic_model
+from respetri.models import build_risk_scoring_model, build_srs_symbolic_model, build_traffic_model
 
-from oracles import oracle_siphons_traps, oracle_verdict, random_net, random_predicate
+from oracles import (oracle_karp_miller, oracle_siphons_traps, oracle_verdict, random_net,
+                     random_predicate)
 
 WIDE = ExplorationBound(max_states=10**6, max_depth=10**5, max_tokens_per_place=32)
 
@@ -186,6 +189,10 @@ def toggles_net(n: int) -> NetModel:
     return parse_model("\n".join(lines) + "\n")
 
 
+INHIBITED = ("place p init 1\nplace q\nplace blk init 1\n"
+             "trans t in p:1 out q:1 inhibit blk:1\nforbidden f := q >= 1\n")
+
+
 def plain_case(seed: int):
     """A random plain net with a random upward-closed predicate `goal`."""
     rng = random.Random(seed)
@@ -281,6 +288,85 @@ class TestKarpMiller:
     def test_bounded_net_safe(self):
         cov = karp_miller(chain_net(), TokenAtom("p2", ">=", 2))
         assert cov.verdict.kind is VerdictKind.SAFE
+
+    def test_acceleration_by_hand(self):
+        # t2 refills x, of which the root holds more than node 1: only the
+        # child is above the root, and y goes to omega
+        pump = parse_model("place x init 1\nplace y\nplace z\n"
+                           "trans t1 in x:1 out z:1\ntrans t2 in z:1 out x:1 y:1\n")
+        assert karp_miller(pump, TokenAtom("y", ">=", 2)).tree_nodes[2] == (1, math.inf, 0)
+        # b's child is above the root, which lifts x and y; only then is it
+        # above node 1 too, which lifts z: acceleration takes two rounds
+        chained = parse_model("place x init 1\nplace y init 1\nplace z init 3\n"
+                              "trans a in z:2 out x:2 y:1\ntrans b in x:2 out x:1 z:2\n")
+        assert karp_miller(chained, TokenAtom("y", ">=", 2)).tree_nodes[2] == (math.inf,) * 3
+
+    def test_toggles_tree_size_in_closed_form(self):
+        for n in range(3, 9):
+            model = toggles_net(n)
+            cov = karp_miller(model, model.forbidden_predicate("overflow"))
+            assert len(cov.tree_nodes) == 3 * n * 2 ** (n - 1) + 1
+
+    def test_node_budget(self):
+        model = toggles_net(8)   # a tree of 3,073 nodes
+        pred = model.forbidden_predicate("overflow")
+        whole = karp_miller(model, pred, bound=ExplorationBound(max_states=3073))
+        assert whole.verdict.kind is VerdictKind.SAFE
+        cut = karp_miller(model, pred, bound=ExplorationBound(max_states=3072))
+        assert (cut.verdict.kind, cut.verdict.proof) == (VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED)
+        assert cut.covering_path is None
+        assert len(cut.tree_nodes) == 3072
+
+    def test_spurious_covering_path_gives_safe_not_unsafe(self):
+        # t fires only in the projection, which drops the inhibitor
+        m = parse_model(INHIBITED)
+        cov = karp_miller(m, m.forbidden_predicate("f"), predicate_name="f")
+        assert (cov.verdict.kind, cov.verdict.proof) == (VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED)
+        assert cov.covering_path == ("t",)
+        assert check_forbidden(m, "f").kind is VerdictKind.SAFE
+
+    def test_spurious_covering_path_gives_unknown_when_every_witness_search_is_cut(self):
+        # gen fills r past every token cut of the witness search
+        m = parse_model(INHIBITED + "place r\ntrans gen out r:1\n")
+        cov = karp_miller(m, m.forbidden_predicate("f"))
+        assert (cov.verdict.kind, cov.verdict.proof) == (VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED)
+        assert cov.covering_path == ("t",)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_unsafe_always_replays_and_safe_is_never_wrong(self, seed):
+        rng = random.Random(seed)
+        model = random_net(rng)
+        pred = random_predicate(rng, model, upward_closed=True)
+        v = karp_miller(model, pred, bound=ExplorationBound(max_states=5000)).verdict
+        if v.kind is VerdictKind.UNSAFE:
+            m = model.initial
+            for t in v.trace.firings:
+                m = fire(model, m, t)
+            assert eval_predicate(pred, m)
+        elif v.kind is VerdictKind.SAFE:
+            assert oracle_verdict(model, pred, 5) != "unsafe"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_same_tree_as_the_classical_loop(self, seed, plain):
+        rng = random.Random(seed)
+        model = random_net(rng, plain=plain)
+        pred = random_predicate(rng, model, upward_closed=True)
+        cov = karp_miller(model, pred, bound=ExplorationBound(max_states=5000))
+        # a tree cut by the budget may be huge, and the classical loop has none
+        assume(cov.covering_path is not None or cov.verdict.kind is not VerdictKind.UNKNOWN)
+        assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(model, pred)
+
+    def test_same_tree_as_the_classical_loop_on_toggles_and_fixtures(self):
+        cases = [(m, m.forbidden_predicate(name)) for m in map(toggles_net, range(3, 9))
+                 for name in ("overflow", "deep", "safe")]
+        for build in (build_traffic_model, build_risk_scoring_model, build_srs_symbolic_model):
+            m = build()
+            cases += [(m, TokenAtom(p, ">=", k)) for p in m.place_ids for k in (1, 4)]
+        for model, pred in cases:
+            cov = karp_miller(model, pred)
+            assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(model, pred)
 
 
 class TestCycles:
