@@ -6,8 +6,9 @@ The `.net` format is line-oriented. Keywords: `meta`, `place`, `trans` (with
 character; `#name` is a counter atom inside predicates.
 
 Canonical serialization orders blocks as places, transitions, forbidden,
-audit, modes, each sorted by identifier, and is byte-stable: two structurally
-equal models serialize identically, and parse(serialize(m)) == m.
+audit, modes, each sorted by identifier, and is byte-stable: it is the
+model's identity (structural equality and the hash both read it), and
+parse(serialize(m)) serializes to the same text.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .net import (
     ARC_FIELDS,
+    IDENT,
     _OPS,
     And,
     AuditRule,
@@ -78,11 +80,11 @@ class RateLimit:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<counter>\#[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<counter>\#{IDENT})
   | (?P<comment>\#.*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{IDENT})
   | (?P<int>-?\d+)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<op>:=|<=|>=|<|>|=|\(|\)|:)
@@ -463,11 +465,10 @@ def parse_model(src: ModelSource | str) -> NetModel:
         ModeDef(mid, frozenset(dis), tuple(over.items()))
         for mid, dis, over in draft.modes
     )
-    counters = {t.id: 0 for t in draft.transitions if t.counted}
     model = NetModel(
         places=tuple(draft.places),
         transitions=tuple(draft.transitions),
-        initial=Marking.make(dict(draft.inits), counters),
+        initial=Marking.make(draft.inits),
         forbidden=tuple(draft.forbidden),
         audit_rules=tuple(draft.audits),
         modes=modes,
@@ -623,21 +624,9 @@ def serialize_model(model: NetModel) -> ModelSource:
 # Structural equality and hashing
 # ---------------------------------------------------------------------------
 
-def canonical_form(model: NetModel) -> NetModel:
-    """The same model with all blocks in canonical (sorted) order."""
-    return replace(
-        model,
-        places=sorted(model.places, key=lambda p: p.id),
-        transitions=sorted(model.transitions, key=lambda t: t.id),
-        forbidden=sorted(model.forbidden, key=lambda kv: kv[0]),
-        audit_rules=sorted(model.audit_rules, key=lambda r: r.id),
-        modes=sorted(model.modes, key=lambda m: m.id),
-    )
-
-
 def structurally_equal(a: NetModel, b: NetModel) -> bool:
-    """Equality up to declaration order."""
-    return canonical_form(a) == canonical_form(b)
+    """Equality of the canonical text, the one thing model_hash hashes."""
+    return serialize_model(a).text == serialize_model(b).text
 
 
 def model_hash(model: NetModel) -> str:

@@ -46,14 +46,11 @@ from .errors import (
 )
 from .net import (
     ARC_FIELDS,
-    CounterAtom,
     Marking,
     NetModel,
     PlaceDef,
     Predicate,
-    TokenAtom,
     TransitionDef,
-    predicate_atoms,
     validate_net,
 )
 
@@ -247,17 +244,12 @@ def _parse_set(cur: _Cursor) -> EditOp:
 # Applying patches
 # ---------------------------------------------------------------------------
 
-def _referencing(model_transitions, place: str):
-    for t in model_transitions:
-        if any(p == place for f in ARC_FIELDS.values() for p, _ in getattr(t, f)):
-            yield t.id
-
-
 def apply_patch(model: NetModel, patch: Patch) -> NetModel:
     """Apply the ops left-to-right and validate; all-or-nothing.
 
-    Removals fail with DanglingReference if they would leave references
-    behind (no implicit cascades).
+    A patch whose result still references an id it removed (and did not add
+    back) fails with DanglingReference, naming the referrers: removals never
+    cascade. Any other invalid result fails with ResultingModelInvalid.
     """
     places = {p.id: p for p in model.places}
     transitions = {t.id: t for t in model.transitions}
@@ -274,15 +266,6 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
         elif isinstance(op, RemovePlace):
             if op.place not in places:
                 raise UnknownTarget(f"no place {op.place!r}")
-            users = list(_referencing(transitions.values(), op.place))
-            if users:
-                raise DanglingReference(
-                    f"place {op.place!r} still referenced by {', '.join(sorted(users))}")
-            for name, pred in forbidden:
-                if any(isinstance(a, TokenAtom) and a.place == op.place
-                       for a in predicate_atoms(pred)):
-                    raise DanglingReference(
-                        f"place {op.place!r} still referenced by forbidden {name!r}")
             del places[op.place]
             tokens.pop(op.place, None)
         elif isinstance(op, AddTransition):
@@ -290,20 +273,9 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
             if t.id in transitions or t.id in places:
                 raise PatchError(f"identifier {t.id!r} already exists")
             transitions[t.id] = t
-            if t.counted:
-                counters.setdefault(t.id, 0)
         elif isinstance(op, RemoveTransition):
             if op.transition not in transitions:
                 raise UnknownTarget(f"no transition {op.transition!r}")
-            for name, pred in forbidden:
-                if any(isinstance(a, CounterAtom) and a.transition == op.transition
-                       for a in predicate_atoms(pred)):
-                    raise DanglingReference(
-                        f"transition {op.transition!r} still referenced by forbidden {name!r}")
-            for rule in model.audit_rules:
-                if getattr(rule, "transition", None) == op.transition:
-                    raise DanglingReference(
-                        f"transition {op.transition!r} still referenced by audit rule {rule.id!r}")
             del transitions[op.transition]
             counters.pop(op.transition, None)
         elif isinstance(op, AddArc):
@@ -350,6 +322,10 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
                       transitions=tuple(transitions.values()),
                       initial=Marking.make(tokens, counters), forbidden=tuple(forbidden))
     errs = validate_net(patched)
+    gone = {*model.place_ids, *model.transition_ids} - places.keys() - transitions.keys()
+    dangling = [e for e in errs if e.code == "UnknownEndpoint" and e.element in gone]
+    if dangling:
+        raise DanglingReference("removal leaves dangling references: " + "; ".join(map(str, dangling)))
     if errs:
         raise ResultingModelInvalid(errs)
     return patched

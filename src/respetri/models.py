@@ -58,14 +58,13 @@ class FixtureConfig:
 DEFAULT_CONFIG = FixtureConfig()
 
 
-def _initial(defaults: Mapping[str, int], cfg: FixtureConfig,
-             counters: Mapping[str, int] = ()) -> Marking:
+def _initial(defaults: Mapping[str, int], cfg: FixtureConfig) -> Marking:
     tokens = dict(defaults)
     for p, v in cfg.initial_tokens.items():
         if p not in tokens:
             raise ValueError(f"initial_tokens names unknown place {p!r}")
         tokens[p] = v
-    return Marking.make(tokens, dict(counters))
+    return Marking.make(tokens)
 
 
 def build_traffic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
@@ -230,7 +229,7 @@ def build_srs_symbolic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
     return NetModel(
         places=places,
         transitions=transitions,
-        initial=_initial(defaults, cfg, {"t2": 0}),
+        initial=_initial(defaults, cfg),
         forbidden=(("bad_state", TokenAtom("p_bad", ">=", 1)),),
         audit_rules=(CounterThreshold("counter_alarm", "t2", theta),),
         metadata=(("name", "srs_symbolic"),),

@@ -8,12 +8,17 @@ immutable values; every operation here is a pure function.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import NotEnabled, UnknownPredicate, UnknownReference, UnknownTransition
 
 MODE_PLACE_PREFIX = "mode_"
+
+# What the text format reads as an identifier; every id must match it.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT)
 
 _OPS = {
     "<": operator.lt,
@@ -30,6 +35,11 @@ ARC_FIELDS = {"in": "inputs", "out": "outputs", "inhibit": "inhibitors", "read":
 def _check_op(self):
     if self.op not in _OPS:
         raise ValueError(f"bad comparison operator {self.op!r}")
+
+
+def _check_operands(self):
+    if len(self.operands) < 2:
+        raise ValueError(f"{type(self).__name__} needs at least two operands, got {len(self.operands)}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +84,14 @@ class Not:
 class And:
     operands: tuple["Predicate", ...]
 
+    __post_init__ = _check_operands
+
 
 @dataclass(frozen=True)
 class Or:
     operands: tuple["Predicate", ...]
+
+    __post_init__ = _check_operands
 
 
 Predicate = Union[TokenAtom, CounterAtom, ModeAtom, Not, And, Or]
@@ -264,7 +278,8 @@ AuditRule = Union[CounterThreshold, RateThreshold, OccupancyThreshold, PressureT
 
 @dataclass(frozen=True)
 class NetModel:
-    """Immutable net structure; the unit all analysis and simulation operates on."""
+    """Immutable net structure; the unit all analysis and simulation operates on.
+    `initial` starts the counter of each counted transition it omits at 0."""
 
     places: tuple[PlaceDef, ...]
     transitions: tuple[TransitionDef, ...]
@@ -286,6 +301,10 @@ class NetModel:
         object.__setattr__(self, "metadata", tuple(sorted(self.metadata)))
         object.__setattr__(self, "_pindex", {p.id: p for p in self.places})
         object.__setattr__(self, "_tindex", {t.id: t for t in self.transitions})
+        counters = self.initial.counters_map
+        zeros = tuple((t.id, 0) for t in self.transitions if t.counted and t.id not in counters)
+        if zeros:
+            object.__setattr__(self, "initial", Marking(self.initial.tokens, self.initial.counters + zeros))
 
     # -- lookups ------------------------------------------------------------
 
@@ -360,9 +379,18 @@ def _predicate_errors(model: NetModel, pred: Predicate, where: str) -> list[Stru
     return errs
 
 
+# least value of each integer field of the audit rules
+_AUDIT_MINIMA = {"threshold": 0, "max_firings": 0, "window": 1, "level": 0, "max_distance": 0}
+
+
 def validate_net(model: NetModel) -> list[StructureError]:
     """Check every NetModel invariant; empty list iff the model is well-formed."""
-    errs: list[StructureError] = []
+    names = [n for n, _ in model.forbidden]
+    ids = {"place": model.place_ids, "transition": model.transition_ids, "forbidden predicate": names,
+           "audit rule": [r.id for r in model.audit_rules], "mode": [md.id for md in model.modes],
+           "meta key": [k for k, _ in model.metadata]}
+    errs = [StructureError("BadId", i, f"{kind} id must match {IDENT}")
+            for kind, group in ids.items() for i in group if not _IDENT_RE.fullmatch(i)]
     seen: set[str] = set()
     for p in model.places:
         if p.id in seen:
@@ -412,12 +440,13 @@ def validate_net(model: NetModel) -> list[StructureError]:
     for tid, v in model.initial.counters_map.items():
         if not model.has_transition(tid):
             errs.append(StructureError("UnknownEndpoint", tid, "initial counter names unknown transition"))
+        elif not model.transition(tid).counted:
+            errs.append(StructureError("BadInitial", tid, "initial counter on a transition that is not counted"))
         elif v != 0:
             errs.append(StructureError("BadInitial", tid, f"initial counter {v} is not 0"))
 
     for name, pred in model.forbidden:
         errs.extend(_predicate_errors(model, pred, f"forbidden {name}"))
-    names = [n for n, _ in model.forbidden]
     for n in set(names):
         if names.count(n) > 1:
             errs.append(StructureError("DuplicateId", n, "duplicate forbidden predicate name"))
@@ -429,8 +458,10 @@ def validate_net(model: NetModel) -> list[StructureError]:
             errs.append(StructureError("UnknownEndpoint", rule.place, f"audit rule {rule.id} names unknown place"))
         if isinstance(rule, PressureThreshold) and rule.predicate not in names:
             errs.append(StructureError("UnknownEndpoint", rule.predicate, f"audit rule {rule.id} names unknown predicate"))
-        if isinstance(rule, RateThreshold) and rule.window < 1:
-            errs.append(StructureError("BadWeight", rule.id, "rate window must be >= 1"))
+        for f, least in _AUDIT_MINIMA.items():
+            v = getattr(rule, f, least)
+            if v < least:
+                errs.append(StructureError("BadWeight", rule.id, f"{f} must be >= {least}, got {v}"))
 
     # modes: mode places and referenced transitions exist, and the mode places
     # hold one token that every transition gives back as often as it takes it
@@ -664,6 +695,5 @@ def eval_guard(model: NetModel, pred: Predicate, m: Marking) -> bool:
 
 
 def initial_marking(model: NetModel) -> Marking:
-    """The initial marking with zeroed counters for every counted transition."""
-    counters = {t: model.initial.counters_map.get(t, 0) for t in model.counted_transitions}
-    return Marking.make(dict(model.initial.tokens_map), counters)
+    """The model's initial marking (see NetModel)."""
+    return model.initial

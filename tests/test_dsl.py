@@ -1,6 +1,7 @@
 """Model language: parsing, errors, macros, canonical serialization."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from respetri import (
     And,
     CounterAtom,
+    ExplorationBound,
     Marking,
     ModeAtom,
     NetModel,
@@ -18,8 +20,8 @@ from respetri import (
     PlaceDef,
     StructureFailure,
     TokenAtom,
-    canonical_form,
     enabled_set,
+    explore,
     fire,
     initial_marking,
     model_hash,
@@ -242,7 +244,6 @@ class TestSerialization:
         b = parse_model("place b\nplace a init 1\ntrans t out b:1 in a:1\n")
         assert structurally_equal(a, b)
         assert model_hash(a) == model_hash(b)
-        assert canonical_form(a) == canonical_form(b)
 
     def test_hash_changes_with_content(self):
         a = parse_model("place a init 1\n")
@@ -273,3 +274,42 @@ class TestSerialization:
         again = parse_model(text)
         assert structurally_equal(model, again)
         assert serialize_model(again).text == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9), st.data())
+    def test_round_trip_api_built_models(self, seed, data):
+        # one transition counted with no counter in `initial`, and random
+        # and/or/not trees as forbidden predicates and guards
+        rng = random.Random(seed)
+        net = random_net(rng)
+        preds = _predicates(net.place_ids, net.transition_ids)
+        counted = rng.randrange(len(net.transitions))
+        transitions = tuple(
+            replace(t, counted=i == counted, guard=data.draw(st.none() | preds))
+            for i, t in enumerate(net.transitions))
+        m = replace(net, transitions=transitions,
+                    forbidden=tuple((f"f{i}", p) for i, p in
+                                    enumerate(data.draw(st.lists(preds, max_size=3)))))
+        assert "counted" in serialize_model(m).text
+        again = parse_model(serialize_model(m).text)
+        assert structurally_equal(m, again)
+        assert model_hash(m) == model_hash(again)
+        shuffled = replace(m, places=m.places[::-1], transitions=m.transitions[::-1])
+        other = replace(m, forbidden=m.forbidden[1:])
+        for a, b in ((m, again), (m, shuffled), (m, other), (again, other)):
+            assert structurally_equal(a, b) == (model_hash(a) == model_hash(b))
+        assert structurally_equal(m, shuffled)
+        assert m.initial == initial_marking(m)
+        assert m.initial in explore(m, ExplorationBound(max_states=50))
+
+
+def _predicates(places, transitions):
+    """Random predicate trees over the given places and transitions."""
+    ops = ("<", "<=", "=", ">=", ">")
+    atoms = (st.builds(TokenAtom, st.sampled_from(places), st.sampled_from(ops), st.integers(-1, 4))
+             | st.builds(CounterAtom, st.sampled_from(transitions), st.sampled_from(ops),
+                         st.integers(0, 4)))
+    return st.recursive(atoms, lambda sub: (
+        st.builds(Not, sub)
+        | st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple))
+        | st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple))), max_leaves=6)

@@ -93,6 +93,30 @@ class TestApplyPatch:
         with pytest.raises(DanglingReference):
             apply_patch(m, Patch((RemovePlace("p"),)))
 
+    @pytest.mark.parametrize("text, op, referrer", [
+        ("trans u in q:1 guard p >= 1", RemovePlace("p"), "guard of u"),
+        ("trans u in q:1 guard #t >= 1", RemoveTransition("t"), "guard of u"),
+        ("audit o := occupancy p >= 1", RemovePlace("p"), "audit rule o"),
+        ("mode a disable t\nmode b", RemoveTransition("t"), "mode a disables"),
+        ("mode a\noverride a t := q >= 1", RemoveTransition("t"), "mode a overrides"),
+    ], ids=["guard-token", "guard-counter", "occupancy", "mode-disable", "mode-override"])
+    def test_every_referrer_kind_dangles(self, text, op, referrer):
+        m = parse_model("place p init 1\nplace q\ntrans t out q:1 counted\n" + text + "\n")
+        with pytest.raises(DanglingReference, match=referrer):
+            apply_patch(m, Patch((op,)))
+
+    def test_a_removal_added_back_does_not_dangle(self):
+        m = build_traffic_model()
+        out = apply_patch(m, Patch((RemovePlace("p3"), AddPlace(m.place("p3")))))
+        assert structurally_equal(m, out)
+
+    def test_removals_are_judged_on_the_result(self):
+        # the place and its only referrer go in one patch, in either order
+        m = parse_model("place p init 1\nplace q\ntrans t in p:1 out q:1\n")
+        for ops in ((RemovePlace("p"), RemoveTransition("t")),
+                    (RemoveTransition("t"), RemovePlace("p"))):
+            assert apply_patch(m, Patch(ops)).place_ids == ("q",)
+
     def test_add_and_remove_transition(self):
         m = build_traffic_model()
         t = TransitionDef("t7", inputs=(("p5", 1),), outputs=(("p6", 1),))

@@ -5,12 +5,19 @@ from pathlib import Path
 import pytest
 
 from respetri import (
+    Marking,
+    NetModel,
+    Pressure,
+    TokenAtom,
     VerdictKind,
     check_forbidden,
+    explore,
     find_cycles,
     initial_marking,
     parse_model,
+    reachability_pressure,
     serialize_model,
+    structurally_equal,
     validate_net,
 )
 from respetri.models import (
@@ -134,6 +141,18 @@ class TestSrsSymbolic:
         t2 = m.transition("t2")
         assert t2.counted
         assert t2.guard is not None
+
+    def test_initial_marking_without_the_t2_counter(self):
+        # the model gives the counted t2 its counter, so the marking it
+        # holds is a node of its own exploration
+        m = build_srs_symbolic_model()
+        m = NetModel(m.places, m.transitions, Marking.make(dict(m.initial.tokens_map)),
+                     m.forbidden, m.audit_rules, m.modes, m.metadata)
+        assert structurally_equal(m, parse_model(serialize_model(m).text))
+        assert m.initial == initial_marking(m) == build_srs_symbolic_model().initial
+        graph = explore(m)
+        assert m.initial in graph
+        assert reachability_pressure(graph, m.initial, TokenAtom("p_bad", ">=", 1)) == Pressure(3, False)
 
     def test_audit_rule_threshold_configurable(self):
         m = build_srs_symbolic_model(FixtureConfig(thresholds={"theta": 5}))

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 from respetri import (
     And,
     CounterAtom,
+    CounterThreshold,
     Marking,
     ModeDef,
     NetModel,
     Not,
     NotEnabled,
+    OccupancyThreshold,
+    Or,
+    ParseFailure,
     PlaceDef,
+    PressureThreshold,
+    RateThreshold,
     StructureFailure,
     TokenAtom,
     TransitionDef,
@@ -181,6 +187,13 @@ class TestPredicates:
         with pytest.raises(ValueError):
             TokenAtom("p", "!=", 1)
 
+    def test_and_or_need_two_operands(self):
+        # the text has no and/or of fewer than two terms, so neither has the API
+        a = TokenAtom("p", ">=", 1)
+        for build in (lambda: And(()), lambda: And((a,)), lambda: Or((a,))):
+            with pytest.raises(ValueError):
+                build()
+
 
 class TestValidation:
     def test_duplicate_place_id(self):
@@ -245,6 +258,44 @@ class TestValidation:
                      forbidden=(("hot", CounterAtom("t", ">=", 2)),))
         assert [(e.code, e.element) for e in validate_net(m)] == [("BadInitial", "t")]
         assert model_hash(parse_model(serialize_model(m))) == model_hash(m)
+
+    def test_counted_transition_starts_at_zero(self):
+        m = NetModel(places=(PlaceDef("p"),),
+                     transitions=(TransitionDef("t", inputs=(("p", 1),), counted=True),),
+                     initial=Marking.make({"p": 1}))
+        assert m.initial.counters_map == {"t": 0}
+        assert validate_net(m) == []
+
+    def test_counter_on_uncounted_transition(self):
+        # the text gives counters to counted transitions only
+        m = NetModel(places=(PlaceDef("p"),),
+                     transitions=(TransitionDef("t", inputs=(("p", 1),)),),
+                     initial=Marking.make({"p": 1}, {"t": 0}))
+        assert [(e.code, e.element) for e in validate_net(m)] == [("BadInitial", "t")]
+
+    @pytest.mark.parametrize("edit, code, element", [
+        (dict(places=(PlaceDef("p"), PlaceDef("my place")),
+              initial=Marking.make({"p": 1, "my place": 0})), "BadId", "my place"),
+        (dict(transitions=(TransitionDef("t-1", inputs=(("p", 1),)),)), "BadId", "t-1"),
+        (dict(forbidden=(("g h", TokenAtom("p", ">=", 2)),)), "BadId", "g h"),
+        (dict(audit_rules=(CounterThreshold("a:b", "t", 1),)), "BadId", "a:b"),
+        (dict(places=(PlaceDef("p"), PlaceDef("mode_1x", capacity=1)),
+              initial=Marking.make({"p": 1, "mode_1x": 1}), modes=(ModeDef("1x"),)), "BadId", "1x"),
+        (dict(metadata=(("a key", "v"),)), "BadId", "a key"),
+        (dict(audit_rules=(CounterThreshold("c", "t", -1),)), "BadWeight", "c"),
+        (dict(audit_rules=(RateThreshold("r", "t", -1, 3),)), "BadWeight", "r"),
+        (dict(audit_rules=(OccupancyThreshold("o", "p", ">=", -1),)), "BadWeight", "o"),
+        (dict(forbidden=(("f", TokenAtom("p", ">=", 2)),),
+              audit_rules=(PressureThreshold("s", "f", -1),)), "BadWeight", "s"),
+    ])
+    def test_what_the_parser_refuses_does_not_validate(self, edit, code, element):
+        # each of these would serialize to text that does not parse back
+        base = dict(places=(PlaceDef("p"),), transitions=(TransitionDef("t", inputs=(("p", 1),)),),
+                    initial=Marking.make({"p": 1}))
+        m = NetModel(**{**base, **edit})
+        assert [(e.code, e.element) for e in validate_net(m)] == [(code, element)]
+        with pytest.raises(ParseFailure):
+            parse_model(serialize_model(m))
 
 
 class TestModes:
