@@ -142,26 +142,27 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     state_edges: list[tuple[int, int, int]] = []
     truncated = False
     cut = bound.max_tokens_per_place
-    # A kept state is within the token cut, so a successor can only cross it
-    # at an unbounded place its transition fills; the root alone may start
-    # beyond it, and then every unbounded place is checked.
-    fills = [tuple(p for p, d in t.delta if d > 0 and p in net.unbounded) for t in net.transitions]
+    successors = net.successors
     if any(root[p] > cut for p in net.unbounded):
-        fills = [net.unbounded] * len(fills)
-    enabled, step = net.enabled, net.step
+        # The generated test looks only at the places a transition fills,
+        # which suffices once every state is within the cut; a root beyond
+        # it has each successor checked at every unbounded place instead.
+        fast, unbounded = successors, net.unbounded
+
+        def successors(v, cut):
+            return [(t, None if any(s[p] > cut for p in unbounded) else s)
+                    for t, s in fast(v, math.inf)]
     frontier = [0]
     d = 0
     while frontier:
         if d >= bound.max_depth:
-            if any(enabled(states[a]) for a in frontier):
+            if any(successors(states[a], cut) for a in frontier):
                 truncated = True
             break
         next_frontier: list[int] = []
         for a in frontier:
-            v = states[a]
-            for t in enabled(v):
-                s = step(v, t)
-                if any(s[p] > cut for p in fills[t]):
+            for t, s in successors(states[a], cut):
+                if s is None:
                     truncated = True
                     continue
                 b = index.get(s)

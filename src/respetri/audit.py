@@ -7,6 +7,7 @@ a policy. Identical inputs (including seeds) produce identical RunRecords.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -95,8 +96,8 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
     limit = min(steps, len(script)) if script is not None else steps
 
     for step in range(1, limit + 1):
-        indices = net.enabled(v)
-        enabled = [net.ids[i] for i in indices]
+        succ = net.successors(v, math.inf)
+        enabled = [net.ids[i] for i, _ in succ]
         if script is not None:
             t = script[step - 1]
             if t not in enabled:
@@ -109,7 +110,7 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
             t = listed[0] if listed else rng.choice(enabled)
         else:
             t = rng.choice(enabled)
-        v = net.step(v, indices[enabled.index(t)])
+        v = succ[enabled.index(t)][1]
         firings.append(t)
         states.append(v)
 

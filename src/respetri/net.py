@@ -7,9 +7,11 @@ immutable values; every operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import NotEnabled, UnknownPredicate, UnknownReference, UnknownTransition
@@ -379,6 +381,11 @@ def _predicate_errors(model: NetModel, pred: Predicate, where: str) -> list[Stru
     return errs
 
 
+def _is_int(x) -> bool:
+    """True for the values the text format writes as integers: ints, not bools."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # least value of each integer field of the audit rules
 _AUDIT_MINIMA = {"threshold": 0, "max_firings": 0, "window": 1, "level": 0, "max_distance": 0}
 
@@ -396,7 +403,9 @@ def validate_net(model: NetModel) -> list[StructureError]:
         if p.id in seen:
             errs.append(StructureError("DuplicateId", p.id, "duplicate place identifier"))
         seen.add(p.id)
-        if p.capacity is not None and p.capacity < 1:
+        if p.capacity is not None and not _is_int(p.capacity):
+            errs.append(StructureError("BadCapacity", p.id, f"capacity must be an int, got {p.capacity!r}"))
+        elif p.capacity is not None and p.capacity < 1:
             errs.append(StructureError("BadCapacity", p.id, f"capacity must be >= 1, got {p.capacity}"))
     for t in model.transitions:
         if t.id in seen:
@@ -430,9 +439,11 @@ def validate_net(model: NetModel) -> list[StructureError]:
             errs.append(StructureError("BadInitial", p.id, "initial marking assigns no value"))
         else:
             v = init[p.id]
-            if v < 0:
+            if not _is_int(v):
+                errs.append(StructureError("BadInitial", p.id, f"initial tokens must be an int, got {v!r}"))
+            elif v < 0:
                 errs.append(StructureError("BadInitial", p.id, f"negative initial tokens {v}"))
-            if p.capacity is not None and v > p.capacity:
+            elif _is_int(p.capacity) and v > p.capacity:
                 errs.append(StructureError("BadInitial", p.id, f"initial tokens {v} exceed capacity {p.capacity}"))
     for pid in init:
         if not model.has_place(pid):
@@ -518,6 +529,16 @@ class CompiledNet:
     predicates become closures over the vector. Modes are structure too: a
     mode that disables a transition inhibits it from the mode place, and
     guard overrides fold into the transition's guard.
+
+    The token game is one generated function, `successors(v, cut)`, made
+    from Python source on its first use and kept here. It lists each
+    transition enabled at v as (index, successor) in declaration order,
+    with the successor None when it puts more than `cut` tokens on an
+    unbounded place the transition fills. The source holds only int
+    literals (vector indices, weights, thresholds and capacity limits) and
+    fixed names; guard i is bound as `g<i>` beside it. No id or other
+    string of the model enters it. Karp-Miller, backward coverability and
+    the structural analyses read `transitions` and never generate it.
     """
 
     def __init__(self, model: NetModel):
@@ -613,34 +634,46 @@ class CompiledNet:
             return lambda v: any(f(v) for f in fs)
         raise TypeError(f"not a predicate: {pred!r}")
 
-    # -- firing rule ------------------------------------------------------------
+    @cached_property
+    def successors(self) -> Callable[[tuple, float], list[tuple[int, Optional[tuple]]]]:
+        """The generated token game (see the class docstring)."""
+        source, namespace = kernel_source(self)
+        exec(compile(source, "<successors>", "exec"), namespace)
+        # the namespace keeps no reference to the function, so dropping the
+        # net frees both without the cycle collector
+        return namespace.pop("successors")
 
-    def admits(self, t: CompiledTransition, v: tuple[int, ...]) -> bool:
-        """The enabling rule: inputs, reads, inhibitors, guard, capacities."""
-        for p, w in t.needs:
-            if v[p] < w:
-                return False
-        for p, th in t.inhibitors:
-            if v[p] >= th:
-                return False
-        if t.guard is not None and not t.guard(v):
-            return False
-        for p, top in t.limits:
-            if v[p] > top:
-                return False
-        return True
 
-    def enabled(self, v: tuple[int, ...]) -> list[int]:
-        """Indices of the transitions enabled at v, in declaration order."""
-        admits = self.admits
-        return [i for i, t in enumerate(self.transitions) if admits(t, v)]
+def kernel_source(net: CompiledNet) -> tuple[str, dict]:
+    """The source of `net.successors` and the namespace it runs in.
 
-    def step(self, v: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """The successor of v under transition i, which must be enabled."""
-        s = list(v)
-        for p, d in self.transitions[i].delta:
-            s[p] += d
-        return tuple(s)
+    Each transition becomes one test, then an in-place update of a copy of
+    v. Every number is formatted with `d`, which admits ints only.
+    """
+    unbounded = set(net.unbounded)
+    namespace: dict = {}
+    lines = ["def successors(v, cut):", "    out = []"]
+    for i, t in enumerate(net.transitions):
+        tests = [f"v[{p:d}] >= {w:d}" for p, w in t.needs]
+        tests += [f"v[{p:d}] < {th:d}" for p, th in t.inhibitors]
+        tests += [f"v[{p:d}] <= {top:d}" for p, top in t.limits]
+        if t.guard is not None:
+            namespace[f"g{i}"] = t.guard
+            tests.append(f"g{i}(v)")
+        pad = "    "
+        if tests:
+            lines.append(f"    if {' and '.join(tests)}:")
+            pad = "        "
+        if not t.delta:
+            lines.append(f"{pad}out.append(({i:d}, v))")
+            continue
+        lines.append(f"{pad}s = list(v)")
+        lines += [f"{pad}s[{p:d}] += {d:d}" for p, d in t.delta]
+        fills = " or ".join(f"s[{p:d}] > cut" for p, d in t.delta if d > 0 and p in unbounded)
+        succ = f"None if {fills} else tuple(s)" if fills else "tuple(s)"
+        lines.append(f"{pad}out.append(({i:d}, {succ}))")
+    lines.append("    return out")
+    return "\n".join(lines) + "\n", namespace
 
 
 def compiled(model: NetModel) -> CompiledNet:
@@ -652,23 +685,28 @@ def compiled(model: NetModel) -> CompiledNet:
     return net
 
 
+def _successors_at(model: NetModel, m: Marking) -> tuple[CompiledNet, list]:
+    """The compiled net and the transitions enabled at m, each with its successor."""
+    model.active_mode(m)
+    net = compiled(model)
+    return net, net.successors(net.state(m), math.inf)
+
+
 def is_enabled(model: NetModel, m: Marking, tid: str) -> bool:
     """True iff firing tid at m is admissible under the full semantics.
 
     Checks inputs, read arcs, inhibitor thresholds, the (mode-resolved) guard,
     mode-disabled sets, and output capacities (contact-free semantics).
     """
-    model.active_mode(m)
-    net = compiled(model)
-    t = net.transitions[net.transition_index(tid)]
-    return net.admits(t, net.state(m))
+    net, succ = _successors_at(model, m)
+    i = net.transition_index(tid)
+    return any(j == i for j, _ in succ)
 
 
 def enabled_set(model: NetModel, m: Marking) -> list[str]:
     """Enabled transitions in canonical (declaration) order."""
-    model.active_mode(m)
-    net = compiled(model)
-    return [net.ids[i] for i in net.enabled(net.state(m))]
+    net, succ = _successors_at(model, m)
+    return [net.ids[i] for i, _ in succ]
 
 
 def fire(model: NetModel, m: Marking, tid: str) -> Marking:
@@ -677,13 +715,12 @@ def fire(model: NetModel, m: Marking, tid: str) -> Marking:
     Reads and inhibitors consume nothing; the transition's counter is
     incremented when it is counted.
     """
-    model.active_mode(m)
-    net = compiled(model)
+    net, succ = _successors_at(model, m)
     i = net.transition_index(tid)
-    v = net.state(m)
-    if not net.admits(net.transitions[i], v):
-        raise NotEnabled(tid)
-    return net.marking(net.step(v, i))
+    for j, s in succ:
+        if j == i:
+            return net.marking(s)
+    raise NotEnabled(tid)
 
 
 def eval_guard(model: NetModel, pred: Predicate, m: Marking) -> bool:

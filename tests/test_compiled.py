@@ -4,28 +4,55 @@
 on the compiled net; `oracles.oracle_bfs` re-derives the same breadth-first
 graph from `oracle_enabled`/`oracle_fire` over token dicts. Node order, edge
 order, depths, truncation and every predicate's trace must agree exactly.
+`is_enabled`, `enabled_set`, `fire` and `simulate` share the generated
+successor function with `explore`, so they are checked against
+`oracle_enabled`/`oracle_fire` one marking at a time.
 """
 
+import gc
+import io
 import random
+import tokenize
+import weakref
 from pathlib import Path
 
 import pytest
 
 from respetri import (
     ExplorationBound,
+    Marking,
     NetModel,
+    NotEnabled,
+    PlaceDef,
+    Priority,
+    Scripted,
+    TokenAtom,
+    TransitionDef,
+    UniformRandom,
     apply_patch,
     check_all_forbidden,
     check_forbidden,
+    enabled_set,
     explore,
+    find_cycles,
+    fire,
+    is_enabled,
+    karp_miller,
     parse_model,
     parse_patch,
+    simulate,
+    siphons_and_traps,
+    validate_net,
     verify_patch,
     violation_trace,
 )
+from respetri import net as net_module
+from respetri.analysis import _backward_coverable
 from respetri.models import FIXTURES
+from respetri.net import compiled, kernel_source
 
-from oracles import marking_key, oracle_bfs, oracle_trace, random_net, random_predicate
+from oracles import (marking_key, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
+                     random_net, random_predicate)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
 
@@ -145,3 +172,160 @@ def test_verify_patch_state_counts_come_from_one_exploration(bound):
     assert report.states_after == len(explore(post, bound).nodes)
     assert dict(report.verdicts_before) == check_all_forbidden(model, bound)
     assert dict(report.verdicts_after) == check_all_forbidden(post, bound)
+
+
+# Ids that are the generated code's own names: `v` is the state, `s` the
+# successor, `out` the result list, `cut` the token cut and `g0` the name the
+# first guard is bound to. Ids never enter the source, so they cannot clash
+# with it. Built through the API, as `out` is an arc keyword of the text.
+NAMESAKES = NetModel(
+    places=(PlaceDef("v"), PlaceDef("s", capacity=2), PlaceDef("out"), PlaceDef("cut")),
+    transitions=(
+        TransitionDef("g0", inputs=(("v", 1),), outputs=(("s", 1),), guard=TokenAtom("out", "<", 2)),
+        TransitionDef("successors", inputs=(("s", 1),), outputs=(("out", 2),),
+                      inhibitors=(("cut", 2),)),
+        TransitionDef("append", reads=(("out", 1),), outputs=(("cut", 1),), guard=TokenAtom("v", "<=", 1)),
+        TransitionDef("tuple", inputs=(("out", 1),), outputs=(("v", 1),), guard=TokenAtom("cut", "<", 3)),
+    ),
+    initial=Marking.make({"v": 2, "s": 0, "out": 0, "cut": 0}),
+    forbidden=(("v_full", TokenAtom("v", ">=", 3)), ("out_many", TokenAtom("out", ">=", 4))),
+)
+
+# The root already holds more tokens than two of the bounds' cuts allow: `p`
+# has 7 and `q` 2 against cuts of 5 and 1, so every successor is checked at
+# every unbounded place, not only at those its transition fills.
+ABOVE_CUT = """
+place p init 7
+place q init 2
+place r cap 3
+trans shed in p:2
+trans a in p:1 out q:1
+trans b in q:2 out r:1
+trans c in r:1 out p:1
+trans idle read q:1 out r:1 guard r < 2
+forbidden low := p <= 2
+forbidden full := r >= 3
+"""
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_ids_named_like_the_generated_code(bound):
+    assert validate_net(NAMESAKES) == []
+    assert_matches_oracle(NAMESAKES, bound)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_root_beyond_the_token_cut(bound):
+    model = parse_model(ABOVE_CUT)
+    assert explore(model, bound).states[0][0] > bound.max_tokens_per_place
+    assert_matches_oracle(model, bound)
+
+
+def token_game_models():
+    yield parse_model(RICH)
+    yield parse_model(SWITCH)
+    yield NAMESAKES
+    rng = random.Random(11)
+    for i in range(40):
+        yield random_net(rng, plain=i % 4 == 0)
+
+
+def assert_replays(model: NetModel, run):
+    """Every firing of the run is enabled under the reference semantics and
+    leads to the next marking."""
+    transitions = {t.id: t for t in model.transitions}
+    for a, t, b in zip(run.markings, run.firings, run.markings[1:]):
+        tokens, counters = dict(a.tokens_map), dict(a.counters_map)
+        assert oracle_enabled(model, tokens, counters, transitions[t])
+        assert oracle_fire(tokens, counters, transitions[t]) == (dict(b.tokens_map), dict(b.counters_map))
+
+
+def test_is_enabled_enabled_set_and_fire_against_the_oracle():
+    for model in token_game_models():
+        for m in explore(model, BOUNDS[0]).nodes:
+            tokens, counters = dict(m.tokens_map), dict(m.counters_map)
+            expected = [t.id for t in model.transitions if oracle_enabled(model, tokens, counters, t)]
+            assert enabled_set(model, m) == expected
+            for t in model.transitions:
+                assert is_enabled(model, m, t.id) == (t.id in expected)
+                if t.id in expected:
+                    after = fire(model, m, t.id)
+                    assert (after.tokens_map, after.counters_map) == oracle_fire(tokens, counters, t)
+                else:
+                    with pytest.raises(NotEnabled):
+                        fire(model, m, t.id)
+
+
+def test_simulate_replays_under_every_policy():
+    for k, model in enumerate(token_game_models()):
+        ids = [t.id for t in model.transitions]
+        uniform = simulate(model, UniformRandom(seed=k), 30)
+        priority = simulate(model, Priority(tuple(reversed(ids)), seed=k), 30)
+        scripted = simulate(model, Scripted(uniform.firings), 30)
+        assert scripted.markings == uniform.markings
+        for run in (uniform, priority, scripted):
+            assert_replays(model, run)
+            if run.deadlock_step is not None:
+                assert enabled_set(model, run.markings[-1]) == []
+
+
+# What the generated source may hold besides int literals and operators:
+# its own fixed names and the guard names g<i>.
+KERNEL_NAMES = {"def", "successors", "v", "cut", "out", "append", "if", "and", "or", "s",
+                "list", "tuple", "None", "else", "return"}
+
+
+def test_kernel_source_holds_only_ints_and_fixed_names():
+    fixtures = [f() for f in FIXTURES.values()]
+    for model in (*token_game_models(), parse_model(ABOVE_CUT), *fixtures):
+        source, namespace = kernel_source(compiled(model))
+        guards = set(namespace)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING, tok
+            if tok.type == tokenize.NAME:
+                assert tok.string in KERNEL_NAMES | guards, tok
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+        assert all(name == f"g{int(name[1:])}" for name in guards)
+    for model in fixtures:
+        source, _ = kernel_source(compiled(model))
+        ids = (*model.place_ids, *model.transition_ids, *(n for n, _ in model.forbidden))
+        assert [i for i in ids if i in source] == []
+
+
+UNCOVERABLE = """
+place a init 1
+place b
+place err
+trans go in a:1 out b:1
+trans back in b:1 out a:1 inhibit err:1
+forbidden bad := err >= 1
+"""
+
+
+def test_kernel_is_generated_on_first_use_and_once(monkeypatch):
+    calls = []
+    real = net_module.kernel_source
+    monkeypatch.setattr(net_module, "kernel_source", lambda net: calls.append(net) or real(net))
+    model = parse_model(UNCOVERABLE)
+    pred = model.forbidden_predicate("bad")
+    assert karp_miller(model, pred).verdict.kind.value == "safe"
+    assert _backward_coverable(model, pred, 50) is False
+    siphons_and_traps(model)
+    find_cycles(model)
+    assert calls == [] and "successors" not in vars(compiled(model))
+    first, second = explore(model), explore(model)
+    assert first.states == second.states
+    assert calls == [compiled(model)]
+
+
+def test_a_dropped_model_frees_its_kernel_without_the_cycle_collector():
+    gc.disable()
+    try:
+        model = parse_model(RICH)
+        explore(model, BOUNDS[0])
+        kernel = weakref.ref(compiled(model).successors)
+        del model
+        assert kernel() is None
+    finally:
+        gc.enable()

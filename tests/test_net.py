@@ -287,6 +287,10 @@ class TestValidation:
         (dict(audit_rules=(OccupancyThreshold("o", "p", ">=", -1),)), "BadWeight", "o"),
         (dict(forbidden=(("f", TokenAtom("p", ">=", 2)),),
               audit_rules=(PressureThreshold("s", "f", -1),)), "BadWeight", "s"),
+        (dict(places=(PlaceDef("p", capacity=2.5),)), "BadCapacity", "p"),
+        (dict(places=(PlaceDef("p", capacity=True),)), "BadCapacity", "p"),
+        (dict(initial=Marking.make({"p": 1.5})), "BadInitial", "p"),
+        (dict(initial=Marking.make({"p": True})), "BadInitial", "p"),
     ])
     def test_what_the_parser_refuses_does_not_validate(self, edit, code, element):
         # each of these would serialize to text that does not parse back
