@@ -20,14 +20,16 @@ import networkx as nx
 
 from .errors import NodeNotInGraph, NotUpwardClosed
 from .net import (
-    And,
     CompiledNet,
+    CounterAtom,
     Marking,
     NetModel,
     Or,
     Predicate,
     TokenAtom,
     compiled,
+    is_upward_closed,
+    predicate_atoms,
 )
 
 
@@ -131,8 +133,9 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     """Breadth-first exploration of the reachable marking set.
 
     Bounds never fail; exceeding one sets the truncation flag. Exploration
-    runs serially over the compiled net; `workers` is accepted for
-    compatibility and does not change the result.
+    runs serially over the compiled net. `workers` changes nothing; it is
+    kept for the callers that pass it, such as the acceptance test that
+    checks the graph is worker-count invariant (`explore(traffic, workers=4)`).
     """
     net = compiled(model)
     root = net.root
@@ -221,10 +224,10 @@ def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Ve
 
 
 def check_forbidden(model: NetModel, predicate_name: str,
-                    bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> Verdict:
+                    bound: ExplorationBound = DEFAULT_BOUND) -> Verdict:
     """Verdict for one named forbidden predicate (see graph_verdict)."""
     model.forbidden_predicate(predicate_name)
-    return graph_verdict(model, explore(model, bound, workers), predicate_name)
+    return graph_verdict(model, explore(model, bound), predicate_name)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +248,14 @@ class CoverabilityResult:
 def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int, ...]]]:
     """Minimal markings of the predicate, via DNF, or None unless it is
     upward-closed and over tokens only (what coverability can decide)."""
-    def rec(node) -> Optional[list[dict]]:
-        if isinstance(node, TokenAtom) and node.op in (">=", ">"):
+    if not is_upward_closed(pred) or any(isinstance(a, CounterAtom) for a in predicate_atoms(pred)):
+        return None
+
+    def rec(node) -> list[dict]:
+        if isinstance(node, TokenAtom):  # with >= or >
             need = node.value if node.op == ">=" else node.value + 1
             return [{node.place: max(need, 0)}]
-        if not isinstance(node, (And, Or)):
-            return None  # a negation, a token atom with <, <= or =, or a counter or mode atom
         parts = [rec(op) for op in node.operands]
-        if None in parts:
-            return None
         if isinstance(node, Or):
             return [combo for part in parts for combo in part]
         combos = [{}]
@@ -262,11 +264,8 @@ def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int,
                       for a in combos for b in part]
         return combos
 
-    combos = rec(pred)
-    if combos is None:
-        return None
     basis = []
-    for combo in combos:
+    for combo in rec(pred):
         vec = [0] * len(net.place_ids)
         for p, v in combo.items():
             vec[net.place_index(p)] = v
@@ -603,10 +602,10 @@ def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -
     return Pressure(node_distances(graph, predicate)[i], graph.truncated)
 
 
-def check_all_forbidden(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND,
-                        workers: int = 1) -> dict[str, Verdict]:
+def check_all_forbidden(model: NetModel,
+                        bound: ExplorationBound = DEFAULT_BOUND) -> dict[str, Verdict]:
     """Verdicts for every named forbidden predicate of the model, from one exploration."""
     if not model.forbidden:
         return {}
-    graph = explore(model, bound, workers)
+    graph = explore(model, bound)
     return {name: graph_verdict(model, graph, name) for name, _ in model.forbidden}

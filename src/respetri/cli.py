@@ -10,19 +10,18 @@ Exit codes are a stable contract:
   regression, 3 any error (atomic: nothing is written on failure).
 
 Reports are JSON with sorted keys; the ``wall_time_ms`` field is the only
-non-deterministic part and must be excluded when diffing runs.
+non-deterministic part and must be excluded when diffing runs. A failure
+prints ``error: `` and its message on stderr; a usage error is one line.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
-
-import click
 
 from . import __version__
 from .analysis import (
@@ -43,7 +42,7 @@ from .audit import (
     drift_report,
     simulate,
 )
-from .dsl import ModelSource, model_hash, parse_model, serialize_model
+from .dsl import model_hash, parse_model, serialize_model
 from .errors import (
     ParseFailure,
     PressureUnavailable,
@@ -64,29 +63,31 @@ from .net import NetModel
 DEFAULT_LOG_PATH = "respetri-governance.jsonl"
 
 
-class _Fail(click.ClickException):
-    """A command failure with an explicit exit code."""
+class _Fail(Exception):
+    """A command failure: `main` prints the message after `error: ` and exits with code."""
 
     def __init__(self, message: str, code: int = 3):
         super().__init__(message)
-        self.exit_code = code
+        self.code = code
 
 
-def _load_model(path: str) -> NetModel:
+def _read(path: str, what: str, parse):
+    """parse() of the UTF-8 text at path; a failure to read or parse names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _Fail(f"cannot read model {path!r}: {e}", 3)
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Fail(f"cannot read {what} {path!r}: {e}")
     try:
-        return parse_model(ModelSource(text, origin=path))
+        return parse(text)
     except (ParseFailure, StructureFailure) as e:
         details = "\n".join(f"  {path}:{err}" for err in e.errors)
-        raise _Fail(f"model {path!r} does not parse:\n{details}", 3)
+        raise _Fail(f"{what} {path!r} does not parse:\n{details}")
+    except RespetriError as e:  # a ratelimit macro that names no transition
+        raise _Fail(f"{what} {path!r} does not parse: {e}")
 
 
-def _bound(states: int, depth: int, tokens: int) -> ExplorationBound:
-    return ExplorationBound(max_states=states, max_depth=depth,
-                            max_tokens_per_place=tokens)
+def _bound(args) -> ExplorationBound:
+    return ExplorationBound(args.bound_states, args.bound_depth, args.bound_tokens)
 
 
 def _verdict_json(v: Verdict) -> dict:
@@ -118,90 +119,61 @@ def _run_json(run: RunRecord) -> dict:
     }
 
 
-def _emit_report(command: str, model: NetModel, parameters: dict, results: dict,
-                 started: float, report_path: Optional[str]) -> None:
+def _emit_report(args, started: float, model: NetModel, parameters: dict, results: dict) -> None:
     report = {
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "model_hash": model_hash(model),
-        "parameters": parameters,
+        "parameters": {"model": args.model, **parameters},
         "results": results,
         "wall_time_ms": round((time.monotonic() - started) * 1000, 3),
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if report_path:
-        Path(report_path).write_text(text, encoding="utf-8")
+    if args.report:
+        Path(args.report).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _bound_options(f):
-    f = click.option("--bound-states", type=click.IntRange(min=0), default=DEFAULT_BOUND.max_states,
-                     show_default=True, help="State-count exploration bound.")(f)
-    f = click.option("--bound-depth", type=click.IntRange(min=0), default=DEFAULT_BOUND.max_depth,
-                     show_default=True, help="Depth (firing-count) bound.")(f)
-    f = click.option("--bound-tokens", type=click.IntRange(min=0),
-                     default=DEFAULT_BOUND.max_tokens_per_place, show_default=True,
-                     help="Per-place token cap; successors beyond it are cut.")(f)
-    return f
+def _count(text: str) -> int:
+    """The value of --bound-* and --steps: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
-@click.group()
-@click.version_option(__version__)
-def cli():
-    """Reachability checking, simulation, and governed edits for token nets."""
+# A command returns its model, its report parameters besides MODEL, its
+# results and its exit code; `main` writes the report.
 
-
-@cli.command("check")
-@click.argument("model_path", metavar="MODEL")
-@click.argument("predicate", required=False)
-@_bound_options
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Accepted for compatibility; exploration runs serially "
-                   "(output is worker-invariant).")
-@click.option("--cycles", is_flag=True, help="Include feedback cycles in the report.")
-@click.option("--siphons", is_flag=True, help="Include minimal siphons and traps.")
-@click.option("--pressure", "pressure_pred", metavar="PREDICATE",
-              help="Include the initial marking's distance to PREDICATE.")
-@click.option("--report", "report_path", metavar="PATH",
-              help="Write the JSON report to PATH instead of stdout.")
-def cmd_check(model_path, predicate, bound_states, bound_depth, bound_tokens,
-              workers, cycles, siphons, pressure_pred, report_path):
+def cmd_check(args):
     """Verdict for one named forbidden predicate, or all of them."""
-    started = time.monotonic()
-    model = _load_model(model_path)
-    bound = _bound(bound_states, bound_depth, bound_tokens)
-    names = [predicate] if predicate else [n for n, _ in model.forbidden]
+    model = _read(args.model, "model", parse_model)
+    bound = _bound(args)
+    names = [args.predicate] if args.predicate else [n for n, _ in model.forbidden]
     try:
-        if predicate:
-            model.forbidden_predicate(predicate)
-        pred = model.forbidden_predicate(pressure_pred) if pressure_pred else None
+        if args.predicate:
+            model.forbidden_predicate(args.predicate)
+        pred = model.forbidden_predicate(args.pressure) if args.pressure else None
     except UnknownPredicate as e:
-        raise _Fail(str(e), 3)
-    graph = explore(model, bound, workers=workers) if names or pred is not None else None
+        raise _Fail(str(e))
+    graph = explore(model, bound) if names or pred is not None else None
     verdicts = {name: _verdict_json(graph_verdict(model, graph, name)) for name in names}
     results: dict = {"verdicts": verdicts}
-    if cycles:
+    if args.cycles:
         results["cycles"] = [list(c) for c in find_cycles(model)]
-    if siphons:
+    if args.siphons:
         s, t = siphons_and_traps(model)
         results["siphons"] = [sorted(x) for x in s]
         results["traps"] = [sorted(x) for x in t]
     if pred is not None:
-        results["pressure"] = {"predicate": pressure_pred,
+        results["pressure"] = {"predicate": args.pressure,
                                "distance": node_distances(graph, pred)[0],
                                "truncated": graph.truncated}
-    _emit_report("check", model, {
-        "model": model_path, "predicate": predicate,
-        "bound": {"states": bound_states, "depth": bound_depth, "tokens": bound_tokens},
-        "workers": workers,
-    }, results, started, report_path)
     kinds = {v["kind"] for v in verdicts.values()}
-    if "unsafe" in kinds:
-        return 1
-    if "unknown" in kinds:
-        return 2
-    return 0
+    code = 1 if "unsafe" in kinds else 2 if "unknown" in kinds else 0
+    parameters = {"predicate": args.predicate, "bound": {
+        "states": args.bound_states, "depth": args.bound_depth, "tokens": args.bound_tokens}}
+    return model, parameters, results, code
 
 
 def _parse_policy(spec: str, seed: int):
@@ -213,57 +185,34 @@ def _parse_policy(spec: str, seed: int):
         return Priority(names, seed)
     if kind == "scripted" and sep:
         return Scripted(names)
-    raise _Fail(f"bad --policy {spec!r}; use uniform, priority:t1,t2 or scripted:t1,t2", 3)
+    raise _Fail(f"bad --policy {spec!r}; use uniform, priority:t1,t2 or scripted:t1,t2")
 
 
-@cli.command("simulate")
-@click.argument("model_path", metavar="MODEL")
-@click.option("--steps", type=click.IntRange(min=0), default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--policy", default="uniform", show_default=True,
-              help="uniform | priority:t1,t2,... | scripted:t1,t2,...")
-@click.option("--pressure", "pressure_pred", metavar="PREDICATE",
-              help="Attach a drift report against PREDICATE.")
-@_bound_options
-@click.option("--report", "report_path", metavar="PATH")
-def cmd_simulate(model_path, steps, seed, policy, pressure_pred,
-                 bound_states, bound_depth, bound_tokens, report_path):
+def cmd_simulate(args):
     """Deterministic seeded run with audit alarms."""
-    started = time.monotonic()
-    model = _load_model(model_path)
-    pol = _parse_policy(policy, seed)
-    bound = _bound(bound_states, bound_depth, bound_tokens)
+    model = _read(args.model, "model", parse_model)
+    pol = _parse_policy(args.policy, args.seed)
+    bound = _bound(args)
     try:
-        run = simulate(model, pol, steps, bound)
+        run = simulate(model, pol, args.steps, bound)
     except ScriptedFiringDisabled as e:
         raise _Fail(str(e), 4)
     results: dict = {"run": _run_json(run)}
-    if pressure_pred:
+    if args.pressure:
         try:
-            drift = drift_report(model, run, pressure_pred, bound)
+            drift = drift_report(model, run, args.pressure, bound)
         except (UnknownPredicate, PressureUnavailable) as e:
-            raise _Fail(str(e), 3)
+            raise _Fail(str(e))
         results["drift"] = {
-            "predicate": pressure_pred,
+            "predicate": args.pressure,
             "pressures": list(drift.pressures),
             "episodes": [list(ep) for ep in drift.episodes],
             "truncated": drift.truncated,
         }
-    _emit_report("simulate", model, {
-        "model": model_path, "steps": steps, "seed": seed, "policy": policy,
-    }, results, started, report_path)
-    return 0
+    return model, {"steps": args.steps, "seed": args.seed, "policy": args.policy}, results, 0
 
 
-@cli.command("edit")
-@click.argument("model_path", metavar="MODEL")
-@click.argument("patch_path", metavar="PATCH")
-@click.option("--verify", is_flag=True,
-              help="Compute before/after verdicts; exit 1 on a regression.")
-@_bound_options
-@click.option("--report", "report_path", metavar="PATH")
-def cmd_edit(model_path, patch_path, verify, bound_states, bound_depth,
-             bound_tokens, report_path):
+def cmd_edit(args):
     """Apply a patch file, log the decision, write the patched model.
 
     The patched model lands next to the input as ``<stem>.patched.net``; the
@@ -271,35 +220,24 @@ def cmd_edit(model_path, patch_path, verify, bound_states, bound_depth,
     ``respetri-governance.jsonl`` in the working directory). The input model
     file is never modified.
     """
-    started = time.monotonic()
-    model = _load_model(model_path)
-    try:
-        patch_text = Path(patch_path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _Fail(f"cannot read patch {patch_path!r}: {e}", 3)
-    try:
-        patch = parse_patch(patch_text)
-    except ParseFailure as e:
-        details = "\n".join(f"  {patch_path}:{err}" for err in e.errors)
-        raise _Fail(f"patch {patch_path!r} does not parse:\n{details}", 3)
-
-    bound = _bound(bound_states, bound_depth, bound_tokens)
+    model = _read(args.model, "model", parse_model)
+    patch = _read(args.patch, "patch", parse_patch)
+    bound = _bound(args)
     try:
         patched = apply_patch(model, patch)
-        vreport = patch_report(model, patched, patch, bound if verify else None)
+        vreport = patch_report(model, patched, patch, bound if args.verify else None)
     except RespetriError as e:
-        raise _Fail(f"patch failed: {e}", 3)
+        raise _Fail(f"patch failed: {e}")
 
     log_path = Path(os.environ.get("RESPETRI_LOG", DEFAULT_LOG_PATH))
     try:
         log = (GovernanceLog.from_jsonl(log_path.read_text(encoding="utf-8"))
                if log_path.exists() else GovernanceLog())
         log = record_decision(log, model, patched, patch, vreport)
-    except RespetriError as e:
-        raise _Fail(f"governance log update failed: {e}", 3)
+    except (RespetriError, UnicodeDecodeError) as e:
+        raise _Fail(f"governance log update failed: {e}")
 
-    out_path = Path(model_path).with_suffix("").with_name(
-        Path(model_path).stem + ".patched.net")
+    out_path = Path(args.model).with_name(Path(args.model).stem + ".patched.net")
     out_path.write_text(serialize_model(patched).text, encoding="utf-8")
     log_path.write_text(log.to_jsonl(), encoding="utf-8")
 
@@ -313,37 +251,98 @@ def cmd_edit(model_path, patch_path, verify, bound_states, bound_depth,
         "predicates_removed": list(vreport.predicates_removed),
         "regressions": list(vreport.regressions),
     }
-    if verify:
+    if args.verify:
         results["verdicts_before"] = {n: _verdict_json(v)
                                       for n, v in vreport.verdicts_before}
         results["verdicts_after"] = {n: _verdict_json(v)
                                      for n, v in vreport.verdicts_after}
         results["states_before"] = vreport.states_before
         results["states_after"] = vreport.states_after
-    _emit_report("edit", model, {
-        "model": model_path, "patch": patch_path, "verify": verify,
-    }, results, started, report_path)
-    if verify and vreport.regressions:
-        return 1
-    return 0
+    code = 1 if args.verify and vreport.regressions else 0
+    return model, {"patch": args.patch, "verify": args.verify}, results, code
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a command failure, so it exits 3 with one `error:` line."""
+
+    def error(self, message):
+        raise _Fail(message)
+
+
+class _CommandParser(_Parser):
+    """Options and arguments in any order: the command dispatch passes no
+    namespace and gets an intermixed parse, which calls back with one (plain
+    argparse would leave PREDICATE empty in `check MODEL --cycles PRED`)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if namespace is None:
+            return self.parse_known_intermixed_args(args, argparse.Namespace())
+        return super().parse_known_args(args, namespace)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="respetri", allow_abbrev=False, description=(
+        "Reachability checking, simulation, and governed edits for token nets."))
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+
+    def command(run) -> argparse.ArgumentParser:
+        """The subcommand `run` answers, with MODEL and the options every command shares."""
+        sub = commands.add_parser(run.__name__.removeprefix("cmd_"), allow_abbrev=False,
+                                  help=run.__doc__.splitlines()[0], description=run.__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+        sub.set_defaults(run=run)
+        sub.add_argument("model", metavar="MODEL")
+        for flag, default, what in (
+                ("--bound-states", DEFAULT_BOUND.max_states, "State-count exploration bound"),
+                ("--bound-depth", DEFAULT_BOUND.max_depth, "Depth (firing-count) bound"),
+                ("--bound-tokens", DEFAULT_BOUND.max_tokens_per_place,
+                 "Per-place token cap; successors beyond it are cut")):
+            sub.add_argument(flag, type=_count, default=default, metavar="N",
+                             help=f"{what} (default: %(default)s).")
+        sub.add_argument("--report", metavar="PATH",
+                         help="Write the JSON report to PATH instead of stdout.")
+        return sub
+
+    check = command(cmd_check)
+    check.add_argument("predicate", metavar="PREDICATE", nargs="?")
+    check.add_argument("--cycles", action="store_true", help="Include feedback cycles in the report.")
+    check.add_argument("--siphons", action="store_true", help="Include minimal siphons and traps.")
+    check.add_argument("--pressure", metavar="PREDICATE",
+                       help="Include the initial marking's distance to PREDICATE.")
+
+    sim = command(cmd_simulate)
+    sim.add_argument("--steps", type=_count, default=20, metavar="N",
+                     help="Firings to run (default: %(default)s).")
+    sim.add_argument("--seed", type=int, default=0, help="Random seed (default: %(default)s).")
+    sim.add_argument("--policy", default="uniform",
+                     help="uniform | priority:t1,t2,... | scripted:t1,t2,... (default: %(default)s)")
+    sim.add_argument("--pressure", metavar="PREDICATE",
+                     help="Attach a drift report against PREDICATE.")
+
+    edit = command(cmd_edit)
+    edit.add_argument("patch", metavar="PATCH")
+    edit.add_argument("--verify", action="store_true",
+                      help="Compute before/after verdicts; exit 1 on a regression.")
+    return parser
 
 
 def main(argv=None):
     """Console entry point with the documented exit-code mapping."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
+        args = _parser().parse_args(argv)
+        started = time.monotonic()
+        model, parameters, results, code = args.run(args)
+        _emit_report(args, started, model, parameters, results)
+    except _Fail as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(e.code)
+    except OSError as e:  # writing the report, the patched model or the log, or reading the log
+        print(f"error: {e}", file=sys.stderr)
         sys.exit(3)
-    except click.ClickException as e:
-        e.show()
-        sys.exit(e.exit_code)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
         sys.exit(3)
-    except OSError as e:  # a report, model or log path that cannot be written or read
-        click.echo(f"error: {e}", err=True)
-        sys.exit(3)
-    sys.exit(rv if isinstance(rv, int) else 0)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 The `.net` format is line-oriented. Keywords: `meta`, `place`, `trans` (with
 `in/out/inhibit/read`, `guard`, `counted`), `forbidden`, `audit`, `mode`,
 `override`, `ratelimit`. Comments start with `#` followed by a non-identifier
-character; `#name` is a counter atom inside predicates.
+character; `#name` is a counter atom inside predicates. No word is reserved:
+one token of lookahead tells a keyword from an id, so `in:1` in an arc list,
+`not >= 1` and `mode = 1` name places.
 
 Canonical serialization orders blocks as places, transitions, forbidden,
 audit, modes, each sorted by identifier, and is byte-stable: it is the
@@ -51,7 +53,6 @@ from .net import (
 @dataclass(frozen=True)
 class ModelSource:
     text: str
-    origin: str = "<memory>"
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,9 @@ class _Cursor:
         self.lineno = lineno
         self.line_len = line_len
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Token | None:
+        i = self.i + ahead
+        return self.tokens[i] if i < len(self.tokens) else None
 
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
@@ -163,6 +165,11 @@ class _Cursor:
 
     def take_keyword(self, word: str) -> Token:
         return self.take("ident", word)
+
+    def at(self, kind: str, value: str | None = None, ahead: int = 0) -> bool:
+        """True iff the token `ahead` places on is of this kind (and value)."""
+        tok = self.peek(ahead)
+        return tok is not None and tok.kind == kind and value in (None, tok.value)
 
     def accept_keyword(self, word: str) -> bool:
         tok = self.peek()
@@ -232,14 +239,19 @@ def _parse_and(cur: _Cursor) -> Predicate:
 
 
 def _parse_not(cur: _Cursor) -> Predicate:
-    if cur.accept_keyword("not"):
+    if cur.at("ident", "not") and not _is_cmp(cur.peek(1)):  # `not >= 1` is an atom
+        cur.i += 1
         return Not(_parse_not(cur))
     return _parse_atom(cur)
 
 
+def _is_cmp(tok: Token | None) -> bool:
+    return tok is not None and tok.kind == "op" and tok.value in _CMP_OPS
+
+
 def _take_cmp(cur: _Cursor) -> str:
     tok = cur.peek()
-    if tok is None or tok.kind != "op" or tok.value not in _CMP_OPS:
+    if not _is_cmp(tok):
         raise _Err(cur._here(), "expected comparison operator", _CMP_OPS)
     cur.i += 1
     return tok.value
@@ -259,11 +271,10 @@ def _parse_atom(cur: _Cursor) -> Predicate:
         op = _take_cmp(cur)
         value = cur.take_int()
         return CounterAtom(tok.value[1:], op, value)
-    if tok.kind == "ident" and tok.value == "mode":
-        cur.i += 1
-        cur.take("op", "=")
-        name = cur.take_ident()
-        return ModeAtom(name.value)
+    if tok.kind == "ident" and tok.value == "mode" and cur.at("op", "=", 1) and cur.at("ident", ahead=2):
+        name = cur.peek(2).value
+        cur.i += 3
+        return ModeAtom(name)
     if tok.kind == "ident":
         cur.i += 1
         op = _take_cmp(cur)
@@ -335,10 +346,11 @@ _TRANS_WORDS = (*ARC_FIELDS, "guard", "counted")
 
 
 def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
+    """`p:w ...`; a keyword is a place when `:` follows it."""
     arcs = []
     while True:
         tok = cur.peek()
-        if tok is None or tok.kind != "ident" or tok.value in _TRANS_WORDS:
+        if tok is None or tok.kind != "ident" or (tok.value in _TRANS_WORDS and not cur.at("op", ":", 1)):
             break
         place = cur.take_ident().value
         cur.take("op", ":")
@@ -617,7 +629,7 @@ def serialize_model(model: NetModel) -> ModelSource:
         lines.append(line)
         for t, g in md.guard_overrides:
             lines.append(f"override {md.id} {t} := {format_predicate(g)}")
-    return ModelSource("\n".join(lines) + "\n", "<serialized>")
+    return ModelSource("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

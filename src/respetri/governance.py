@@ -233,7 +233,9 @@ def _parse_set(cur: _Cursor) -> EditOp:
     at, what = cur._here(), cur.take_ident().value
     if what == "guard":
         t = cur.take_ident().value
-        return SetGuard(t, None if cur.accept_keyword("none") else _parse_pred(cur))
+        if cur.peek(1) is None and cur.accept_keyword("none"):  # `none >= 1` is a guard
+            return SetGuard(t, None)
+        return SetGuard(t, _parse_pred(cur))
     if what == "capacity":
         p = cur.take_ident().value
         return SetCapacity(p, None if cur.accept_keyword("none") else cur.take_int(minimum=1))

@@ -199,7 +199,8 @@ def eval_predicate(pred: Predicate, m: Marking) -> bool:
 # ---------------------------------------------------------------------------
 
 def _norm_arcs(arcs) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted((str(p), int(w)) for p, w in arcs))
+    """The arcs sorted by place, as given: validate_net judges ids and weights."""
+    return tuple(sorted(((p, w) for p, w in arcs), key=lambda arc: str(arc[0])))
 
 
 @dataclass(frozen=True)
@@ -378,6 +379,9 @@ def _predicate_errors(model: NetModel, pred: Predicate, where: str) -> list[Stru
             errs.append(StructureError("UnknownEndpoint", atom.transition, f"{where} references unknown transition"))
         elif isinstance(atom, ModeAtom) and not any(m.id == atom.mode for m in model.modes):
             errs.append(StructureError("UnknownEndpoint", atom.mode, f"{where} references unknown mode"))
+        if isinstance(atom, (TokenAtom, CounterAtom)) and not _is_int(atom.value):
+            ref = atom.place if isinstance(atom, TokenAtom) else atom.transition
+            errs.append(StructureError("BadWeight", ref, f"{where} compares {ref} with {atom.value!r}, not an int"))
     return errs
 
 
@@ -416,7 +420,9 @@ def validate_net(model: NetModel) -> list[StructureError]:
             for p, w in getattr(t, f):
                 if not model.has_place(p):
                     errs.append(StructureError("UnknownEndpoint", p, f"{role}-arc of {t.id} targets unknown place"))
-                if w < 1:
+                if not _is_int(w):
+                    errs.append(StructureError("BadWeight", f"{t.id}/{p}", f"{role}-arc weight must be an int, got {w!r}"))
+                elif w < 1:
                     errs.append(StructureError("BadWeight", f"{t.id}/{p}", f"{role}-arc weight must be >= 1, got {w}"))
                 if p in role_places:
                     errs.append(StructureError("DuplicateArc", f"{t.id}/{p}", f"duplicate {role}-arc"))
@@ -471,7 +477,9 @@ def validate_net(model: NetModel) -> list[StructureError]:
             errs.append(StructureError("UnknownEndpoint", rule.predicate, f"audit rule {rule.id} names unknown predicate"))
         for f, least in _AUDIT_MINIMA.items():
             v = getattr(rule, f, least)
-            if v < least:
+            if not _is_int(v):
+                errs.append(StructureError("BadWeight", rule.id, f"{f} must be an int, got {v!r}"))
+            elif v < least:
                 errs.append(StructureError("BadWeight", rule.id, f"{f} must be >= {least}, got {v}"))
 
     # modes: mode places and referenced transitions exist, and the mode places

@@ -8,11 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from respetri import (
+    And,
+    CounterAtom,
     ExplorationBound,
     Marking,
     NetModel,
     NodeNotInGraph,
+    Not,
     NotUpwardClosed,
+    Or,
     PlaceDef,
     ProofKind,
     TokenAtom,
@@ -24,6 +28,7 @@ from respetri import (
     find_cycles,
     fire,
     initial_marking,
+    is_upward_closed,
     karp_miller,
     parse_model,
     pressure_map,
@@ -31,7 +36,8 @@ from respetri import (
     siphons_and_traps,
     violation_trace,
 )
-from respetri.analysis import _backward_coverable
+from respetri.analysis import _backward_coverable, _target_basis
+from respetri.net import compiled, predicate_atoms
 from respetri.models import build_risk_scoring_model, build_srs_symbolic_model, build_traffic_model
 
 from oracles import (oracle_karp_miller, oracle_siphons_traps, oracle_verdict, random_net,
@@ -270,6 +276,21 @@ class TestKarpMiller:
 
         with pytest.raises(NotUpwardClosed):
             karp_miller(chain_net(), CounterAtom("t2", ">=", 1))
+
+    @pytest.mark.parametrize("pred, basis", [
+        (TokenAtom("p1", ">", 0), [(0, 1, 0)]),
+        (Or((TokenAtom("p0", ">=", 2), And((TokenAtom("p1", ">=", 1), TokenAtom("p2", ">", 1))))),
+         [(2, 0, 0), (0, 1, 2)]),
+        (TokenAtom("p1", ">=", -3), [(0, 0, 0)]),
+        (And((TokenAtom("p1", ">=", 1), CounterAtom("t2", ">=", 1))), None),
+        (TokenAtom("p1", "=", 1), None),
+        (Or((TokenAtom("p1", ">=", 1), Not(TokenAtom("p2", "<", 1)))), None),
+    ])
+    def test_target_basis_takes_only_upward_closed_token_predicates(self, pred, basis):
+        assert _target_basis(pred, compiled(chain_net())) == basis
+        upward = is_upward_closed(pred) and not any(
+            isinstance(a, CounterAtom) for a in predicate_atoms(pred))
+        assert upward == (basis is not None)
 
     def test_unknown_place_is_named(self):
         from respetri import UnknownReference

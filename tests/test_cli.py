@@ -80,11 +80,26 @@ class TestCheck:
         assert r.returncode == 3
         assert "2:" in r.stderr
 
+    def test_bad_macro_exit_3(self, workdir):
+        (workdir / "macro.net").write_text("place p init 1\nratelimit ghost max 1 per 1\n")
+        r = run_cli("check", "macro.net", cwd=workdir)
+        assert r.returncode == 3
+        assert r.stderr == ("error: model 'macro.net' does not parse: "
+                            "ratelimit names unknown transition 'ghost'\n")
+
     def test_unknown_predicate_exit_3(self, workdir):
         assert run_cli("check", "traffic.net", "ghost", cwd=workdir).returncode == 3
 
     def test_usage_error_exit_3(self, workdir):
         assert run_cli("check", "traffic.net", "--bogus", cwd=workdir).returncode == 3
+
+    def test_options_and_arguments_in_any_order(self, workdir):
+        r = run_cli("check", "--cycles", "traffic.net", "--bound-depth", "40", "gridlock",
+                    cwd=workdir)
+        assert r.returncode == 1
+        rep = report_of(r)
+        assert list(rep["results"]["verdicts"]) == ["gridlock"] and rep["results"]["cycles"]
+        assert rep["parameters"]["bound"]["depth"] == 40
 
     def test_analysis_flags(self, workdir):
         r = run_cli("check", "traffic.net", "--cycles", "--siphons",
@@ -104,6 +119,43 @@ class TestCheck:
         r = run_cli("check", "traffic.net", option, "-5", cwd=workdir)
         assert r.returncode == 3
         assert option in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    (), ("chek", "traffic.net"), ("check",), ("edit", "traffic.net"),
+    ("check", "traffic.net", "--workers", "2"), ("check", "traffic.net", "--bound-s", "5"),
+    ("check", "traffic.net", "--bound-depth", "x"), ("check", "traffic.net", "--bound-tokens", "2.5"),
+    ("simulate", "traffic.net", "--steps", "-1"), ("simulate", "traffic.net", "--steps", "1.5"),
+    ("simulate", "traffic.net", "--seed", "x"), ("check", "traffic.net", "gridlock", "extra"),
+])
+def test_usage_errors_exit_3_with_one_line(workdir, args):
+    r = run_cli(*args, cwd=workdir)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [("--help",), ("--version",), ("check", "--help"),
+                                  ("simulate", "--help"), ("edit", "--help")])
+def test_help_and_version_exit_0(workdir, args):
+    r = run_cli(*args, cwd=workdir)
+    assert r.returncode == 0 and r.stderr == ""
+    assert "respetri" in r.stdout
+
+
+def test_the_cli_runs_on_the_standard_library():
+    r = subprocess.run([sys.executable, "-c",
+                        "import respetri.cli, sys; assert 'click' not in sys.modules"],
+                       env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_unreadable_model_exit_3_naming_it(workdir):
+    (workdir / "latin1.net").write_bytes("place caf\xe9\n".encode("latin-1"))
+    r = run_cli("check", "latin1.net", cwd=workdir)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: cannot read model 'latin1.net': ")
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -212,6 +264,16 @@ class TestEdit:
         assert "line 1" in r.stderr and "Traceback" not in r.stderr
         assert not (workdir / "traffic.patched.net").exists()
         assert log.read_text() == log_text
+
+    def test_undecodable_log_exit_3_no_write(self, workdir):
+        log = workdir / "gov.jsonl"
+        log.write_bytes(b"\xff\n")
+        r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,
+                    env={"RESPETRI_LOG": str(log)})
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: governance log update failed: ")
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "traffic.patched.net").exists()
 
     def test_unreadable_log_exit_3(self, workdir):
         (workdir / "gov").mkdir()

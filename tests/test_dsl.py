@@ -8,28 +8,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from respetri import (
+    AddArc,
+    AddForbidden,
+    AddPlace,
+    AddTransition,
     And,
     CounterAtom,
+    CounterThreshold,
     ExplorationBound,
     Marking,
     ModeAtom,
+    ModeDef,
     NetModel,
     Not,
+    OccupancyThreshold,
     Or,
     ParseFailure,
+    Patch,
     PlaceDef,
+    PressureThreshold,
+    ProofKind,
+    RateThreshold,
+    RemoveArc,
+    RemovePlace,
+    RemoveTransition,
+    SetCapacity,
+    SetGuard,
     StructureFailure,
+    SwitchMode,
     TokenAtom,
+    TransitionDef,
+    VerdictKind,
+    check_all_forbidden,
     enabled_set,
+    eval_predicate,
     explore,
     fire,
     initial_marking,
     model_hash,
     parse_model,
+    parse_patch,
     serialize_model,
     structurally_equal,
+    validate_net,
 )
 from respetri.dsl import RateLimit, expand_macros, format_predicate
+from respetri.net import ARC_FIELDS
 from respetri.models import FIXTURES
 
 from oracles import random_net
@@ -278,10 +302,12 @@ class TestSerialization:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.data())
     def test_round_trip_api_built_models(self, seed, data):
-        # one transition counted with no counter in `initial`, and random
-        # and/or/not trees as forbidden predicates and guards
+        # one transition counted with no counter in `initial`, random
+        # and/or/not trees as forbidden predicates and guards, and place and
+        # transition ids drawn from the grammar's keywords
         rng = random.Random(seed)
         net = random_net(rng)
+        net = _renamed(net, data.draw(st.permutations(KEYWORDS + net.place_ids + net.transition_ids)))
         preds = _predicates(net.place_ids, net.transition_ids)
         counted = rng.randrange(len(net.transitions))
         transitions = tuple(
@@ -303,6 +329,19 @@ class TestSerialization:
         assert m.initial in explore(m, ExplorationBound(max_states=50))
 
 
+def _renamed(net, ids):
+    """net with its places, then its transitions, renamed to the leading ids;
+    guards are dropped."""
+    new = dict(zip(net.place_ids + net.transition_ids, ids))
+
+    def arcs(t):
+        return {f: tuple((new[p], w) for p, w in getattr(t, f)) for f in ARC_FIELDS.values()}
+    return replace(net, places=tuple(replace(p, id=new[p.id]) for p in net.places),
+                   transitions=tuple(replace(t, id=new[t.id], guard=None, **arcs(t))
+                                     for t in net.transitions),
+                   initial=Marking.make({new[p]: v for p, v in net.initial.tokens_map.items()}))
+
+
 def _predicates(places, transitions):
     """Random predicate trees over the given places and transitions."""
     ops = ("<", "<=", "=", ">=", ">")
@@ -313,3 +352,104 @@ def _predicates(places, transitions):
         st.builds(Not, sub)
         | st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple))
         | st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple))), max_leaves=6)
+
+
+# every word the .net and .patch grammars read as a keyword
+KEYWORDS = (
+    "meta", "place", "trans", "forbidden", "audit", "mode", "override", "ratelimit",
+    "in", "out", "inhibit", "read", "guard", "counted", "cap", "init", "label",
+    "and", "or", "not", "counter", "rate", "max", "per", "occupancy", "pressure", "within",
+    "disable", "author", "rationale", "add", "remove", "set", "switch", "arc", "capacity", "none",
+)
+
+
+def _every_position(p, t, name):
+    """A model with place p, transition t and the name of every other kind of
+    id in each position the text gives it."""
+    mode_place = ModeDef(name).place_id
+    guard = And((TokenAtom(p, ">=", 1), Not(TokenAtom(p, "=", 0)),
+                 Or((ModeAtom(name), CounterAtom(t, "<", 3)))))
+    return NetModel(
+        places=(PlaceDef(p, capacity=3, label=name), PlaceDef(mode_place, capacity=1),
+                PlaceDef("mode_other", capacity=1)),
+        transitions=(TransitionDef(t, inputs=((p, 1),), outputs=((p, 1),), inhibitors=((p, 2),),
+                                   reads=((p, 1),), guard=guard, counted=True),
+                     TransitionDef("sw", inputs=((mode_place, 1),), outputs=(("mode_other", 1),))),
+        initial=Marking.make({p: 1, mode_place: 1, "mode_other": 0}),
+        forbidden=((name, Or((Not(TokenAtom(p, "<", 2)), And((ModeAtom(name), CounterAtom(t, ">=", 2)))))),),
+        audit_rules=(CounterThreshold(name, t, 1), RateThreshold("r", t, 1, 2),
+                     OccupancyThreshold("o", p, "=", 1), PressureThreshold("s", name, 1)),
+        modes=(ModeDef(name, frozenset({t}), ((t, Not(TokenAtom(p, "<=", 2))),)), ModeDef("other")),
+        metadata=((name, "v"),))
+
+
+class TestKeywordIds:
+    @pytest.mark.parametrize("word", KEYWORDS)
+    def test_model_text_round_trips(self, word):
+        for m in (_every_position(word, "t", word), _every_position("p", word, word)):
+            assert validate_net(m) == []
+            text = serialize_model(m).text
+            assert serialize_model(parse_model(text)).text == text
+
+    @pytest.mark.parametrize("word", KEYWORDS)
+    def test_patch_text_round_trips(self, word):
+        atom = TokenAtom(word, ">=", 1)
+        ops = (AddPlace(PlaceDef(word, capacity=2), 1),
+               AddTransition(TransitionDef(word, inputs=((word, 1),), guard=atom)),
+               *(AddArc(kind, word, word, 2) for kind in ARC_FIELDS),
+               *(RemoveArc(kind, word, word) for kind in ARC_FIELDS),
+               SetGuard(word, None), SetGuard(word, atom), SetGuard(word, Not(atom)),
+               SetCapacity(word, None), SetCapacity(word, 3), AddForbidden(word, atom),
+               SwitchMode(word), RemoveTransition(word), RemovePlace(word))
+        patch = Patch(ops, author=word, rationale=word)
+        assert parse_patch(patch.to_text()) == patch
+
+    def test_lookahead_keeps_the_keyword_readings(self):
+        m = parse_model("place p init 1\nplace not\nplace mode\n"
+                        "trans t in p:1 out not:1 guard not not >= 1 and mode = 1\nmode m\n"
+                        "forbidden f := mode = m and not mode >= 1\n")
+        assert m.transition("t").guard == And((Not(TokenAtom("not", ">=", 1)),
+                                               TokenAtom("mode", "=", 1)))
+        assert m.forbidden_predicate("f") == And((ModeAtom("m"), Not(TokenAtom("mode", ">=", 1))))
+        assert parse_patch("set guard t none\n").ops == (SetGuard("t", None),)
+        assert parse_patch("set guard t none > 0\n").ops == (SetGuard("t", TokenAtom("none", ">", 0)),)
+
+
+FULL_GRAMMAR = """\
+meta name "every line kind"
+place p cap 4 init 2 label "source"
+place q
+trans a in p:1 out q:1 counted
+trans b in q:1 out p:1 read p:1
+trans go in mode_calm:1 out mode_busy:1
+trans back in mode_busy:1 out mode_calm:1 inhibit q:3
+mode calm disable b back
+mode busy
+override busy a := q < 2
+override calm back := not p >= 1
+ratelimit a max 2 per 3
+forbidden full := q >= 2 and mode = busy
+forbidden many := #a >= 3
+audit c := counter a > 1
+audit r := rate a max 1 per 2
+audit o := occupancy q >= 2
+audit s := pressure full within 1
+"""
+
+
+def test_every_line_kind_round_trips():
+    m = parse_model(FULL_GRAMMAR)
+    text = serialize_model(m).text
+    assert "mode calm disable b back" in text and "override busy a := q < 2" in text
+    again = parse_model(text)
+    assert serialize_model(again).text == text
+    assert structurally_equal(m, again)
+    # the canonical text declares transitions in id order, which may pick
+    # another shortest trace (traces still depend on declaration order)
+    bound = ExplorationBound(max_states=2000)
+    verdicts = [check_all_forbidden(x, bound) for x in (m, again)]
+    assert [{n: (v.kind, v.proof, len(v.trace.firings)) for n, v in vs.items()} for vs in verdicts] \
+        == 2 * [{"full": (VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, 3),
+                 "many": (VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, 13)}]
+    assert eval_predicate(ModeAtom("calm"), m.initial)
+    assert not eval_predicate(ModeAtom("busy"), m.initial)

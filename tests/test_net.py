@@ -11,6 +11,7 @@ from respetri import (
     CounterAtom,
     CounterThreshold,
     Marking,
+    ModeAtom,
     ModeDef,
     NetModel,
     Not,
@@ -291,15 +292,61 @@ class TestValidation:
         (dict(places=(PlaceDef("p", capacity=True),)), "BadCapacity", "p"),
         (dict(initial=Marking.make({"p": 1.5})), "BadInitial", "p"),
         (dict(initial=Marking.make({"p": True})), "BadInitial", "p"),
+        (dict(forbidden=(("f", TokenAtom("p", ">=", 2.5)),)), "BadWeight", "p"),
+        (dict(forbidden=(("f", TokenAtom("p", ">=", "2")),)), "BadWeight", "p"),
+        (dict(forbidden=(("f", Not(CounterAtom("t", "<", 0.5))),)), "BadWeight", "t"),
+        (dict(transitions=(TransitionDef("t", guard=TokenAtom("p", "=", True)),)), "BadWeight", "p"),
+        (dict(places=(PlaceDef("p"), PlaceDef("mode_m", capacity=1)),
+              initial=Marking.make({"p": 1, "mode_m": 1}),
+              modes=(ModeDef("m", guard_overrides=(("t", TokenAtom("p", "<", 1.0)),)),)),
+         "BadWeight", "p"),
+        (dict(audit_rules=(CounterThreshold("c", "t", 1.5),)), "BadWeight", "c"),
+        (dict(audit_rules=(CounterThreshold("c", "t", "2"),)), "BadWeight", "c"),
+        (dict(audit_rules=(RateThreshold("r", "t", 1, True),)), "BadWeight", "r"),
+        (dict(transitions=(TransitionDef("t", inputs=(("p", 1.5),)),)), "BadWeight", "t/p"),
+        (dict(transitions=(TransitionDef("t", inputs=(("p", True),)),)), "BadWeight", "t/p"),
+        (dict(transitions=(TransitionDef("t", outputs=(("p", "2"),)),)), "BadWeight", "t/p"),
     ])
     def test_what_the_parser_refuses_does_not_validate(self, edit, code, element):
-        # each of these would serialize to text that does not parse back
+        # each of these serializes to text that does not parse, or parses to
+        # another model (a value "2" reads back as 2)
         base = dict(places=(PlaceDef("p"),), transitions=(TransitionDef("t", inputs=(("p", 1),)),),
                     initial=Marking.make({"p": 1}))
         m = NetModel(**{**base, **edit})
         assert [(e.code, e.element) for e in validate_net(m)] == [(code, element)]
-        with pytest.raises(ParseFailure):
-            parse_model(serialize_model(m))
+        try:
+            again = parse_model(serialize_model(m))
+        except ParseFailure:
+            return
+        assert again != m
+
+    def test_arc_ids_and_weights_are_kept_as_given(self):
+        t = TransitionDef("t", inputs=(("q", True), ("p", 1.5)))
+        assert t.inputs == (("p", 1.5), ("q", True))
+        assert [type(w) for _, w in t.inputs] == [float, bool]
+        m = NetModel(places=(PlaceDef("p"),), transitions=(TransitionDef("t", inputs=((3, 1), ("p", 1))),),
+                     initial=Marking.make({"p": 1}))
+        assert [(e.code, e.element) for e in validate_net(m)] == [("UnknownEndpoint", 3)]
+
+    @pytest.mark.parametrize("edit, code, element", [
+        (dict(places=(PlaceDef("p", capacity=0),), initial=Marking.make({"p": 0})), "BadCapacity", "p"),
+        (dict(transitions=(TransitionDef("p"),)), "DuplicateId", "p"),
+        (dict(transitions=(TransitionDef("t", inputs=(("p", 0),)),)), "BadWeight", "t/p"),
+        (dict(transitions=(TransitionDef("t", inputs=(("p", 1), ("p", 2))),)), "DuplicateArc", "t/p"),
+        (dict(initial=Marking.make({"p": -1})), "BadInitial", "p"),
+        (dict(initial=Marking.make({"p": 1, "ghost": 0})), "UnknownEndpoint", "ghost"),
+        (dict(initial=Marking.make({"p": 1}, {"ghost": 0})), "UnknownEndpoint", "ghost"),
+        (dict(forbidden=(("f", TokenAtom("p", ">=", 1)), ("f", TokenAtom("p", ">=", 2)))),
+         "DuplicateId", "f"),
+        (dict(audit_rules=(PressureThreshold("s", "ghost", 1),)), "UnknownEndpoint", "ghost"),
+        (dict(forbidden=(("f", ModeAtom("ghost")),)), "UnknownEndpoint", "ghost"),
+        (dict(modes=(ModeDef("m"),)), "ModeInvariant", "m"),
+    ])
+    def test_each_rule_names_its_element(self, edit, code, element):
+        base = dict(places=(PlaceDef("p"),), transitions=(TransitionDef("t", inputs=(("p", 1),)),),
+                    initial=Marking.make({"p": 1}))
+        m = NetModel(**{**base, **edit})
+        assert [(e.code, e.element) for e in validate_net(m)] == [(code, element)]
 
 
 class TestModes:
