@@ -176,22 +176,24 @@ def cmd_check(args):
     return model, parameters, results, code
 
 
-def _parse_policy(spec: str, seed: int):
+def _parse_policy(spec: str, seed: int, model: NetModel):
+    """The --policy of `simulate`; a transition it names must be one of model's."""
     if spec == "uniform":
         return UniformRandom(seed)
     kind, sep, rest = spec.partition(":")
+    if kind not in ("priority", "scripted") or not sep:
+        raise _Fail(f"bad --policy {spec!r}; use uniform, priority:t1,t2 or scripted:t1,t2")
     names = tuple(x for x in rest.split(",") if x)
-    if kind == "priority" and sep:
-        return Priority(names, seed)
-    if kind == "scripted" and sep:
-        return Scripted(names)
-    raise _Fail(f"bad --policy {spec!r}; use uniform, priority:t1,t2 or scripted:t1,t2")
+    unknown = [n for n in dict.fromkeys(names) if not model.has_transition(n)]
+    if unknown:
+        raise _Fail(f"--policy {spec!r} names unknown transitions: {', '.join(map(repr, unknown))}")
+    return Priority(names, seed) if kind == "priority" else Scripted(names)
 
 
 def cmd_simulate(args):
     """Deterministic seeded run with audit alarms."""
     model = _read(args.model, "model", parse_model)
-    pol = _parse_policy(args.policy, args.seed)
+    pol = _parse_policy(args.policy, args.seed, model)
     bound = _bound(args)
     try:
         run = simulate(model, pol, args.steps, bound)
@@ -284,7 +286,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="respetri", allow_abbrev=False, description=(
         "Reachability checking, simulation, and governed edits for token nets."))
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    # not required: argparse would report a missing command before an unknown option
+    commands = parser.add_subparsers(dest="command", parser_class=_CommandParser)
 
     def command(run) -> argparse.ArgumentParser:
         """The subcommand `run` answers, with MODEL and the options every command shares."""
@@ -331,6 +334,8 @@ def main(argv=None):
     """Console entry point with the documented exit-code mapping."""
     try:
         args = _parser().parse_args(argv)
+        if args.command is None:
+            raise _Fail("the following arguments are required: command")
         started = time.monotonic()
         model, parameters, results, code = args.run(args)
         _emit_report(args, started, model, parameters, results)

@@ -9,27 +9,22 @@ Three fixtures ship with the toolkit:
 * ``srs_symbolic`` — a small layered control net with a counted, guarded
   action transition, an audit counter alarm, and a forbidden sink place.
 
-Every numeric constant here (initial tokens, capacities, thresholds) is
-configuration chosen so the default state spaces are small and fully
-explorable; none of it is intrinsic to the structures. Override any of it
-through FixtureConfig.
+A builder parses ``data/<name>.net``, the only copy of the net, and applies
+the thresholds and safeguards through a validated patch. Every numeric
+constant (initial tokens, capacities, thresholds) is configuration chosen so
+the default state spaces are small and fully explorable; none of it is
+intrinsic to the structures. Override any of it through FixtureConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Mapping
 
-from .dsl import pred_and
-from .net import (
-    CounterAtom,
-    CounterThreshold,
-    Marking,
-    NetModel,
-    PlaceDef,
-    TokenAtom,
-    TransitionDef,
-)
+from .dsl import parse_model, pred_and
+from .governance import AddArc, Patch, SetGuard, apply_patch
+from .net import CounterAtom, CounterThreshold, Marking, NetModel, Predicate, TokenAtom
 
 
 @dataclass(frozen=True)
@@ -58,13 +53,26 @@ class FixtureConfig:
 DEFAULT_CONFIG = FixtureConfig()
 
 
-def _initial(defaults: Mapping[str, int], cfg: FixtureConfig) -> Marking:
-    tokens = dict(defaults)
+def _fixture(name: str, cfg: FixtureConfig, forbidden: Predicate, ops=(), **fields) -> NetModel:
+    """``data/<name>.net`` with cfg's initial tokens, its one forbidden
+    predicate replaced by `forbidden`, any other `fields` replaced, and `ops`
+    applied through apply_patch, which rejects an invalid result with
+    ResultingModelInvalid even when `ops` is empty."""
+    model = parse_model((Path(__file__).parent / "data" / f"{name}.net").read_text(encoding="utf-8"))
+    tokens = dict(model.initial.tokens_map)
     for p, v in cfg.initial_tokens.items():
         if p not in tokens:
             raise ValueError(f"initial_tokens names unknown place {p!r}")
         tokens[p] = v
-    return Marking.make(tokens)
+    model = replace(model, initial=Marking.make(tokens, model.initial.counters_map),
+                    forbidden=((model.forbidden[0][0], forbidden),), **fields)
+    return apply_patch(model, Patch(tuple(ops)))
+
+
+def _loop_safeguards(cfg: FixtureConfig, reliance: int) -> list:
+    """Inhibit t4 once p3 reaches `reliance`; fire t6 only while p4 keeps a buffer."""
+    return [AddArc("inhibit", "p3", "t4", reliance),
+            SetGuard("t6", TokenAtom("p4", ">=", 2))] if cfg.safeguards_enabled else []
 
 
 def build_traffic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
@@ -84,44 +92,14 @@ def build_traffic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
     the default configuration; safeguards_enabled adds an inhibitor on t4
     (blocked once p3 reaches r) and a guard on t6 (fires only while p4
     retains a buffer), which keeps p4 >= 1 invariant and makes the net safe.
+    At the defaults these are the ops of ``data/traffic_safeguards.patch``.
     """
-    q = cfg.threshold("q", 2)
     r = cfg.threshold("r", 2)
-    e = cfg.threshold("e", 0)
-    places = (
-        PlaceDef("p1", capacity=2, label="driver demand"),
-        PlaceDef("p2", capacity=3, label="guidance capacity"),
-        PlaceDef("p3", capacity=3, label="route reliance"),
-        PlaceDef("p4", capacity=2, label="road slack"),
-        PlaceDef("p5", capacity=2, label="adapted population"),
-        PlaceDef("p6", capacity=3, label="endogenous data"),
-    )
-    guard_t6 = TokenAtom("p4", ">=", 2) if cfg.safeguards_enabled else None
-    inhibit_t4 = (("p3", r),) if cfg.safeguards_enabled else ()
-    transitions = (
-        TransitionDef("t1", inputs=(("p1", 1), ("p5", 1)), outputs=(("p2", 1),)),
-        TransitionDef("t2", inputs=(("p2", 1),), outputs=(("p3", 1), ("p6", 1))),
-        TransitionDef("t3", inputs=(("p3", 1),), outputs=(("p3", 1), ("p2", 1))),
-        TransitionDef("t4", inputs=(("p3", 1),), outputs=(("p4", 1),),
-                      inhibitors=inhibit_t4),
-        TransitionDef("t5", inputs=(("p2", 1),), outputs=(("p5", 1),)),
-        TransitionDef("t6", inputs=(("p3", 1), ("p4", 1), ("p6", 1)),
-                      outputs=(("p2", 1),), guard=guard_t6),
-    )
-    conjuncts = [
-        TokenAtom("p1", ">=", q),
-        TokenAtom("p3", ">=", r),
-        TokenAtom("p4", "<=", e),
-    ]
+    conjuncts = [TokenAtom("p1", ">=", cfg.threshold("q", 2)), TokenAtom("p3", ">=", r),
+                 TokenAtom("p4", "<=", cfg.threshold("e", 0))]
     if "d" in cfg.thresholds:
         conjuncts.append(TokenAtom("p6", ">=", cfg.thresholds["d"]))
-    return NetModel(
-        places=places,
-        transitions=transitions,
-        initial=_initial({"p1": 2, "p2": 1, "p3": 0, "p4": 1, "p5": 0, "p6": 0}, cfg),
-        forbidden=(("gridlock", pred_and(*conjuncts)),),
-        metadata=(("name", "traffic"),),
-    )
+    return _fixture("traffic", cfg, pred_and(*conjuncts), _loop_safeguards(cfg, r))
 
 
 def build_risk_scoring_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
@@ -141,44 +119,11 @@ def build_risk_scoring_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
     data. Reachable by default; safeguards_enabled guards t6 on an oversight
     buffer and inhibits t4 at reliance b, keeping p4 >= 1 invariant.
     """
-    a = cfg.threshold("a", 0)
     b = cfg.threshold("b", 2)
-    c = cfg.threshold("c", 0)
-    d = cfg.threshold("d", 1)
-    places = (
-        PlaceDef("p1", capacity=2, label="human discretion"),
-        PlaceDef("p2", capacity=3, label="score in workflow"),
-        PlaceDef("p3", capacity=3, label="score reliance"),
-        PlaceDef("p4", capacity=2, label="oversight capacity"),
-        PlaceDef("p5", capacity=2, label="practice adaptation"),
-        PlaceDef("p6", capacity=3, label="endogenous data"),
-    )
-    guard_t6 = TokenAtom("p4", ">=", 2) if cfg.safeguards_enabled else None
-    inhibit_t4 = (("p3", b),) if cfg.safeguards_enabled else ()
-    transitions = (
-        TransitionDef("t1", inputs=(("p5", 1),), outputs=(("p2", 1),)),
-        TransitionDef("t2", inputs=(("p1", 1), ("p2", 1)),
-                      outputs=(("p3", 1), ("p6", 1))),
-        TransitionDef("t3", inputs=(("p3", 1),), outputs=(("p3", 1), ("p1", 1))),
-        TransitionDef("t4", inputs=(("p3", 1),), outputs=(("p4", 1),),
-                      inhibitors=inhibit_t4),
-        TransitionDef("t5", inputs=(("p3", 1),), outputs=(("p5", 1),)),
-        TransitionDef("t6", inputs=(("p4", 1), ("p6", 1)), outputs=(("p2", 1),),
-                      guard=guard_t6),
-    )
     forbidden = pred_and(
-        TokenAtom("p1", "<=", a),
-        TokenAtom("p3", ">=", b),
-        TokenAtom("p4", "<=", c),
-        TokenAtom("p6", ">=", d),
-    )
-    return NetModel(
-        places=places,
-        transitions=transitions,
-        initial=_initial({"p1": 2, "p2": 1, "p3": 0, "p4": 1, "p5": 0, "p6": 0}, cfg),
-        forbidden=(("automation_capture", forbidden),),
-        metadata=(("name", "risk_scoring"),),
-    )
+        TokenAtom("p1", "<=", cfg.threshold("a", 0)), TokenAtom("p3", ">=", b),
+        TokenAtom("p4", "<=", cfg.threshold("c", 0)), TokenAtom("p6", ">=", cfg.threshold("d", 1)))
+    return _fixture("risk_scoring", cfg, forbidden, _loop_safeguards(cfg, b))
 
 
 def build_srs_symbolic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
@@ -190,7 +135,8 @@ def build_srs_symbolic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
     p_bad; tDash mirrors pB into a dashboard place without consuming it;
     tAudit raises a flag once t2's counter exceeds theta.
 
-    Thresholds read: theta (counter alarm level, default 2).
+    Thresholds read: theta (counter alarm level, default 2): the guard of
+    tAudit and the `counter_alarm` audit rule.
 
     Forbidden `bad_state`: p_bad >= 1. With the default single permit the
     leak is reachable (tA, t2, tBad). safeguards_enabled guards tBad on a
@@ -198,42 +144,11 @@ def build_srs_symbolic_model(cfg: FixtureConfig = DEFAULT_CONFIG) -> NetModel:
     the guarded net is safe.
     """
     theta = cfg.threshold("theta", 2)
-    places = (
-        PlaceDef("pA", label="external input"),
-        PlaceDef("p_policy", label="policy input"),
-        PlaceDef("pB", label="staged work"),
-        PlaceDef("p_dash", capacity=1, label="dashboard"),
-        PlaceDef("p_permit", label="action permit"),
-        PlaceDef("pC", label="action output"),
-        PlaceDef("pD", label="review"),
-        PlaceDef("p_bad", label="forbidden sink"),
-        PlaceDef("p_flag", capacity=1, label="audit flag"),
-    )
-    guard_bad = TokenAtom("p_permit", ">=", 1) if cfg.safeguards_enabled else None
-    transitions = (
-        TransitionDef("tA", inputs=(("pA", 1),), outputs=(("pB", 1),)),
-        TransitionDef("tPol", inputs=(("p_policy", 1),), outputs=(("pB", 1),)),
-        TransitionDef("t2", inputs=(("pB", 1), ("p_permit", 1)),
-                      outputs=(("pC", 1),),
-                      guard=TokenAtom("p_permit", ">=", 1), counted=True),
-        TransitionDef("tDash", reads=(("pB", 1),), outputs=(("p_dash", 1),)),
-        TransitionDef("tBad", inputs=(("pC", 1),), outputs=(("p_bad", 1),),
-                      guard=guard_bad),
-        TransitionDef("tCD1", inputs=(("pC", 1),), outputs=(("pD", 1),)),
-        TransitionDef("tCD2", inputs=(("pD", 1),), outputs=(("pC", 1),)),
-        TransitionDef("tAudit", outputs=(("p_flag", 1),),
-                      guard=CounterAtom("t2", ">", theta)),
-    )
-    defaults = {"pA": 1, "p_policy": 1, "pB": 0, "p_dash": 0, "p_permit": 1,
-                "pC": 0, "pD": 0, "p_bad": 0, "p_flag": 0}
-    return NetModel(
-        places=places,
-        transitions=transitions,
-        initial=_initial(defaults, cfg),
-        forbidden=(("bad_state", TokenAtom("p_bad", ">=", 1)),),
-        audit_rules=(CounterThreshold("counter_alarm", "t2", theta),),
-        metadata=(("name", "srs_symbolic"),),
-    )
+    ops = [SetGuard("tAudit", CounterAtom("t2", ">", theta))]
+    if cfg.safeguards_enabled:
+        ops.append(SetGuard("tBad", TokenAtom("p_permit", ">=", 1)))
+    return _fixture("srs_symbolic", cfg, TokenAtom("p_bad", ">=", 1), ops,
+                    audit_rules=(CounterThreshold("counter_alarm", "t2", theta),))
 
 
 FIXTURES: dict[str, Callable[[FixtureConfig], NetModel]] = {

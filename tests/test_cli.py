@@ -135,6 +135,16 @@ def test_usage_errors_exit_3_with_one_line(workdir, args):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--vers",), "unrecognized arguments: --vers"),
+    ((), "the following arguments are required: command"),
+])
+def test_usage_error_names_the_fault(workdir, args, message):
+    r = run_cli(*args, cwd=workdir)
+    assert r.returncode == 3
+    assert r.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [("--help",), ("--version",), ("check", "--help"),
                                   ("simulate", "--help"), ("edit", "--help")])
 def test_help_and_version_exit_0(workdir, args):
@@ -193,6 +203,15 @@ class TestSimulate:
         r = run_cli("simulate", "srs.net", "--steps", "3",
                     "--policy", "scripted:tBad", cwd=workdir)
         assert r.returncode == 4
+
+    @pytest.mark.parametrize("policy", ["priority:ghost", "scripted:ghost", "scripted:tA,ghost,t2,zz"])
+    def test_policy_naming_unknown_transitions_exit_3(self, workdir, policy):
+        r = run_cli("simulate", "srs.net", "--policy", policy, cwd=workdir)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "'ghost'" in r.stderr and "'tA'" not in r.stderr
+        assert ("'zz'" in r.stderr) == ("zz" in policy)
 
     def test_bad_policy_exit_3(self, workdir):
         r = run_cli("simulate", "srs.net", "--policy", "sideways", cwd=workdir)

@@ -8,7 +8,9 @@ from respetri import (
     Marking,
     NetModel,
     Pressure,
+    ResultingModelInvalid,
     TokenAtom,
+    UniformRandom,
     VerdictKind,
     check_forbidden,
     explore,
@@ -17,6 +19,7 @@ from respetri import (
     parse_model,
     reachability_pressure,
     serialize_model,
+    simulate,
     structurally_equal,
     validate_net,
 )
@@ -40,6 +43,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             build_traffic_model(FixtureConfig(initial_tokens={"nope": 1}))
 
+    @pytest.mark.parametrize("cfg, code", [
+        (FixtureConfig(thresholds={"q": 2.5}), "BadWeight"),
+        (FixtureConfig(initial_tokens={"p1": 5}), "BadInitial"),
+        (FixtureConfig(thresholds={"r": 1}, safeguards_enabled=True), "RoleConflict"),
+    ])
+    def test_config_that_breaks_the_net_rejected(self, cfg, code):
+        # a non-integer threshold, tokens over capacity 2, an inhibitor at
+        # the input weight of t4: none of these is a model the text can hold
+        with pytest.raises(ResultingModelInvalid) as info:
+            build_traffic_model(cfg)
+        assert [e.code for e in info.value.errors] == [code]
+
 
 class TestAllFixtures:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -52,6 +67,19 @@ class TestAllFixtures:
         golden = (DATA / f"{name}.net").read_text()
         assert serialize_model(FIXTURES[name]()).text == golden
         assert serialize_model(parse_model(golden)).text == golden
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_builder_is_the_data_file(self, name):
+        shipped = parse_model((DATA / f"{name}.net").read_text())
+        assert FIXTURES[name]() == shipped
+        for seed in range(5):
+            assert (simulate(FIXTURES[name](), UniformRandom(seed), 12)
+                    == simulate(shipped, UniformRandom(seed), 12))
+
+    @pytest.mark.parametrize("name, threshold", [("traffic", "r"), ("risk_scoring", "b")])
+    def test_safeguard_inhibitor_follows_its_threshold(self, name, threshold):
+        m = FIXTURES[name](FixtureConfig(thresholds={threshold: 3}, safeguards_enabled=True))
+        assert m.transition("t4").inhibitors == (("p3", 3),)
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_verdict_flips_with_safeguards(self, name):
@@ -175,3 +203,4 @@ class TestSrsSymbolic:
         patched = apply_patch(build_traffic_model(), patch)
         assert structurally_equal(
             patched, build_traffic_model(FixtureConfig(safeguards_enabled=True)))
+        assert patched == build_traffic_model(FixtureConfig(safeguards_enabled=True))
