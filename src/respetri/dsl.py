@@ -295,7 +295,7 @@ def pred_and(*preds: Predicate) -> Predicate:
 
 @dataclass
 class _Draft:
-    meta: dict = field(default_factory=dict)
+    meta: list = field(default_factory=list)         # (key, value)
     places: list = field(default_factory=list)       # PlaceDef
     inits: dict = field(default_factory=dict)        # place id -> tokens
     transitions: list = field(default_factory=list)  # TransitionDef
@@ -421,7 +421,7 @@ def _parse_line(cur: _Cursor, draft: _Draft):
     kw = tok.value
     if kw == "meta":
         key = cur.take_ident().value
-        draft.meta[key] = cur.take_string()
+        draft.meta.append((key, cur.take_string()))
     elif kw == "place":
         place, init = _parse_place(cur)
         draft.places.append(place)
@@ -484,7 +484,7 @@ def parse_model(src: ModelSource | str) -> NetModel:
         forbidden=tuple(draft.forbidden),
         audit_rules=tuple(draft.audits),
         modes=modes,
-        metadata=tuple(draft.meta.items()),
+        metadata=tuple(draft.meta),
     )
     model = expand_macros(model, draft.ratelimits)
     errs = validate_net(model)
@@ -500,8 +500,9 @@ def parse_model(src: ModelSource | str) -> NetModel:
 def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> NetModel:
     """Expand mode blocks and rate-limit macros into core-net primitives.
 
-    Expansion is purely structural, idempotent (already-expanded structures
-    are detected and skipped), and never renames user identifiers.
+    Expansion is purely structural and never renames user identifiers. Mode
+    places that already exist are kept; the ids a ratelimit generates are
+    appended as they are, so validate_net rejects one that is taken.
 
     `ratelimit t max k per w`: a budget place (k tokens) gates t; each firing
     parks a token in a (w+1)-stage return pipeline advanced by tick permits,
@@ -509,7 +510,7 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
     consecutive tick intervals.
     """
     places = list(model.places)
-    transitions = {t.id: t for t in model.transitions}
+    transitions = list(model.transitions)
     tokens = dict(model.initial.tokens_map)
 
     if model.modes:
@@ -525,13 +526,12 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
     for rl in ratelimits:
         if rl.max_firings < 1 or rl.window < 1:
             raise MacroArity(f"ratelimit {rl.transition}: max {rl.max_firings} per {rl.window}")
-        if rl.transition not in transitions:
+        i = next((i for i, t in enumerate(transitions) if t.id == rl.transition), None)
+        if i is None:
             raise UnknownTransitionInMacro(f"ratelimit names unknown transition {rl.transition!r}")
         budget = f"{rl.transition}__budget"
-        if any(p.id == budget for p in places):
-            continue  # already expanded
         permit = f"{rl.transition}__permit"
-        stages = [f"{rl.transition}__slot{i}" for i in range(1, rl.window + 2)]
+        stages = [f"{rl.transition}__slot{j}" for j in range(1, rl.window + 2)]
         places.append(PlaceDef(budget, label=f"rate budget of {rl.transition}"))
         tokens[budget] = rl.max_firings
         places.append(PlaceDef(permit, capacity=1, label=f"tick permit of {rl.transition}"))
@@ -539,20 +539,14 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
         for s in stages:
             places.append(PlaceDef(s))
             tokens[s] = 0
-        t = transitions[rl.transition]
-        transitions[rl.transition] = replace(
-            t, inputs=t.inputs + ((budget, 1),), outputs=t.outputs + ((stages[0], 1),))
-        transitions[f"{rl.transition}__tick"] = TransitionDef(
-            f"{rl.transition}__tick", outputs=((permit, 1),))
+        t = transitions[i]
+        transitions[i] = replace(t, inputs=t.inputs + ((budget, 1),), outputs=t.outputs + ((stages[0], 1),))
+        transitions.append(TransitionDef(f"{rl.transition}__tick", outputs=((permit, 1),)))
         chain = stages + [budget]
-        for i, s in enumerate(stages):
-            transitions[f"{rl.transition}__adv{i + 1}"] = TransitionDef(
-                f"{rl.transition}__adv{i + 1}",
-                inputs=((s, 1), (permit, 1)),
-                outputs=((chain[i + 1], 1),),
-            )
+        transitions += [TransitionDef(f"{rl.transition}__adv{j}", inputs=((s, 1), (permit, 1)),
+                                      outputs=((chain[j], 1),)) for j, s in enumerate(stages, 1)]
 
-    return replace(model, places=tuple(places), transitions=tuple(transitions.values()),
+    return replace(model, places=tuple(places), transitions=tuple(transitions),
                    initial=Marking.make(tokens, dict(model.initial.counters_map)))
 
 

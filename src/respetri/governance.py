@@ -416,15 +416,8 @@ class LogEntry:
     verdicts: tuple[tuple[str, str], ...]  # predicate -> "kind/proof"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "timestamp": self.timestamp,
-            "patch_id": self.patch_id,
-            "pre_hash": self.pre_hash,
-            "post_hash": self.post_hash,
-            "author": self.author,
-            "rationale": self.rationale,
-            "verdicts": dict(self.verdicts),
-        }, sort_keys=True)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps({**d, "verdicts": dict(self.verdicts)}, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "LogEntry":
@@ -473,11 +466,12 @@ class GovernanceLog:
 def record_decision(log: GovernanceLog, model_pre: NetModel, model_post: NetModel,
                     patch: Patch, report: VerificationReport,
                     timestamp: Optional[str] = None) -> GovernanceLog:
-    """Append an entry; the new entry's pre-hash must extend the chain."""
+    """Append an entry; the report must be the patch's on these models, and
+    the new entry's pre-hash must extend the chain."""
     pre_hash = model_hash(model_pre)
     post_hash = model_hash(model_post)
-    if report.pre_hash != pre_hash or report.post_hash != post_hash:
-        raise HashChainBroken("verification report does not match the supplied models")
+    if (report.patch_id, report.pre_hash, report.post_hash) != (patch.id, pre_hash, post_hash):
+        raise HashChainBroken("verification report does not match the supplied patch and models")
     if log.entries and log.entries[-1].post_hash != pre_hash:
         raise HashChainBroken(
             "pre-model hash does not equal the previous entry's post-model hash")

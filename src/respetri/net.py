@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -379,15 +380,24 @@ def _predicate_errors(model: NetModel, pred: Predicate, where: str) -> list[Stru
             errs.append(StructureError("UnknownEndpoint", atom.transition, f"{where} references unknown transition"))
         elif isinstance(atom, ModeAtom) and not any(m.id == atom.mode for m in model.modes):
             errs.append(StructureError("UnknownEndpoint", atom.mode, f"{where} references unknown mode"))
-        if isinstance(atom, (TokenAtom, CounterAtom)) and not _is_int(atom.value):
+        if isinstance(atom, (TokenAtom, CounterAtom)):
             ref = atom.place if isinstance(atom, TokenAtom) else atom.transition
-            errs.append(StructureError("BadWeight", ref, f"{where} compares {ref} with {atom.value!r}, not an int"))
+            errs += _int_errors(atom.value, "BadWeight", ref, f"{where}: the value compared with {ref}")
     return errs
 
 
 def _is_int(x) -> bool:
     """True for the values the text format writes as integers: ints, not bools."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_errors(v, code: str, element: str, what: str, least: float = -math.inf) -> list[StructureError]:
+    """No error iff v is an int, not a bool, and at least `least`; else one, naming element."""
+    if not _is_int(v):
+        return [StructureError(code, element, f"{what} must be an int, got {v!r}")]
+    if v < least:
+        return [StructureError(code, element, f"{what} must be >= {least}, got {v}")]
+    return []
 
 
 # least value of each integer field of the audit rules
@@ -402,28 +412,20 @@ def validate_net(model: NetModel) -> list[StructureError]:
            "meta key": [k for k, _ in model.metadata]}
     errs = [StructureError("BadId", i, f"{kind} id must match {IDENT}")
             for kind, group in ids.items() for i in group if not _IDENT_RE.fullmatch(i)]
-    seen: set[str] = set()
+    # places and transitions share one namespace; every other kind has its own
+    ids["place or transition"] = ids.pop("place") + ids.pop("transition")
+    errs += [StructureError("DuplicateId", i, f"{kind} id declared {n} times")
+             for kind, group in ids.items() for i, n in Counter(group).items() if n > 1]
     for p in model.places:
-        if p.id in seen:
-            errs.append(StructureError("DuplicateId", p.id, "duplicate place identifier"))
-        seen.add(p.id)
-        if p.capacity is not None and not _is_int(p.capacity):
-            errs.append(StructureError("BadCapacity", p.id, f"capacity must be an int, got {p.capacity!r}"))
-        elif p.capacity is not None and p.capacity < 1:
-            errs.append(StructureError("BadCapacity", p.id, f"capacity must be >= 1, got {p.capacity}"))
+        if p.capacity is not None:
+            errs += _int_errors(p.capacity, "BadCapacity", p.id, "capacity", 1)
     for t in model.transitions:
-        if t.id in seen:
-            errs.append(StructureError("DuplicateId", t.id, "identifier already used"))
-        seen.add(t.id)
         for role, f in ARC_FIELDS.items():
             role_places = set()
             for p, w in getattr(t, f):
                 if not model.has_place(p):
                     errs.append(StructureError("UnknownEndpoint", p, f"{role}-arc of {t.id} targets unknown place"))
-                if not _is_int(w):
-                    errs.append(StructureError("BadWeight", f"{t.id}/{p}", f"{role}-arc weight must be an int, got {w!r}"))
-                elif w < 1:
-                    errs.append(StructureError("BadWeight", f"{t.id}/{p}", f"{role}-arc weight must be >= 1, got {w}"))
+                errs += _int_errors(w, "BadWeight", f"{t.id}/{p}", f"{role}-arc weight", 1)
                 if p in role_places:
                     errs.append(StructureError("DuplicateArc", f"{t.id}/{p}", f"duplicate {role}-arc"))
                 role_places.add(p)
@@ -443,14 +445,10 @@ def validate_net(model: NetModel) -> list[StructureError]:
     for p in model.places:
         if p.id not in init:
             errs.append(StructureError("BadInitial", p.id, "initial marking assigns no value"))
-        else:
-            v = init[p.id]
-            if not _is_int(v):
-                errs.append(StructureError("BadInitial", p.id, f"initial tokens must be an int, got {v!r}"))
-            elif v < 0:
-                errs.append(StructureError("BadInitial", p.id, f"negative initial tokens {v}"))
-            elif _is_int(p.capacity) and v > p.capacity:
-                errs.append(StructureError("BadInitial", p.id, f"initial tokens {v} exceed capacity {p.capacity}"))
+        elif bad := _int_errors(init[p.id], "BadInitial", p.id, "initial tokens", 0):
+            errs += bad
+        elif _is_int(p.capacity) and init[p.id] > p.capacity:
+            errs.append(StructureError("BadInitial", p.id, f"initial tokens {init[p.id]} exceed capacity {p.capacity}"))
     for pid in init:
         if not model.has_place(pid):
             errs.append(StructureError("UnknownEndpoint", pid, "initial marking names unknown place"))
@@ -464,9 +462,6 @@ def validate_net(model: NetModel) -> list[StructureError]:
 
     for name, pred in model.forbidden:
         errs.extend(_predicate_errors(model, pred, f"forbidden {name}"))
-    for n in set(names):
-        if names.count(n) > 1:
-            errs.append(StructureError("DuplicateId", n, "duplicate forbidden predicate name"))
 
     for rule in model.audit_rules:
         if isinstance(rule, (CounterThreshold, RateThreshold)) and not model.has_transition(rule.transition):
@@ -476,11 +471,7 @@ def validate_net(model: NetModel) -> list[StructureError]:
         if isinstance(rule, PressureThreshold) and rule.predicate not in names:
             errs.append(StructureError("UnknownEndpoint", rule.predicate, f"audit rule {rule.id} names unknown predicate"))
         for f, least in _AUDIT_MINIMA.items():
-            v = getattr(rule, f, least)
-            if not _is_int(v):
-                errs.append(StructureError("BadWeight", rule.id, f"{f} must be an int, got {v!r}"))
-            elif v < least:
-                errs.append(StructureError("BadWeight", rule.id, f"{f} must be >= {least}, got {v}"))
+            errs += _int_errors(getattr(rule, f, least), "BadWeight", rule.id, f, least)
 
     # modes: mode places and referenced transitions exist, and the mode places
     # hold one token that every transition gives back as often as it takes it
@@ -729,14 +720,6 @@ def fire(model: NetModel, m: Marking, tid: str) -> Marking:
         if j == i:
             return net.marking(s)
     raise NotEnabled(tid)
-
-
-def eval_guard(model: NetModel, pred: Predicate, m: Marking) -> bool:
-    """Evaluate a predicate at a marking, validating its references first."""
-    errs = _predicate_errors(model, pred, "predicate")
-    if errs:
-        raise UnknownReference(str(errs[0]))
-    return eval_predicate(pred, m)
 
 
 def initial_marking(model: NetModel) -> Marking:

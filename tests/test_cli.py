@@ -87,6 +87,19 @@ class TestCheck:
         assert r.stderr == ("error: model 'macro.net' does not parse: "
                             "ratelimit names unknown transition 'ghost'\n")
 
+    @pytest.mark.parametrize("text", [
+        'meta k "a"\nmeta k "b"\n',
+        "place src init 3\nplace t__budget\ntrans t in src:1\nratelimit t max 1 per 2\n",
+        "place src init 3\ntrans t in src:1\ntrans t__tick\nratelimit t max 1 per 2\n",
+    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition"])
+    def test_duplicate_id_exit_3(self, workdir, text):
+        (workdir / "dup.net").write_text(text)
+        r = run_cli("check", "dup.net", cwd=workdir)
+        assert r.returncode == 3 and r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert [line for line in lines if line.startswith("error: ")] == ["error: model 'dup.net' does not parse:"]
+        assert len(lines) == 2 and "DuplicateId" in lines[1]
+
     def test_unknown_predicate_exit_3(self, workdir):
         assert run_cli("check", "traffic.net", "ghost", cwd=workdir).returncode == 3
 

@@ -121,6 +121,17 @@ class TestParsing:
             parse_model("place p\ntrans t in missing:1\n")
         assert any(e.code == "UnknownEndpoint" for e in exc.value.errors)
 
+    @pytest.mark.parametrize("text, element", [
+        ('meta k "a"\nmeta k "b"\n', "k"),
+        ("place src init 3\nplace t__budget\ntrans t in src:1\nratelimit t max 1 per 2\n", "t__budget"),
+        ("place src init 3\ntrans t in src:1\ntrans t__tick\nratelimit t max 1 per 2\n", "t__tick"),
+    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition"])
+    def test_duplicate_ids_are_rejected(self, text, element):
+        # a macro never skips or overwrites a declaration, and every meta line is kept
+        with pytest.raises(StructureFailure) as exc:
+            parse_model(text)
+        assert [(e.code, e.element) for e in exc.value.errors] == [("DuplicateId", element)]
+
     def test_string_escapes_not_needed_for_plain_labels(self):
         m = parse_model('place p label "hello world"\n')
         assert m.place("p").label == "hello world"

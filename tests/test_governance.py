@@ -45,7 +45,7 @@ from respetri import (
     verify_patch,
 )
 from respetri.governance import replay_log as _replay  # noqa: F401 (re-export check)
-from respetri.governance import EditOp, format_op, patch_report
+from respetri.governance import EditOp, LogEntry, format_op, patch_report
 from respetri.models import FIXTURES, FixtureConfig, build_traffic_model
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
@@ -355,6 +355,21 @@ class TestGovernanceLog:
         m2, r2 = self._entry(m0, SAFEGUARD)
         with pytest.raises(HashChainBroken):
             record_decision(log, m0, m2, SAFEGUARD, r2)
+
+    def test_report_of_another_patch_rejected(self):
+        # the models and report of the safeguard patch, logged under another patch
+        m0 = build_traffic_model()
+        m1, r1 = self._entry(m0, SAFEGUARD)
+        with pytest.raises(HashChainBroken, match="patch"):
+            record_decision(GovernanceLog(), m0, m1, Patch((SetCapacity("p5", 1),)), r1)
+
+    def test_log_line_bytes(self):
+        entry = LogEntry("2026-01-01T00:00:00+00:00", "ab", "01", "02", "ops", "why",
+                         (("f", "safe/exhaustive-bounded"), ("e", "unsafe/counterexample")))
+        assert entry.to_json() == (
+            '{"author": "ops", "patch_id": "ab", "post_hash": "02", "pre_hash": "01", '
+            '"rationale": "why", "timestamp": "2026-01-01T00:00:00+00:00", '
+            '"verdicts": {"e": "unsafe/counterexample", "f": "safe/exhaustive-bounded"}}')
 
     def test_jsonl_round_trip_and_tamper_detection(self):
         m0 = build_traffic_model()

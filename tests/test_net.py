@@ -39,7 +39,6 @@ from respetri import (
     validate_net,
 )
 from respetri.models import build_srs_symbolic_model
-from respetri.net import eval_guard
 
 from oracles import random_net
 
@@ -170,13 +169,6 @@ class TestPredicates:
 
     def test_negation(self):
         assert eval_predicate(Not(TokenAtom("p", ">=", 1)), Marking.make({"p": 0}))
-
-    def test_eval_guard_rejects_unknown_references(self):
-        from respetri import UnknownReference
-
-        m = chain_net()
-        with pytest.raises(UnknownReference):
-            eval_guard(m, TokenAtom("px", ">=", 1), initial_marking(m))
 
     def test_upward_closed_classification(self):
         assert is_upward_closed(TokenAtom("p", ">=", 1))
@@ -341,6 +333,11 @@ class TestValidation:
         (dict(audit_rules=(PressureThreshold("s", "ghost", 1),)), "UnknownEndpoint", "ghost"),
         (dict(forbidden=(("f", ModeAtom("ghost")),)), "UnknownEndpoint", "ghost"),
         (dict(modes=(ModeDef("m"),)), "ModeInvariant", "m"),
+        (dict(forbidden=(("f", TokenAtom("p", ">=", 1)),),
+              audit_rules=(PressureThreshold("w", "f", 0), PressureThreshold("w", "f", 1))), "DuplicateId", "w"),
+        (dict(places=(PlaceDef("p"), PlaceDef("mode_a", capacity=1)), initial=Marking.make({"p": 1, "mode_a": 1}),
+              modes=(ModeDef("a"), ModeDef("a"))), "DuplicateId", "a"),
+        (dict(metadata=(("k", "a"), ("k", "b"))), "DuplicateId", "k"),
     ])
     def test_each_rule_names_its_element(self, edit, code, element):
         base = dict(places=(PlaceDef("p"),), transitions=(TransitionDef("t", inputs=(("p", 1),)),),
