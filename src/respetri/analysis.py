@@ -1,9 +1,11 @@
 """Reachability and coverability engines with forbidden-marking verdicts.
 
-Exploration is breadth-first in canonical transition order and fully
-deterministic: the node set, edge set, and every verdict are identical for
-any worker count. Counterexamples are shortest traces, replayable through
-the token game.
+Exploration is breadth-first in declaration order and deterministic: a
+model declared in one order always gives the same node set, edge set and
+verdicts, but a trace can depend on the order in which transitions are
+declared (ROADMAP.md plans id order). The `workers` argument of `explore` is
+ignored. Counterexamples are shortest traces, replayable through the token
+game.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from .audit import (
     drift_report,
     simulate,
 )
-from .dsl import model_hash, parse_model, serialize_model
+from .dsl import model_hash, parse_model, parse_patch, serialize_model
 from .errors import (
     ParseFailure,
     PressureUnavailable,
@@ -54,7 +54,6 @@ from .errors import (
 from .governance import (
     GovernanceLog,
     apply_patch,
-    parse_patch,
     patch_report,
     record_decision,
 )

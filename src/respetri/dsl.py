@@ -1,4 +1,4 @@
-"""Textual model language: parser, canonical serializer, macro expansion.
+"""Textual model and patch languages: parsers, canonical serializer, macro expansion.
 
 The `.net` format is line-oriented. Keywords: `meta`, `place`, `trans` (with
 `in/out/inhibit/read`, `guard`, `counted`), `forbidden`, `audit`, `mode`,
@@ -11,6 +11,9 @@ Canonical serialization orders blocks as places, transitions, forbidden,
 audit, modes, each sorted by identifier, and is byte-stable: it is the
 model's identity (structural equality and the hash both read it), and
 parse(serialize(m)) serializes to the same text.
+
+A `.patch` file holds an optional `author` and `rationale` and one edit op
+per line; `add place|trans|forbidden` is `add ` and the model line it adds.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field, replace
+from typing import Optional, Union
 
 from .errors import (
     MacroArity,
@@ -28,6 +32,7 @@ from .errors import (
 from .net import (
     ARC_FIELDS,
     IDENT,
+    _AUDIT_MINIMA,
     _OPS,
     And,
     AuditRule,
@@ -74,6 +79,91 @@ class RateLimit:
     transition: str
     max_firings: int
     window: int
+
+
+# ---------------------------------------------------------------------------
+# Edit operations and patches: the `.patch` language
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AddPlace:
+    place: PlaceDef
+    init: int = 0
+
+
+@dataclass(frozen=True)
+class RemovePlace:
+    place: str
+
+
+@dataclass(frozen=True)
+class AddTransition:
+    transition: TransitionDef
+
+
+@dataclass(frozen=True)
+class RemoveTransition:
+    transition: str
+
+
+@dataclass(frozen=True)
+class AddArc:
+    kind: str  # in | out | inhibit | read
+    place: str
+    transition: str
+    weight: int = 1
+
+
+@dataclass(frozen=True)
+class RemoveArc:
+    kind: str
+    place: str
+    transition: str
+
+
+@dataclass(frozen=True)
+class SetGuard:
+    transition: str
+    guard: Optional[Predicate]
+
+
+@dataclass(frozen=True)
+class SetCapacity:
+    place: str
+    capacity: Optional[int]
+
+
+@dataclass(frozen=True)
+class AddForbidden:
+    name: str
+    predicate: Predicate
+
+
+@dataclass(frozen=True)
+class SwitchMode:
+    mode: str
+
+
+EditOp = Union[AddPlace, RemovePlace, AddTransition, RemoveTransition, AddArc,
+               RemoveArc, SetGuard, SetCapacity, AddForbidden, SwitchMode]
+
+
+@dataclass(frozen=True)
+class Patch:
+    ops: tuple[EditOp, ...]
+    author: str = ""
+    rationale: str = ""
+
+    @property
+    def id(self) -> str:
+        body = "\n".join(format_op(op) for op in self.ops)
+        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+    def to_text(self) -> str:
+        lines = [f"{key} {_quote(value)}" for key, value in
+                 (("author", self.author), ("rationale", self.rationale)) if value]
+        lines += [format_op(op) for op in self.ops]
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +229,7 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
-    def _here(self):
+    def here(self):
         tok = self.peek()
         return (self.lineno, tok.col if tok else self.line_len + 1)
 
@@ -147,9 +237,9 @@ class _Cursor:
         tok = self.peek()
         what = value or kind
         if tok is None:
-            raise _Err(self._here(), f"unexpected end of line, wanted {what}", expected or (what,))
+            raise _Err(self.here(), f"unexpected end of line, wanted {what}", expected or (what,))
         if tok.kind != kind or (value is not None and tok.value != value):
-            raise _Err(self._here(), f"unexpected {tok.value!r}, wanted {what}", expected or (what,))
+            raise _Err(self.here(), f"unexpected {tok.value!r}, wanted {what}", expected or (what,))
         self.i += 1
         return tok
 
@@ -162,9 +252,6 @@ class _Cursor:
         if minimum is not None and v < minimum:
             raise _Err((tok.line, tok.col), f"integer {v} out of range, must be >= {minimum}")
         return v
-
-    def take_keyword(self, word: str) -> Token:
-        return self.take("ident", word)
 
     def at(self, kind: str, value: str | None = None, ahead: int = 0) -> bool:
         """True iff the token `ahead` places on is of this kind (and value)."""
@@ -252,7 +339,7 @@ def _is_cmp(tok: Token | None) -> bool:
 def _take_cmp(cur: _Cursor) -> str:
     tok = cur.peek()
     if not _is_cmp(tok):
-        raise _Err(cur._here(), "expected comparison operator", _CMP_OPS)
+        raise _Err(cur.here(), "expected comparison operator", _CMP_OPS)
     cur.i += 1
     return tok.value
 
@@ -260,7 +347,7 @@ def _take_cmp(cur: _Cursor) -> str:
 def _parse_atom(cur: _Cursor) -> Predicate:
     tok = cur.peek()
     if tok is None:
-        raise _Err(cur._here(), "expected predicate atom", ("identifier", "#identifier", "("))
+        raise _Err(cur.here(), "expected predicate atom", ("identifier", "#identifier", "("))
     if tok.kind == "op" and tok.value == "(":
         cur.i += 1
         inner = _parse_or(cur)
@@ -287,6 +374,68 @@ def _parse_atom(cur: _Cursor) -> Predicate:
 def pred_and(*preds: Predicate) -> Predicate:
     """AND combinator that collapses a single operand (canonical shape)."""
     return preds[0] if len(preds) == 1 else And(tuple(preds))
+
+
+# ---------------------------------------------------------------------------
+# Line forms: one string both reads and writes the line of each audit rule and
+# of each edit op but `add place|trans|forbidden` (`add ` and the model line
+# it adds). A braced word is the field of that name; any other word is literal.
+# ---------------------------------------------------------------------------
+
+_AUDIT_HEAD = "audit {id} :="
+_AUDIT_FORMS = {  # each follows the head
+    CounterThreshold: "counter {transition} > {threshold}",
+    RateThreshold: "rate {transition} max {max_firings} per {window}",
+    OccupancyThreshold: "occupancy {place} {op} {level}",
+    PressureThreshold: "pressure {predicate} within {max_distance}",
+}
+_OP_FORMS = {
+    AddArc: "add arc {kind} {place} {transition} {weight}",
+    RemovePlace: "remove place {place}",
+    RemoveTransition: "remove trans {transition}",
+    RemoveArc: "remove arc {kind} {place} {transition}",
+    SetGuard: "set guard {transition} {guard}",
+    SetCapacity: "set capacity {place} {capacity}",
+    SwitchMode: "switch mode {mode}",
+}
+
+
+def _read_form(cur: _Cursor, form: str, start: int) -> dict:
+    """The fields of `form`, read from its word `start` on."""
+    fields = {}
+    for word in form.split()[start:]:
+        name = word[1:-1]
+        if not word.startswith("{"):
+            cur.take("ident" if word.isidentifier() else "op", word)
+        elif name == "kind":
+            at, kind = cur.here(), cur.take_ident().value
+            if kind not in ARC_FIELDS:
+                raise _Err(at, f"bad arc kind {kind!r}", tuple(ARC_FIELDS))
+            fields[name] = kind
+        elif name == "op":
+            fields[name] = _take_cmp(cur)
+        elif name == "guard":  # `none` clears it only when it ends the line: `none >= 1` is a guard
+            fields[name] = None if cur.peek(1) is None and cur.accept_keyword("none") else _parse_pred(cur)
+        elif name == "capacity":
+            fields[name] = None if cur.accept_keyword("none") else cur.take_int(minimum=1)
+        elif name == "weight":  # optional: a line that ends before it keeps the default
+            if not cur.at_end():
+                fields[name] = cur.take_int(minimum=1)
+        elif name in _AUDIT_MINIMA:
+            fields[name] = cur.take_int(minimum=_AUDIT_MINIMA[name])
+        else:
+            fields[name] = cur.take_ident().value
+    return fields
+
+
+def _write_form(form: str, obj) -> str:
+    """`form` with each field replaced by obj's value of it."""
+    def value(m):
+        name, v = m[1], getattr(obj, m[1])
+        if name in ("guard", "capacity") and v is None:
+            return "none"
+        return format_predicate(v) if name == "guard" else str(v)
+    return re.sub(r"\{(\w+)\}", value, form)
 
 
 # ---------------------------------------------------------------------------
@@ -388,32 +537,12 @@ def _parse_forbidden(cur: _Cursor) -> tuple[str, Predicate]:
 
 
 def _parse_audit(cur: _Cursor) -> AuditRule:
-    name = cur.take_ident().value
-    cur.take("op", ":=")
-    if cur.accept_keyword("counter"):
-        t = cur.take_ident().value
-        cur.take("op", ">")
-        theta = cur.take_int(minimum=0)
-        return CounterThreshold(name, t, theta)
-    if cur.accept_keyword("rate"):
-        t = cur.take_ident().value
-        cur.take_keyword("max")
-        k = cur.take_int(minimum=0)
-        cur.take_keyword("per")
-        w = cur.take_int(minimum=1)
-        return RateThreshold(name, t, k, w)
-    if cur.accept_keyword("occupancy"):
-        p = cur.take_ident().value
-        op = _take_cmp(cur)
-        level = cur.take_int(minimum=0)
-        return OccupancyThreshold(name, p, op, level)
-    if cur.accept_keyword("pressure"):
-        pred = cur.take_ident().value
-        cur.take_keyword("within")
-        dist = cur.take_int(minimum=0)
-        return PressureThreshold(name, pred, dist)
-    raise _Err(cur._here(), "expected audit rule kind",
-               ("counter", "rate", "occupancy", "pressure"))
+    """`<id> := <kind> ...`, after the `audit` keyword."""
+    head = _read_form(cur, _AUDIT_HEAD, 1)
+    for cls, form in _AUDIT_FORMS.items():
+        if cur.accept_keyword(form.split()[0]):
+            return cls(**head, **_read_form(cur, form, 1))
+    raise _Err(cur.here(), "expected audit rule kind", tuple(f.split()[0] for f in _AUDIT_FORMS.values()))
 
 
 def _parse_line(cur: _Cursor, draft: _Draft):
@@ -452,9 +581,9 @@ def _parse_line(cur: _Cursor, draft: _Draft):
             raise _Err((tok.line, tok.col), f"override for undeclared mode {mode!r}")
     elif kw == "ratelimit":
         t = cur.take_ident().value
-        cur.take_keyword("max")
+        cur.take("ident", "max")
         k = cur.take_int(minimum=1)
-        cur.take_keyword("per")
+        cur.take("ident", "per")
         w = cur.take_int(minimum=1)
         draft.ratelimits.append(RateLimit(t, k, w))
     else:
@@ -597,15 +726,9 @@ def _forbidden_line(name: str, pred: Predicate) -> str:
 
 
 def _format_audit(rule: AuditRule) -> str:
-    if isinstance(rule, CounterThreshold):
-        return f"audit {rule.id} := counter {rule.transition} > {rule.threshold}"
-    if isinstance(rule, RateThreshold):
-        return f"audit {rule.id} := rate {rule.transition} max {rule.max_firings} per {rule.window}"
-    if isinstance(rule, OccupancyThreshold):
-        return f"audit {rule.id} := occupancy {rule.place} {rule.op} {rule.level}"
-    if isinstance(rule, PressureThreshold):
-        return f"audit {rule.id} := pressure {rule.predicate} within {rule.max_distance}"
-    raise TypeError(f"not an audit rule: {rule!r}")
+    if type(rule) not in _AUDIT_FORMS:
+        raise TypeError(f"not an audit rule: {rule!r}")
+    return _write_form(f"{_AUDIT_HEAD} {_AUDIT_FORMS[type(rule)]}", rule)
 
 
 def serialize_model(model: NetModel) -> ModelSource:
@@ -638,3 +761,56 @@ def structurally_equal(a: NetModel, b: NetModel) -> bool:
 def model_hash(model: NetModel) -> str:
     """Content hash of the canonical serialization."""
     return hashlib.sha256(serialize_model(model).text.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Patch text (.patch)
+# ---------------------------------------------------------------------------
+
+def format_op(op: EditOp) -> str:
+    if isinstance(op, AddPlace):
+        return "add " + _place_line(op.place, op.init)
+    if isinstance(op, AddTransition):
+        return "add " + _trans_line(op.transition)
+    if isinstance(op, AddForbidden):
+        return "add " + _forbidden_line(op.name, op.predicate)
+    if type(op) not in _OP_FORMS:
+        raise TypeError(f"not an edit op: {op!r}")
+    return _write_form(_OP_FORMS[type(op)], op)
+
+
+# (verb, the word after it) -> reader of the rest of the line, in the order
+# error messages list the words
+_OP_READERS = {
+    ("add", "place"): lambda cur: AddPlace(*_parse_place(cur)),
+    ("add", "trans"): lambda cur: AddTransition(_parse_trans(cur)),
+    **{tuple(form.split()[:2]): lambda cur, cls=cls, form=form: cls(**_read_form(cur, form, 2))
+       for cls, form in _OP_FORMS.items()},
+    ("add", "forbidden"): lambda cur: AddForbidden(*_parse_forbidden(cur)),
+}
+
+
+def parse_patch(text: str) -> Patch:
+    """Parse the `.patch` text format; `add place|trans|forbidden` is `add `
+    followed by the model line it adds."""
+    header = {"author": "", "rationale": ""}
+    verbs = tuple(dict.fromkeys(verb for verb, _ in _OP_READERS))
+    ops: list[EditOp] = []
+
+    def parse_line(cur: _Cursor):
+        tok = cur.take_ident()
+        if tok.value in header:
+            header[tok.value] = cur.take_string()
+            return
+        if tok.value not in verbs:
+            raise _Err((tok.line, tok.col), f"unknown patch keyword {tok.value!r}", (*header, *verbs))
+        readers = {what: read for (verb, what), read in _OP_READERS.items() if verb == tok.value}
+        what = cur.peek()
+        if not cur.at("ident") or what.value not in readers:
+            raise _Err(cur.here(), f"cannot {tok.value} {what.value!r}" if what else f"nothing to {tok.value}",
+                       tuple(readers))
+        cur.i += 1
+        ops.append(readers[what.value](cur))
+
+    _parse_lines(text, parse_line)
+    return Patch(tuple(ops), header["author"], header["rationale"])

@@ -4,15 +4,16 @@ A Patch is an ordered list of edit operations applied atomically: either the
 whole patch applies and the result validates, or the original model is
 returned untouched (an exception is raised and nothing is mutated). Every
 applied patch can be recorded in an append-only, hash-chained governance log.
+The patch language itself (edit ops, Patch, parse_patch, format_op) lives in
+dsl, next to the model language, and is re-exported here.
 """
 
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Union
+from typing import Optional
 
 from .analysis import (
     DEFAULT_BOUND,
@@ -23,19 +24,21 @@ from .analysis import (
     graph_verdict,
 )
 from .dsl import (
-    _Cursor,
-    _Err,
-    _forbidden_line,
-    _parse_forbidden,
-    _parse_lines,
-    _parse_place,
-    _parse_pred,
-    _parse_trans,
-    _place_line,
-    _quote,
-    _trans_line,
-    format_predicate,
+    AddArc,
+    AddForbidden,
+    AddPlace,
+    AddTransition,
+    EditOp,
+    Patch,
+    RemoveArc,
+    RemovePlace,
+    RemoveTransition,
+    SetCapacity,
+    SetGuard,
+    SwitchMode,
+    format_op,
     model_hash,
+    parse_patch,
 )
 from .errors import (
     DanglingReference,
@@ -44,202 +47,7 @@ from .errors import (
     ResultingModelInvalid,
     UnknownTarget,
 )
-from .net import (
-    ARC_FIELDS,
-    Marking,
-    NetModel,
-    PlaceDef,
-    Predicate,
-    TransitionDef,
-    validate_net,
-)
-
-
-# ---------------------------------------------------------------------------
-# Edit operations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AddPlace:
-    place: PlaceDef
-    init: int = 0
-
-
-@dataclass(frozen=True)
-class RemovePlace:
-    place: str
-
-
-@dataclass(frozen=True)
-class AddTransition:
-    transition: TransitionDef
-
-
-@dataclass(frozen=True)
-class RemoveTransition:
-    transition: str
-
-
-@dataclass(frozen=True)
-class AddArc:
-    kind: str  # in | out | inhibit | read
-    place: str
-    transition: str
-    weight: int = 1
-
-
-@dataclass(frozen=True)
-class RemoveArc:
-    kind: str
-    place: str
-    transition: str
-
-
-@dataclass(frozen=True)
-class SetGuard:
-    transition: str
-    guard: Optional[Predicate]
-
-
-@dataclass(frozen=True)
-class SetCapacity:
-    place: str
-    capacity: Optional[int]
-
-
-@dataclass(frozen=True)
-class AddForbidden:
-    name: str
-    predicate: Predicate
-
-
-@dataclass(frozen=True)
-class SwitchMode:
-    mode: str
-
-
-EditOp = Union[AddPlace, RemovePlace, AddTransition, RemoveTransition, AddArc,
-               RemoveArc, SetGuard, SetCapacity, AddForbidden, SwitchMode]
-
-
-def format_op(op: EditOp) -> str:
-    if isinstance(op, AddPlace):
-        return "add " + _place_line(op.place, op.init)
-    if isinstance(op, RemovePlace):
-        return f"remove place {op.place}"
-    if isinstance(op, AddTransition):
-        return "add " + _trans_line(op.transition)
-    if isinstance(op, RemoveTransition):
-        return f"remove trans {op.transition}"
-    if isinstance(op, AddArc):
-        return f"add arc {op.kind} {op.place} {op.transition} {op.weight}"
-    if isinstance(op, RemoveArc):
-        return f"remove arc {op.kind} {op.place} {op.transition}"
-    if isinstance(op, SetGuard):
-        rhs = format_predicate(op.guard) if op.guard is not None else "none"
-        return f"set guard {op.transition} {rhs}"
-    if isinstance(op, SetCapacity):
-        rhs = str(op.capacity) if op.capacity is not None else "none"
-        return f"set capacity {op.place} {rhs}"
-    if isinstance(op, AddForbidden):
-        return "add " + _forbidden_line(op.name, op.predicate)
-    if isinstance(op, SwitchMode):
-        return f"switch mode {op.mode}"
-    raise TypeError(f"not an edit op: {op!r}")
-
-
-@dataclass(frozen=True)
-class Patch:
-    ops: tuple[EditOp, ...]
-    author: str = ""
-    rationale: str = ""
-
-    @property
-    def id(self) -> str:
-        body = "\n".join(format_op(op) for op in self.ops)
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-    def to_text(self) -> str:
-        lines = [f"{key} {_quote(value)}" for key, value in
-                 (("author", self.author), ("rationale", self.rationale)) if value]
-        lines += [format_op(op) for op in self.ops]
-        return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Patch text format (.patch)
-# ---------------------------------------------------------------------------
-
-def parse_patch(text: str) -> Patch:
-    """Parse the `.patch` text format; `add place|trans|forbidden` is `add `
-    followed by the model line it adds."""
-    header = {"author": "", "rationale": ""}
-    ops: list[EditOp] = []
-
-    def parse_line(cur: _Cursor):
-        tok = cur.take_ident()
-        if tok.value in header:
-            header[tok.value] = cur.take_string()
-        elif tok.value == "add":
-            ops.append(_parse_add(cur))
-        elif tok.value == "remove":
-            ops.append(_parse_remove(cur))
-        elif tok.value == "set":
-            ops.append(_parse_set(cur))
-        elif tok.value == "switch":
-            cur.take_keyword("mode")
-            ops.append(SwitchMode(cur.take_ident().value))
-        else:
-            raise _Err((tok.line, tok.col), f"unknown patch keyword {tok.value!r}",
-                       ("author", "rationale", "add", "remove", "set", "switch"))
-
-    _parse_lines(text, parse_line)
-    return Patch(tuple(ops), header["author"], header["rationale"])
-
-
-def _take_arc(cur: _Cursor) -> tuple[str, str, str]:
-    """`<kind> <place> <transition>` of an arc op."""
-    at, kind = cur._here(), cur.take_ident().value
-    if kind not in ARC_FIELDS:
-        raise _Err(at, f"bad arc kind {kind!r}", tuple(ARC_FIELDS))
-    return kind, cur.take_ident().value, cur.take_ident().value
-
-
-def _parse_add(cur: _Cursor) -> EditOp:
-    at, what = cur._here(), cur.take_ident().value
-    if what == "place":
-        return AddPlace(*_parse_place(cur))
-    if what == "trans":
-        return AddTransition(_parse_trans(cur))
-    if what == "arc":
-        return AddArc(*_take_arc(cur), cur.take_int(minimum=1) if not cur.at_end() else 1)
-    if what == "forbidden":
-        return AddForbidden(*_parse_forbidden(cur))
-    raise _Err(at, f"cannot add {what!r}", ("place", "trans", "arc", "forbidden"))
-
-
-def _parse_remove(cur: _Cursor) -> EditOp:
-    at, what = cur._here(), cur.take_ident().value
-    if what == "place":
-        return RemovePlace(cur.take_ident().value)
-    if what == "trans":
-        return RemoveTransition(cur.take_ident().value)
-    if what == "arc":
-        return RemoveArc(*_take_arc(cur))
-    raise _Err(at, f"cannot remove {what!r}", ("place", "trans", "arc"))
-
-
-def _parse_set(cur: _Cursor) -> EditOp:
-    at, what = cur._here(), cur.take_ident().value
-    if what == "guard":
-        t = cur.take_ident().value
-        if cur.peek(1) is None and cur.accept_keyword("none"):  # `none >= 1` is a guard
-            return SetGuard(t, None)
-        return SetGuard(t, _parse_pred(cur))
-    if what == "capacity":
-        p = cur.take_ident().value
-        return SetCapacity(p, None if cur.accept_keyword("none") else cur.take_int(minimum=1))
-    raise _Err(at, f"cannot set {what!r}", ("guard", "capacity"))
+from .net import ARC_FIELDS, Marking, NetModel, validate_net
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +68,16 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
     forbidden = list(model.forbidden)
 
     for op in patch.ops:
+        if isinstance(op, (RemoveTransition, AddArc, RemoveArc, SetGuard)) and op.transition not in transitions:
+            raise UnknownTarget(f"no transition {op.transition!r}")
+        if isinstance(op, (RemovePlace, AddArc, SetCapacity)) and op.place not in places:
+            raise UnknownTarget(f"no place {op.place!r}")
         if isinstance(op, AddPlace):
             if op.place.id in places or op.place.id in transitions:
                 raise PatchError(f"identifier {op.place.id!r} already exists")
             places[op.place.id] = op.place
             tokens[op.place.id] = op.init
         elif isinstance(op, RemovePlace):
-            if op.place not in places:
-                raise UnknownTarget(f"no place {op.place!r}")
             del places[op.place]
             tokens.pop(op.place, None)
         elif isinstance(op, AddTransition):
@@ -276,15 +86,9 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
                 raise PatchError(f"identifier {t.id!r} already exists")
             transitions[t.id] = t
         elif isinstance(op, RemoveTransition):
-            if op.transition not in transitions:
-                raise UnknownTarget(f"no transition {op.transition!r}")
             del transitions[op.transition]
             counters.pop(op.transition, None)
         elif isinstance(op, AddArc):
-            if op.transition not in transitions:
-                raise UnknownTarget(f"no transition {op.transition!r}")
-            if op.place not in places:
-                raise UnknownTarget(f"no place {op.place!r}")
             t = transitions[op.transition]
             arcs = getattr(t, ARC_FIELDS[op.kind])
             if any(p == op.place for p, _ in arcs):
@@ -292,8 +96,6 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
             transitions[op.transition] = replace(
                 t, **{ARC_FIELDS[op.kind]: arcs + ((op.place, op.weight),)})
         elif isinstance(op, RemoveArc):
-            if op.transition not in transitions:
-                raise UnknownTarget(f"no transition {op.transition!r}")
             t = transitions[op.transition]
             arcs = getattr(t, ARC_FIELDS[op.kind])
             kept = tuple(a for a in arcs if a[0] != op.place)
@@ -301,12 +103,8 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
                 raise UnknownTarget(f"no {op.kind}-arc {op.place}->{op.transition}")
             transitions[op.transition] = replace(t, **{ARC_FIELDS[op.kind]: kept})
         elif isinstance(op, SetGuard):
-            if op.transition not in transitions:
-                raise UnknownTarget(f"no transition {op.transition!r}")
             transitions[op.transition] = replace(transitions[op.transition], guard=op.guard)
         elif isinstance(op, SetCapacity):
-            if op.place not in places:
-                raise UnknownTarget(f"no place {op.place!r}")
             places[op.place] = replace(places[op.place], capacity=op.capacity)
         elif isinstance(op, AddForbidden):
             if any(n == op.name for n, _ in forbidden):

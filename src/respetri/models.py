@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .dsl import parse_model, pred_and
-from .governance import AddArc, Patch, SetGuard, apply_patch
+from .dsl import AddArc, Patch, SetGuard, parse_model, pred_and
+from .governance import apply_patch
 from .net import CounterAtom, CounterThreshold, Marking, NetModel, Predicate, TokenAtom
 
 

@@ -431,9 +431,10 @@ def validate_net(model: NetModel) -> list[StructureError]:
                 role_places.add(p)
         # A place may be both input and inhibitor only when the combination is
         # satisfiable (threshold above the weight); otherwise t can never fire.
+        # A weight that is not an int is a BadWeight alone.
         inh = dict(t.inhibitors)
         for p, w in t.inputs:
-            if p in inh and inh[p] <= w:
+            if p in inh and _is_int(w) and _is_int(inh[p]) and inh[p] <= w:
                 errs.append(StructureError(
                     "RoleConflict", f"{t.id}/{p}",
                     f"inhibitor threshold {inh[p]} never admits the input weight {w}"))

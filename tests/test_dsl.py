@@ -52,8 +52,8 @@ from respetri import (
     structurally_equal,
     validate_net,
 )
-from respetri.dsl import RateLimit, expand_macros, format_predicate
-from respetri.net import ARC_FIELDS
+from respetri.dsl import RateLimit, expand_macros, format_op, format_predicate
+from respetri.net import ARC_FIELDS, IDENT, _OPS
 from respetri.models import FIXTURES
 
 from oracles import random_net
@@ -110,6 +110,19 @@ class TestParsing:
         assert len(errors) == 2
         assert errors[0].position[0] == 2
         assert errors[1].position == (3, 14)  # the zero weight
+
+    @pytest.mark.parametrize("text, position", [
+        ("audit a := 5", (1, 12)),
+        ("audit := counter t > 1", (1, 7)),
+        ("audit a := counter t >= 1", (1, 22)),
+        ("audit a := rate t max 1 per 0", (1, 29)),
+        ("audit a := occupancy p == 1", (1, 25)),
+        ("audit a := pressure f near 1", (1, 23)),
+    ])
+    def test_audit_error_points_at_the_bad_word(self, text, position):
+        with pytest.raises(ParseFailure) as exc:
+            parse_model(text + "\n")
+        assert [e.position for e in exc.value.errors] == [position]
 
     def test_expected_tokens_reported(self):
         with pytest.raises(ParseFailure) as exc:
@@ -424,6 +437,50 @@ class TestKeywordIds:
         assert m.forbidden_predicate("f") == And((ModeAtom("m"), Not(TokenAtom("mode", ">=", 1))))
         assert parse_patch("set guard t none\n").ops == (SetGuard("t", None),)
         assert parse_patch("set guard t none > 0\n").ops == (SetGuard("t", TokenAtom("none", ">", 0)),)
+
+
+_IDS = st.sampled_from(KEYWORDS) | st.from_regex(IDENT, fullmatch=True)
+
+
+def _ops(places, transitions):
+    """Edit ops of all ten kinds over the given ids."""
+    ids = st.sampled_from(places + transitions)
+    preds = _predicates(places, transitions)
+    guards = st.none() | st.builds(TokenAtom, st.just("none"), st.sampled_from(tuple(_OPS)),
+                                   st.integers(0, 2)) | preds
+    capacity = st.none() | st.integers(1, 5)
+    arcs = st.lists(st.tuples(st.sampled_from(places), st.integers(1, 4)), max_size=2).map(tuple)
+    kind = st.sampled_from(tuple(ARC_FIELDS))
+    return st.one_of(
+        st.builds(AddPlace, st.builds(PlaceDef, ids, capacity, st.text()), st.integers(0, 5)),
+        st.builds(RemovePlace, ids),
+        st.builds(AddTransition, st.builds(TransitionDef, ids, arcs, arcs, arcs, arcs, guards,
+                                           st.booleans())),
+        st.builds(RemoveTransition, ids),
+        st.builds(AddArc, kind, ids, ids, st.integers(1, 3)),
+        st.builds(RemoveArc, kind, ids, ids),
+        st.builds(SetGuard, ids, guards),
+        st.builds(SetCapacity, ids, capacity),
+        st.builds(AddForbidden, ids, preds),
+        st.builds(SwitchMode, ids))
+
+
+class TestPatchRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_op_kind_round_trips(self, data):
+        # plain ids and grammar keywords, guards over a place named `none`,
+        # and `add arc` lines with and without a weight of 1
+        places = data.draw(st.lists(_IDS, min_size=1, max_size=3))
+        transitions = data.draw(st.lists(_IDS, min_size=1, max_size=3))
+        ops = data.draw(st.lists(_ops(places, transitions), max_size=12))
+        patch = Patch(tuple(ops), author=data.draw(st.text()), rationale=data.draw(st.text()))
+        again = parse_patch(patch.to_text())
+        assert again == patch
+        assert again.id == patch.id
+        bare = [format_op(op).removesuffix(" 1") if isinstance(op, AddArc) and op.weight == 1
+                else format_op(op) for op in ops]
+        assert parse_patch("".join(line + "\n" for line in bare)).ops == patch.ops
 
 
 FULL_GRAMMAR = """\

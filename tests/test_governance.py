@@ -232,6 +232,9 @@ class TestPatchText:
         ("remove arc sideways p t", (1, 12)),
         ("set colour t", (1, 5)),
         ("remove gizmo x", (1, 8)),
+        ("switch foo x", (1, 8)),
+        ("add 5", (1, 5)),
+        ("remove", (1, 7)),
     ])
     def test_error_points_at_the_bad_word(self, text, position):
         from respetri import ParseFailure
@@ -240,6 +243,28 @@ class TestPatchText:
             parse_patch(text)
         assert [e.position for e in exc.value.errors] == [position]
 
+
+    @pytest.mark.parametrize("text, message, expected", [
+        ("add 5", "cannot add '5'", ("place", "trans", "arc", "forbidden")),
+        ("remove", "nothing to remove", ("place", "trans", "arc")),
+        ("set", "nothing to set", ("guard", "capacity")),
+        ("switch foo x", "cannot switch 'foo'", ("mode",)),
+    ])
+    def test_the_word_after_the_verb_lists_the_choices(self, text, message, expected):
+        from respetri import ParseFailure
+
+        with pytest.raises(ParseFailure) as exc:
+            parse_patch(text)
+        assert [(e.message, e.expected) for e in exc.value.errors] == [(message, expected)]
+
+    def test_the_patch_language_is_re_exported(self):
+        import respetri.dsl as dsl
+        import respetri.governance as governance
+
+        for name in ("AddPlace", "RemovePlace", "AddTransition", "RemoveTransition", "AddArc",
+                     "RemoveArc", "SetGuard", "SetCapacity", "AddForbidden", "SwitchMode",
+                     "EditOp", "Patch", "format_op", "parse_patch"):
+            assert getattr(governance, name) is getattr(dsl, name), name
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(), st.text())

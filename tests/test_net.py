@@ -338,6 +338,11 @@ class TestValidation:
         (dict(places=(PlaceDef("p"), PlaceDef("mode_a", capacity=1)), initial=Marking.make({"p": 1, "mode_a": 1}),
               modes=(ModeDef("a"), ModeDef("a"))), "DuplicateId", "a"),
         (dict(metadata=(("k", "a"), ("k", "b"))), "DuplicateId", "k"),
+        # an input weight that is not an int is not compared with the inhibitor's
+        (dict(transitions=(TransitionDef("t", inputs=(("p", "2"),), inhibitors=(("p", 1),)),)),
+         "BadWeight", "t/p"),
+        (dict(transitions=(TransitionDef("t", inputs=(("p", None),), inhibitors=(("p", 1),)),)),
+         "BadWeight", "t/p"),
     ])
     def test_each_rule_names_its_element(self, edit, code, element):
         base = dict(places=(PlaceDef("p"),), transitions=(TransitionDef("t", inputs=(("p", 1),)),),
