@@ -492,6 +492,7 @@ def find_cycles(model: NetModel, max_length: Optional[int] = 16) -> list[tuple[s
     smallest identifier comes first. Length is counted in nodes and capped at
     max_length (None for no cap).
     """
+    compiled(model)
     g = nx.DiGraph()
     g.add_nodes_from(model.place_ids)
     g.add_nodes_from(model.transition_ids)
@@ -517,6 +518,7 @@ def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[st
     transition consuming from the set also produces into it. Guards and
     inhibitors are ignored (structural notions).
     """
+    compiled(model)
     places = sorted(p.id for p in model.places)
     slot = {p: i for i, p in enumerate(places)}
     # per place, bitmasks over the transitions in identifier order
@@ -607,6 +609,7 @@ def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -
 def check_all_forbidden(model: NetModel,
                         bound: ExplorationBound = DEFAULT_BOUND) -> dict[str, Verdict]:
     """Verdicts for every named forbidden predicate of the model, from one exploration."""
+    compiled(model)
     if not model.forbidden:
         return {}
     graph = explore(model, bound)

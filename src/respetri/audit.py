@@ -150,6 +150,7 @@ def evaluate_audit_rules(model: NetModel, run: RunRecord,
     window over the last w steps. Pressure rules explore on demand; markings
     outside a truncated graph simply produce no alarm.
     """
+    compiled(model)
     pressures: dict = {}
     pressure_rules = [r for r in model.audit_rules if isinstance(r, PressureThreshold)]
     if pressure_rules:

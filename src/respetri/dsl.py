@@ -26,7 +26,6 @@ from typing import Optional, Union
 from .errors import (
     MacroArity,
     ParseFailure,
-    StructureFailure,
     UnknownTransitionInMacro,
 )
 from .net import (
@@ -51,7 +50,7 @@ from .net import (
     RateThreshold,
     TokenAtom,
     TransitionDef,
-    validate_net,
+    compiled,
 )
 
 
@@ -569,7 +568,7 @@ def _parse_line(cur: _Cursor, draft: _Draft):
                 disabled.append(cur.take_ident().value)
         draft.modes.append([name, disabled, {}])
     elif kw == "override":
-        mode = cur.take_ident().value
+        at, mode = cur.here(), cur.take_ident().value
         trans = cur.take_ident().value
         cur.take("op", ":=")
         pred = _parse_pred(cur)
@@ -578,7 +577,7 @@ def _parse_line(cur: _Cursor, draft: _Draft):
                 entry[2][trans] = pred
                 break
         else:
-            raise _Err((tok.line, tok.col), f"override for undeclared mode {mode!r}")
+            raise _Err(at, f"override for undeclared mode {mode!r}")
     elif kw == "ratelimit":
         t = cur.take_ident().value
         cur.take("ident", "max")
@@ -592,10 +591,10 @@ def _parse_line(cur: _Cursor, draft: _Draft):
 
 
 def parse_model(src: ModelSource | str) -> NetModel:
-    """Parse and validate a model; macros are expanded.
+    """Parse, validate and compile a model; macros are expanded.
 
     Raises ParseFailure with one ParseError per bad line, or StructureFailure
-    when the parsed model violates net invariants.
+    (from `compiled`) when the parsed model violates net invariants.
     """
     if isinstance(src, str):
         src = ModelSource(src)
@@ -616,9 +615,7 @@ def parse_model(src: ModelSource | str) -> NetModel:
         metadata=tuple(draft.meta),
     )
     model = expand_macros(model, draft.ratelimits)
-    errs = validate_net(model)
-    if errs:
-        raise StructureFailure(errs)
+    compiled(model)
     return model
 
 

@@ -54,12 +54,6 @@ class UnknownTarget(RespetriError):
     pass
 
 
-class ResultingModelInvalid(RespetriError):
-    def __init__(self, errors):
-        super().__init__("patched model fails validation: " + "; ".join(str(e) for e in errors))
-        self.errors = list(errors)
-
-
 class HashChainBroken(RespetriError):
     pass
 
@@ -89,8 +83,13 @@ class ParseFailure(RespetriError):
 
 
 class StructureFailure(RespetriError):
-    """A parsed model fails post-parse validation; carries StructureError values."""
+    """A model fails validate_net; carries StructureError values. Raised by
+    `net.compiled`, which parse_model and every engine go through."""
 
     def __init__(self, errors):
         super().__init__("; ".join(str(e) for e in errors))
         self.errors = list(errors)
+
+
+class ResultingModelInvalid(StructureFailure):
+    """A patched model fails validate_net, as with a DuplicateArc or DuplicateId."""

@@ -45,9 +45,10 @@ from .errors import (
     HashChainBroken,
     PatchError,
     ResultingModelInvalid,
+    StructureFailure,
     UnknownTarget,
 )
-from .net import ARC_FIELDS, Marking, NetModel, validate_net
+from .net import ARC_FIELDS, Marking, NetModel, compiled
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +56,14 @@ from .net import ARC_FIELDS, Marking, NetModel, validate_net
 # ---------------------------------------------------------------------------
 
 def apply_patch(model: NetModel, patch: Patch) -> NetModel:
-    """Apply the ops left-to-right and validate; all-or-nothing.
+    """Apply the ops left-to-right, then validate and compile; all-or-nothing.
 
     A patch whose result still references an id it removed (and did not add
     back) fails with DanglingReference, naming the referrers: removals never
-    cascade. Any other invalid result fails with ResultingModelInvalid.
+    cascade. Any other invalid result fails with ResultingModelInvalid and
+    validate_net's errors, so a duplicate arc or id names DuplicateArc or
+    DuplicateId. Re-adding an existing place or transition, or an arc kind
+    outside in|out|inhibit|read, is a PatchError.
     """
     places = {p.id: p for p in model.places}
     transitions = {t.id: t for t in model.transitions}
@@ -72,8 +76,10 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
             raise UnknownTarget(f"no transition {op.transition!r}")
         if isinstance(op, (RemovePlace, AddArc, SetCapacity)) and op.place not in places:
             raise UnknownTarget(f"no place {op.place!r}")
+        if isinstance(op, (AddArc, RemoveArc)) and op.kind not in ARC_FIELDS:
+            raise PatchError(f"bad arc kind {op.kind!r}")
         if isinstance(op, AddPlace):
-            if op.place.id in places or op.place.id in transitions:
+            if op.place.id in places:
                 raise PatchError(f"identifier {op.place.id!r} already exists")
             places[op.place.id] = op.place
             tokens[op.place.id] = op.init
@@ -82,7 +88,7 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
             tokens.pop(op.place, None)
         elif isinstance(op, AddTransition):
             t = op.transition
-            if t.id in transitions or t.id in places:
+            if t.id in transitions:
                 raise PatchError(f"identifier {t.id!r} already exists")
             transitions[t.id] = t
         elif isinstance(op, RemoveTransition):
@@ -91,8 +97,6 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
         elif isinstance(op, AddArc):
             t = transitions[op.transition]
             arcs = getattr(t, ARC_FIELDS[op.kind])
-            if any(p == op.place for p, _ in arcs):
-                raise PatchError(f"{op.kind}-arc {op.place}->{op.transition} already present")
             transitions[op.transition] = replace(
                 t, **{ARC_FIELDS[op.kind]: arcs + ((op.place, op.weight),)})
         elif isinstance(op, RemoveArc):
@@ -107,8 +111,6 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
         elif isinstance(op, SetCapacity):
             places[op.place] = replace(places[op.place], capacity=op.capacity)
         elif isinstance(op, AddForbidden):
-            if any(n == op.name for n, _ in forbidden):
-                raise PatchError(f"forbidden predicate {op.name!r} already exists")
             forbidden.append((op.name, op.predicate))
         elif isinstance(op, SwitchMode):
             if op.mode not in [m.id for m in model.modes]:
@@ -121,13 +123,15 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
     patched = replace(model, places=tuple(places.values()),
                       transitions=tuple(transitions.values()),
                       initial=Marking.make(tokens, counters), forbidden=tuple(forbidden))
-    errs = validate_net(patched)
-    gone = {*model.place_ids, *model.transition_ids} - places.keys() - transitions.keys()
-    dangling = [e for e in errs if e.code == "UnknownEndpoint" and e.element in gone]
-    if dangling:
-        raise DanglingReference("removal leaves dangling references: " + "; ".join(map(str, dangling)))
-    if errs:
-        raise ResultingModelInvalid(errs)
+    try:
+        compiled(patched)
+    except StructureFailure as e:
+        gone = {*model.place_ids, *model.transition_ids} - places.keys() - transitions.keys()
+        dangling = [err for err in e.errors if err.code == "UnknownEndpoint" and err.element in gone]
+        if dangling:
+            raise DanglingReference("removal leaves dangling references: "
+                                    + "; ".join(map(str, dangling))) from None
+        raise ResultingModelInvalid(e.errors) from None
     return patched
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .errors import NotEnabled, UnknownPredicate, UnknownReference, UnknownTransition
+from .errors import NotEnabled, StructureFailure, UnknownPredicate, UnknownReference, UnknownTransition
 
 MODE_PLACE_PREFIX = "mode_"
 
@@ -520,7 +520,7 @@ class CompiledTransition:
 
 
 class CompiledNet:
-    """A NetModel compiled to integer state vectors, built once per model.
+    """A valid NetModel compiled to integer state vectors, built once per model by `compiled`.
 
     A state is a tuple of ints: the tokens of each place in declaration
     order, then the counter of each counted transition; `root` is the
@@ -677,9 +677,14 @@ def kernel_source(net: CompiledNet) -> tuple[str, dict]:
 
 
 def compiled(model: NetModel) -> CompiledNet:
-    """The model's compiled net, built on first use and kept on the model."""
+    """The model's compiled net, built on first use and kept on the model.
+    The one validation gate: every engine runs only models that validate_net
+    accepts, and each model object is validated once; a model it rejects
+    raises StructureFailure with the errors, and nothing is kept."""
     net = model._compiled
     if net is None:
+        if errs := validate_net(model):
+            raise StructureFailure(errs)
         net = CompiledNet(model)
         object.__setattr__(model, "_compiled", net)
     return net
@@ -687,8 +692,8 @@ def compiled(model: NetModel) -> CompiledNet:
 
 def _successors_at(model: NetModel, m: Marking) -> tuple[CompiledNet, list]:
     """The compiled net and the transitions enabled at m, each with its successor."""
-    model.active_mode(m)
     net = compiled(model)
+    model.active_mode(m)
     return net, net.successors(net.state(m), math.inf)
 
 

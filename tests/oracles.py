@@ -2,10 +2,7 @@
 
 Everything here re-derives the semantics from the data structures alone and
 deliberately avoids calling the library's enabling/firing/exploration code,
-so agreement between the two is meaningful evidence. The one exception is
-`oracle_karp_miller`, which keeps the straightforward acceleration loop as a
-differential reference for the bitmask one and shares the library's
-compiled rows and target basis.
+so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import random
 from collections import deque
 from itertools import combinations
 
-from respetri.analysis import _target_basis
 from respetri.net import (
     And,
     CounterAtom,
@@ -28,7 +24,6 @@ from respetri.net import (
     PlaceDef,
     TokenAtom,
     TransitionDef,
-    compiled,
 )
 
 MODE_PREFIX = "mode_"
@@ -237,18 +232,28 @@ def oracle_trace(nodes, edges, pred):
 def oracle_karp_miller(model: NetModel, target):
     """The classical Karp-Miller loop, one ancestor and one place at a time.
 
-    A differential reference for `respetri.analysis.karp_miller`: it shares
-    the library's compiled rows and target basis, and walks the parent
-    chain per child, lifting in place until a whole pass lifts nothing, then
-    scans every tree node for the first covering one. Returns (tree_nodes,
-    tree_edges, covering_path).
+    A differential reference for `respetri.analysis.karp_miller`, derived
+    from the model alone: each transition needs its input and read weights
+    and changes tokens by its outputs less its inputs, in declaration order,
+    over the plain projection (no inhibitors, guards, capacities, counters
+    or modes). It walks the parent chain per child, lifting in place until
+    a whole pass lifts nothing, then scans every tree node for the first one
+    at which `_eval` finds the target, with omega as infinity. Returns
+    (tree_nodes, tree_edges, covering_path).
     """
-    net = compiled(model)
-    targets = _target_basis(target, net)
-    n = len(net.place_ids)
-    rows = [(t.id, t.needs, tuple((p, d) for p, d in t.delta if p < n))
-            for t in net.transitions]
-    root = net.root[:n]
+    places = model.place_ids
+    n = len(places)
+    rows = []
+    for t in model.transitions:
+        needs, delta = [0] * n, [0] * n
+        for p, w in t.inputs + t.reads:
+            needs[places.index(p)] = max(needs[places.index(p)], w)
+        for p, w in t.inputs:
+            delta[places.index(p)] -= w
+        for p, w in t.outputs:
+            delta[places.index(p)] += w
+        rows.append((t.id, needs, delta))
+    root = tuple(model.initial.tokens_map[p] for p in places)
 
     tree_nodes = [root]
     tree_edges = []
@@ -261,11 +266,9 @@ def oracle_karp_miller(model: NetModel, target):
         node = worklist.popleft()
         m = tree_nodes[node]
         for tid, needs, delta in rows:
-            if any(m[p] < w for p, w in needs):
+            if any(x < w for x, w in zip(m, needs)):
                 continue
-            m2 = list(m)
-            for p, d in delta:
-                m2[p] += d
+            m2 = [x + d for x, d in zip(m, delta)]
             changed = True
             while changed:
                 changed = False
@@ -288,7 +291,7 @@ def oracle_karp_miller(model: NetModel, target):
                 worklist.append(child)
 
     covering = next((i for i, m in enumerate(tree_nodes)
-                     if any(all(map(le, t, m)) for t in targets)), None)
+                     if _eval(target, dict(zip(places, m)), {})), None)
     if covering is None:
         return tree_nodes, tree_edges, None
     path = []

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from respetri import (
     TokenAtom,
     TransitionDef,
     VerdictKind,
+    check_all_forbidden,
     check_forbidden,
     eval_predicate,
     explore,
@@ -159,6 +161,9 @@ class TestVerdicts:
         v = check_forbidden(source_net(), "flood", WIDE)
         assert v.kind is VerdictKind.UNSAFE
         assert len(v.trace.firings) == 10
+
+    def test_no_forbidden_predicates_give_no_verdicts(self):
+        assert check_all_forbidden(replace(chain_net(), forbidden=())) == {}
 
     def test_unknown_predicate_name(self):
         from respetri import UnknownPredicate
@@ -454,6 +459,14 @@ class TestPressure:
         p = reachability_pressure(g, g.root, TokenAtom("p2", ">=", 5))
         assert p.distance is None
         assert not p.truncated
+
+    def test_a_marking_over_other_places_has_no_position(self):
+        g = explore(chain_net())
+        for m in (Marking.make({"p0": 1, "p1": 0}), Marking.make({"p0": 1, "p1": 0, "p2": 0, "x": 0}),
+                  Marking.make({"p0": 1, "p1": 0, "p2": 0}, {"t1": 0})):
+            assert g.position(m) is None
+            assert m not in g
+        assert g.position(g.root) == 0
 
     def test_node_not_in_graph(self):
         g = explore(chain_net())

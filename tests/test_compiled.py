@@ -14,6 +14,7 @@ import io
 import random
 import tokenize
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,11 @@ from respetri import (
     NetModel,
     NotEnabled,
     PlaceDef,
+    PressureThreshold,
     Priority,
+    RunRecord,
     Scripted,
+    StructureFailure,
     TokenAtom,
     TransitionDef,
     UniformRandom,
@@ -33,6 +37,7 @@ from respetri import (
     check_all_forbidden,
     check_forbidden,
     enabled_set,
+    evaluate_audit_rules,
     explore,
     find_cycles,
     fire,
@@ -329,3 +334,67 @@ def test_a_dropped_model_frees_its_kernel_without_the_cycle_collector():
         assert kernel() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The validation gate: `compiled` runs validate_net once per model object, so
+# no engine runs a model that validate_net rejects.
+# ---------------------------------------------------------------------------
+
+def _gate_model(**fields):
+    """A one-transition net p -> q, with the given NetModel fields replaced."""
+    base = dict(places=(PlaceDef("p"), PlaceDef("q")),
+                transitions=(TransitionDef("t", inputs=(("p", 1),), outputs=(("q", 1),)),),
+                initial=Marking.make({"p": 1, "q": 0}),
+                forbidden=(("f", TokenAtom("q", ">=", 1)),))
+    return NetModel(**{**base, **fields})
+
+
+TWICE_P = _gate_model(places=(PlaceDef("p"), PlaceDef("p"), PlaceDef("q")))
+TWO_W = _gate_model(audit_rules=(PressureThreshold("w", "f", 1), PressureThreshold("w", "f", 1)))
+UNKNOWN_IN_PREDICATE = _gate_model(forbidden=(("f", TokenAtom("nowhere", ">=", 1)),))
+ARC_TO_NOWHERE = _gate_model(
+    transitions=(TransitionDef("t", inputs=(("p", 1),), outputs=(("nowhere", 1),)),))
+
+
+@pytest.mark.parametrize("model, run, code", [
+    (TWICE_P, lambda m: explore(m), "DuplicateId"),
+    (TWO_W, lambda m: simulate(m, Scripted(("t",)), 1), "DuplicateId"),
+    (TWO_W, lambda m: evaluate_audit_rules(m, RunRecord((), (m.initial,))), "DuplicateId"),
+    (UNKNOWN_IN_PREDICATE, lambda m: simulate(m, UniformRandom(0), 3), "UnknownEndpoint"),
+    (TWICE_P, lambda m: fire(m, m.initial, "t"), "DuplicateId"),
+    (TWICE_P, lambda m: enabled_set(m, m.initial), "DuplicateId"),
+    (TWICE_P, lambda m: is_enabled(m, m.initial, "t"), "DuplicateId"),
+    (ARC_TO_NOWHERE, lambda m: siphons_and_traps(m), "UnknownEndpoint"),
+    (ARC_TO_NOWHERE, lambda m: find_cycles(m), "UnknownEndpoint"),
+    (replace(TWICE_P, forbidden=()), lambda m: check_all_forbidden(m), "DuplicateId"),
+], ids=["explore-place-twice", "simulate-two-rules-w", "audit-two-rules-w",
+        "simulate-predicate-on-unknown-place", "fire", "enabled_set", "is_enabled",
+        "siphons-arc-to-unknown-place", "cycles-arc-to-unknown-place",
+        "check-all-without-predicates"])
+def test_no_engine_runs_a_model_that_validate_net_rejects(model, run, code):
+    errors = validate_net(model)
+    assert code in [e.code for e in errors]
+    for _ in range(2):  # nothing is kept from a failed check, so it fails again
+        with pytest.raises(StructureFailure) as info:
+            run(model)
+        assert info.value.errors == errors
+    assert model._compiled is None
+
+
+def test_each_model_is_validated_once(monkeypatch):
+    calls = []
+    real = net_module.validate_net
+    monkeypatch.setattr(net_module, "validate_net", lambda m: calls.append(m) or real(m))
+    model = parse_model(UNCOVERABLE)
+    explore(model)
+    check_all_forbidden(model)
+    simulate(model, UniformRandom(0), 5)
+    karp_miller(model, model.forbidden_predicate("bad"))
+    siphons_and_traps(model)
+    find_cycles(model)
+    assert calls == [model]
+    api_built = _gate_model()
+    assert fire(api_built, api_built.initial, "t") == Marking.make({"p": 0, "q": 1})
+    check_forbidden(api_built, "f")
+    assert calls == [model, api_built]

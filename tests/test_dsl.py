@@ -124,6 +124,20 @@ class TestParsing:
             parse_model(text + "\n")
         assert [e.position for e in exc.value.errors] == [position]
 
+    @pytest.mark.parametrize("text, position, message", [
+        ("mode a\noverride b t := p >= 1", (2, 10), "override for undeclared mode 'b'"),
+        ('meta k "v" x', (1, 12), "trailing input 'x'"),
+        ("forbidden f := p 1", (1, 18), "expected comparison operator"),
+        ("forbidden f :=", (1, 15), "expected predicate atom"),
+        ("forbidden f := 5 >= 1", (1, 16), "unexpected '5' in predicate"),
+        ("meta k", (1, 7), "unexpected end of line, wanted string"),
+    ], ids=["override-undeclared-mode", "trailing-input", "no-comparison", "empty-predicate",
+            "non-atom", "meta-without-string"])
+    def test_model_error_points_at_the_bad_word(self, text, position, message):
+        with pytest.raises(ParseFailure) as exc:
+            parse_model(text + "\n")
+        assert [(e.position, e.message) for e in exc.value.errors] == [(position, message)]
+
     def test_expected_tokens_reported(self):
         with pytest.raises(ParseFailure) as exc:
             parse_model("banana p\n")

@@ -21,6 +21,7 @@ from respetri import (
     Not,
     Or,
     Patch,
+    PatchError,
     PlaceDef,
     RemoveArc,
     RemovePlace,
@@ -28,6 +29,7 @@ from respetri import (
     ResultingModelInvalid,
     SetCapacity,
     SetGuard,
+    StructureFailure,
     SwitchMode,
     TokenAtom,
     TransitionDef,
@@ -183,6 +185,32 @@ class TestApplyPatch:
         with pytest.raises(ResultingModelInvalid):
             apply_patch(m, bad)
 
+    @pytest.mark.parametrize("op, code, element", [
+        (AddArc("in", "p1", "t1"), "DuplicateArc", "t1/p1"),
+        (AddForbidden("gridlock", TokenAtom("p5", ">=", 2)), "DuplicateId", "gridlock"),
+        (AddPlace(PlaceDef("t1")), "DuplicateId", "t1"),
+        (AddTransition(TransitionDef("p1")), "DuplicateId", "p1"),
+    ], ids=["arc", "forbidden-name", "place-named-like-a-transition", "transition-named-like-a-place"])
+    def test_duplicates_are_judged_by_validate_net(self, op, code, element):
+        with pytest.raises(ResultingModelInvalid) as info:
+            apply_patch(build_traffic_model(), Patch((op,)))
+        assert isinstance(info.value, StructureFailure)
+        assert [(e.code, e.element) for e in info.value.errors] == [(code, element)]
+        assert str(info.value) == str(info.value.errors[0])
+
+    @pytest.mark.parametrize("op", [AddPlace(PlaceDef("p1")), AddTransition(TransitionDef("t1"))],
+                             ids=["place", "transition"])
+    def test_re_adding_an_existing_place_or_transition_is_a_patch_error(self, op):
+        # validate_net could not see it: the new one would replace the old
+        with pytest.raises(PatchError, match="'(p1|t1)' already exists"):
+            apply_patch(build_traffic_model(), Patch((op,)))
+
+    @pytest.mark.parametrize("op", [AddArc("sideways", "p1", "t1"), RemoveArc("sideways", "p1", "t1")],
+                             ids=["add", "remove"])
+    def test_an_unknown_arc_kind_is_a_patch_error(self, op):
+        with pytest.raises(PatchError, match="bad arc kind 'sideways'"):
+            apply_patch(build_traffic_model(), Patch((op,)))
+
     def test_atomicity_on_midway_failure(self):
         m = build_traffic_model()
         before = model_hash(m)
@@ -235,6 +263,8 @@ class TestPatchText:
         ("switch foo x", (1, 8)),
         ("add 5", (1, 5)),
         ("remove", (1, 7)),
+        ("rename place p q", (1, 1)),
+        ("remove place p q", (1, 16)),
     ])
     def test_error_points_at_the_bad_word(self, text, position):
         from respetri import ParseFailure

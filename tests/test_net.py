@@ -176,6 +176,10 @@ class TestPredicates:
         assert not is_upward_closed(TokenAtom("p", "<=", 1))
         assert not is_upward_closed(Not(TokenAtom("p", ">=", 1)))
 
+    def test_mode_atoms_are_not_upward_closed(self):
+        assert not is_upward_closed(ModeAtom("m"))
+        assert not is_upward_closed(Or((TokenAtom("p", ">=", 1), ModeAtom("m"))))
+
     def test_bad_operator_rejected(self):
         with pytest.raises(ValueError):
             TokenAtom("p", "!=", 1)
