@@ -348,19 +348,28 @@ def karp_miller(model: NetModel, target: Predicate, *,
     covering path is spurious), Unknown otherwise; never Unsafe without a
     trace.
 
-    Acceleration works on place bitmasks. An expanded node m is compared
-    once with each ancestor a on its path, itself included: `above` holds
-    the places where a[i] > m[i], `below` those where a[i] < m[i] (omega
-    compares as infinity). A child m2 = m + delta differs from m only on the
-    places delta changes, so its fail mask (a[i] > m2[i]) and lift mask
+    Acceleration compares a child only with the minimal markings on its
+    path. If a <= a' are both on the path and a' <= m2, then a <= m2 too,
+    and a lifts every place that a' lifts, in every round below: a' decides
+    nothing. So each node waiting to be expanded carries the minimal
+    markings on its path, itself included. A child's set is its parent's,
+    plus the child unless some ancestor is <= it, minus the markings it is
+    <= (expanded markings are unique, so the set is an antichain).
+
+    The comparisons work on place bitmasks. An expanded node m is compared
+    once with each minimal marking a: `above` holds the places where
+    a[i] > m[i], `below` those where a[i] < m[i] (omega compares as
+    infinity). A child m2 = m + delta differs from m only on the places
+    delta changes, so its fail mask (a[i] > m2[i]) and lift mask
     (a[i] < m2[i]) are those of m elsewhere, recomputed there. With `fin`
     the finite places of m2, a is <= m2 iff its fail mask misses `fin`;
-    the lift masks of those ancestors, restricted to `fin`, go to omega,
-    and rounds repeat over the other ancestors until one lifts nothing.
-    Each ancestor's lift is a monotone, inflationary operator on m2, so
-    rounds of simultaneous lifts reach the same least common fixpoint as
-    lifting one ancestor at a time in any order: the tree is the classical
-    one, node for node.
+    the lift masks of those markings, restricted to `fin`, go to omega, and
+    rounds repeat over the others until one lifts nothing. If none is
+    <= m2, nothing is lifted, and m2 <= a iff a's lift mask is empty: the
+    child's set comes from the same masks. Each marking's lift is a
+    monotone, inflationary operator on m2, so rounds of simultaneous lifts
+    reach the same least common fixpoint as lifting one ancestor at a time
+    in any order: the tree is the classical one, node for node.
     """
     net = compiled(model)
     targets = _target_basis(target, net)
@@ -378,15 +387,14 @@ def karp_miller(model: NetModel, target: Predicate, *,
     tree_edges: list[tuple[int, str, int]] = []
     parents = [-1]                       # parent of each tree node; -1 for the root
     seen: dict[tuple, int] = {root: 0}   # first occurrence of each marking, in tree order
-    worklist = deque([0])
+    # each node waiting to be expanded, with the minimal markings on its path
+    worklist = deque([(0, (root,))])
 
     while worklist:
-        node = worklist.popleft()
+        node, minimal = worklist.popleft()
         m = tree_nodes[node]
-        ancestors = []                   # (marking, above, below), the node first
-        a = node
-        while a >= 0:
-            am = tree_nodes[a]
+        ancestors = []                   # (marking, above, below) of each minimal marking
+        for am in minimal:
             above = below = 0
             for i, (x, y) in enumerate(zip(am, m)):
                 if x > y:
@@ -394,7 +402,6 @@ def karp_miller(model: NetModel, target: Predicate, *,
                 elif x < y:
                     below |= 1 << i
             ancestors.append((am, above, below))
-            a = parents[a]
         finite = sum(1 << i for i, x in enumerate(m) if x != OMEGA)
         for tid, needs, delta, off in rows:
             if any(m[p] < w for p, w in needs):
@@ -415,16 +422,16 @@ def karp_miller(model: NetModel, target: Predicate, *,
                     elif am[p] < m2[p]:
                         lift |= bit
                 if fail & fin:
-                    rest.append((fail, lift))
+                    rest.append((am, fail, lift))
                 else:
                     grow |= lift
             grow &= fin
             while grow:                  # later rounds, over the ancestors not yet <= m2
                 fin ^= grow
                 pending, grow, rest = rest, 0, []
-                for fail, lift in pending:
+                for am, fail, lift in pending:
                     if fail & fin:
-                        rest.append((fail, lift))
+                        rest.append((am, fail, lift))
                     else:
                         grow |= lift
                 grow &= fin
@@ -440,7 +447,12 @@ def karp_miller(model: NetModel, target: Predicate, *,
             parents.append(node)
             if m2 not in seen:
                 seen[m2] = child
-                worklist.append(child)
+                if len(rest) < len(ancestors):   # some ancestor is <= m2
+                    worklist.append((child, minimal))
+                else:
+                    # nothing was lifted, so m2 is minimal on its path, and the
+                    # ancestors with an empty lift mask are >= m2
+                    worklist.append((child, tuple(am for am, _, lift in rest if lift) + (m2,)))
 
     le = operator.le
     # the first covering occurrence of a marking is the first covering node

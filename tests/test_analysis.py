@@ -327,6 +327,17 @@ class TestKarpMiller:
                               "trans a in z:2 out x:2 y:1\ntrans b in x:2 out x:1 z:2\n")
         assert karp_miller(chained, TokenAtom("y", ">=", 2)).tree_nodes[2] == (math.inf,) * 3
 
+    def test_acceleration_by_a_minimal_ancestor_that_is_neither_root_nor_parent(self):
+        # t3's child y=1 w=1 is above node 1 (y=1) only: neither the root nor
+        # the parent z=1 lifts w, so node 1 must stay among node 2's minimal markings
+        net = parse_model("place x init 1\nplace y\nplace z\nplace w\n"
+                          "trans t1 in x:1 out y:1\ntrans t2 in y:1 out z:1\n"
+                          "trans t3 in z:1 out y:1 w:1\n")
+        pred = TokenAtom("w", ">=", 5)
+        cov = karp_miller(net, pred)
+        assert cov.tree_nodes[3] == (0, 1, 0, math.inf)
+        assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(net, pred)
+
     def test_toggles_tree_size_in_closed_form(self):
         for n in range(3, 9):
             model = toggles_net(n)
@@ -385,7 +396,7 @@ class TestKarpMiller:
         assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(model, pred)
 
     def test_same_tree_as_the_classical_loop_on_toggles_and_fixtures(self):
-        cases = [(m, m.forbidden_predicate(name)) for m in map(toggles_net, range(3, 9))
+        cases = [(m, m.forbidden_predicate(name)) for m in map(toggles_net, range(3, 11))
                  for name in ("overflow", "deep", "safe")]
         for build in (build_traffic_model, build_risk_scoring_model, build_srs_symbolic_model):
             m = build()
