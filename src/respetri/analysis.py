@@ -22,16 +22,15 @@ import networkx as nx
 
 from .errors import NodeNotInGraph, NotUpwardClosed
 from .net import (
+    And,
     CompiledNet,
-    CounterAtom,
     Marking,
     NetModel,
     Or,
     Predicate,
     TokenAtom,
+    _predicate_nodes,
     compiled,
-    is_upward_closed,
-    predicate_atoms,
 )
 
 
@@ -206,6 +205,18 @@ def violation_trace(graph: ReachGraph, predicate: Predicate) -> Optional[Violati
     return ViolationTrace(tuple(reversed(firings)), markings)
 
 
+def _explored_verdict(graph: ReachGraph, pred: Predicate, name: str) -> Optional[Verdict]:
+    """Unsafe with the shortest trace when a node of the graph satisfies the
+    predicate, Safe/ExhaustiveBounded when the exploration is untruncated,
+    else None."""
+    trace = violation_trace(graph, pred)
+    if trace is not None:
+        return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, name, trace)
+    if not graph.truncated:
+        return Verdict(VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED, name)
+    return None
+
+
 def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Verdict:
     """Verdict for one named forbidden predicate from an explored graph.
 
@@ -215,11 +226,8 @@ def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Ve
     backward coverability within `max_states` basis expansions.
     """
     pred = model.forbidden_predicate(predicate_name)
-    trace = violation_trace(graph, pred)
-    if trace is not None:
-        return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
-    if not graph.truncated:
-        return Verdict(VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED, predicate_name)
+    if verdict := _explored_verdict(graph, pred, predicate_name):
+        return verdict
     if _backward_coverable(model, pred, graph.bound.max_states) is False:
         return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
     return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
@@ -250,7 +258,8 @@ class CoverabilityResult:
 def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int, ...]]]:
     """Minimal markings of the predicate, via DNF, or None unless it is
     upward-closed and over tokens only (what coverability can decide)."""
-    if not is_upward_closed(pred) or any(isinstance(a, CounterAtom) for a in predicate_atoms(pred)):
+    if not all(isinstance(node, (And, Or)) or isinstance(node, TokenAtom) and node.op in (">=", ">")
+               for node in _predicate_nodes(pred)):
         return None
 
     def rec(node) -> list[dict]:
@@ -324,7 +333,7 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
         m = queue.popleft()
         if m not in basis:
             continue  # replaced by a smaller element
-        if expanded == budget:
+        if expanded >= budget:
             return None
         expanded += 1
         for need, delta in rows:
@@ -343,10 +352,14 @@ def karp_miller(model: NetModel, target: Predicate, *,
     reachability: an uncoverable verdict is sound for the full net. A tree
     that would grow past `bound.max_states` nodes stops with Unknown and no
     covering path. When the projection covers the target, bounded
-    exploration under the full semantics decides the verdict: Unsafe with a
-    replayable trace, Safe when an exploration finishes without one (the
-    covering path is spurious), Unknown otherwise; never Unsafe without a
-    trace.
+    exploration under the full semantics decides the verdict. It searches
+    for a marking that satisfies the target with token cuts of c, 4c and
+    16c, where c is the target's largest minimal-marking entry plus 2, and
+    at most `min(bound.max_states, 200_000)` states each. The first search
+    that finds one gives Unsafe with its shortest trace; the first that
+    finishes untruncated without one gives Safe (the covering path is
+    spurious); Unknown when every search is cut short. Never Unsafe without
+    a trace.
 
     Acceleration compares a child only with the minimal markings on its
     path. If a <= a' are both on the path and a' <= m2, then a <= m2 too,
@@ -383,9 +396,9 @@ def karp_miller(model: NetModel, target: Predicate, *,
         rows.append((t.id, t.needs, delta, ~sum(bit for _, _, bit in delta)))
     root = net.root[:n]
 
+    unknown = Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
     tree_nodes: list[tuple] = [root]
     tree_edges: list[tuple[int, str, int]] = []
-    parents = [-1]                       # parent of each tree node; -1 for the root
     seen: dict[tuple, int] = {root: 0}   # first occurrence of each marking, in tree order
     # each node waiting to be expanded, with the minimal markings on its path
     worklist = deque([(0, (root,))])
@@ -407,8 +420,7 @@ def karp_miller(model: NetModel, target: Predicate, *,
             if any(m[p] < w for p, w in needs):
                 continue
             if len(tree_nodes) >= bound.max_states:
-                verdict = Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
-                return CoverabilityResult(verdict, tree_nodes, tree_edges)
+                return CoverabilityResult(unknown, tree_nodes, tree_edges)
             m2 = list(m)
             for p, d, _ in delta:
                 m2[p] += d
@@ -444,7 +456,6 @@ def karp_miller(model: NetModel, target: Predicate, *,
             child = len(tree_nodes)
             tree_nodes.append(m2)
             tree_edges.append((node, tid, child))
-            parents.append(node)
             if m2 not in seen:
                 seen[m2] = child
                 if len(rest) < len(ancestors):   # some ancestor is <= m2
@@ -465,32 +476,18 @@ def karp_miller(model: NetModel, target: Predicate, *,
     path = []
     i = covering
     while i > 0:
-        path.append(tree_edges[i - 1][1])  # the edge into node i
-        i = parents[i]
-    verdict = _witness_verdict(model, target, max(map(max, targets), default=1),
-                               bound, predicate_name)
-    return CoverabilityResult(verdict, tree_nodes, tree_edges, tuple(reversed(path)))
-
-
-def _witness_verdict(model: NetModel, target: Predicate, base_cap: int,
-                     bound: ExplorationBound, predicate_name: str) -> Verdict:
-    """Bounded search under the full semantics for a marking covering the
-    target, with token cuts scaled from `base_cap`, its largest basis entry,
-    and at most `min(bound.max_states, 200_000)` states per search.
-
-    Unsafe carries the shortest trace found; Safe means one search finished
-    untruncated without a trace; Unknown means every search was cut short.
-    """
-    for cap in (base_cap + 2, (base_cap + 2) * 4, (base_cap + 2) * 16):
+        i, tid, _ = tree_edges[i - 1]      # the edge into node i, from its parent
+        path.append(tid)
+    cap = max(map(max, targets), default=1) + 2
+    for cut in (cap, cap * 4, cap * 16):
         graph = explore(model, ExplorationBound(max_states=min(bound.max_states, 200_000),
                                                 max_depth=bound.max_depth,
-                                                max_tokens_per_place=cap))
-        trace = violation_trace(graph, target)
-        if trace is not None:
-            return Verdict(VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, predicate_name, trace)
-        if not graph.truncated:
-            return Verdict(VerdictKind.SAFE, ProofKind.EXHAUSTIVE_BOUNDED, predicate_name)
-    return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
+                                                max_tokens_per_place=cut))
+        if verdict := _explored_verdict(graph, target, predicate_name):
+            break
+    else:
+        verdict = unknown
+    return CoverabilityResult(verdict, tree_nodes, tree_edges, tuple(reversed(path)))
 
 
 # ---------------------------------------------------------------------------

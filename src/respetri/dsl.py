@@ -449,7 +449,7 @@ class _Draft:
     transitions: list = field(default_factory=list)  # TransitionDef
     forbidden: list = field(default_factory=list)
     audits: list = field(default_factory=list)
-    modes: list = field(default_factory=list)        # [id, disabled set, overrides dict]
+    modes: list = field(default_factory=list)        # [id, disabled list, overrides list]
     ratelimits: list = field(default_factory=list)
 
 
@@ -566,7 +566,7 @@ def _parse_line(cur: _Cursor, draft: _Draft):
         if cur.accept_keyword("disable"):
             while not cur.at_end():
                 disabled.append(cur.take_ident().value)
-        draft.modes.append([name, disabled, {}])
+        draft.modes.append([name, disabled, []])
     elif kw == "override":
         at, mode = cur.here(), cur.take_ident().value
         trans = cur.take_ident().value
@@ -574,7 +574,7 @@ def _parse_line(cur: _Cursor, draft: _Draft):
         pred = _parse_pred(cur)
         for entry in draft.modes:
             if entry[0] == mode:
-                entry[2][trans] = pred
+                entry[2].append((trans, pred))
                 break
         else:
             raise _Err(at, f"override for undeclared mode {mode!r}")
@@ -596,15 +596,19 @@ def parse_model(src: ModelSource | str) -> NetModel:
     Raises ParseFailure with one ParseError per bad line, or StructureFailure
     (from `compiled`) when the parsed model violates net invariants.
     """
+    model = _parse_model(src)
+    compiled(model)
+    return model
+
+
+def _parse_model(src: ModelSource | str) -> NetModel:
+    """parse_model without the validation, for a caller that validates a patched copy."""
     if isinstance(src, str):
         src = ModelSource(src)
     draft = _Draft()
     _parse_lines(src.text, lambda cur: _parse_line(cur, draft))
 
-    modes = tuple(
-        ModeDef(mid, frozenset(dis), tuple(over.items()))
-        for mid, dis, over in draft.modes
-    )
+    modes = tuple(ModeDef(*entry) for entry in draft.modes)  # ModeDef freezes each list
     model = NetModel(
         places=tuple(draft.places),
         transitions=tuple(draft.transitions),
@@ -614,9 +618,7 @@ def parse_model(src: ModelSource | str) -> NetModel:
         modes=modes,
         metadata=tuple(draft.meta),
     )
-    model = expand_macros(model, draft.ratelimits)
-    compiled(model)
-    return model
+    return expand_macros(model, draft.ratelimits)
 
 
 # ---------------------------------------------------------------------------
@@ -790,13 +792,15 @@ _OP_READERS = {
 def parse_patch(text: str) -> Patch:
     """Parse the `.patch` text format; `add place|trans|forbidden` is `add `
     followed by the model line it adds."""
-    header = {"author": "", "rationale": ""}
+    header = {"author": None, "rationale": None}
     verbs = tuple(dict.fromkeys(verb for verb, _ in _OP_READERS))
     ops: list[EditOp] = []
 
     def parse_line(cur: _Cursor):
         tok = cur.take_ident()
         if tok.value in header:
+            if header[tok.value] is not None:
+                raise _Err((tok.line, tok.col), f"second {tok.value!r} line: a patch has at most one")
             header[tok.value] = cur.take_string()
             return
         if tok.value not in verbs:
@@ -810,4 +814,4 @@ def parse_patch(text: str) -> Patch:
         ops.append(readers[what.value](cur))
 
     _parse_lines(text, parse_line)
-    return Patch(tuple(ops), header["author"], header["rationale"])
+    return Patch(tuple(ops), header["author"] or "", header["rationale"] or "")

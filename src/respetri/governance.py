@@ -67,6 +67,8 @@ def apply_patch(model: NetModel, patch: Patch) -> NetModel:
     """
     places = {p.id: p for p in model.places}
     transitions = {t.id: t for t in model.transitions}
+    if len(places) < len(model.places) or len(transitions) < len(model.transitions):
+        compiled(model)  # a repeated id: raises the input's StructureFailure
     tokens = dict(model.initial.tokens_map)
     counters = dict(model.initial.counters_map)
     forbidden = list(model.forbidden)

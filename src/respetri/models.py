@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .dsl import AddArc, Patch, SetGuard, parse_model, pred_and
+from .dsl import AddArc, Patch, SetGuard, _parse_model, pred_and
 from .governance import apply_patch
 from .net import CounterAtom, CounterThreshold, Marking, NetModel, Predicate, TokenAtom
 
@@ -56,9 +56,9 @@ DEFAULT_CONFIG = FixtureConfig()
 def _fixture(name: str, cfg: FixtureConfig, forbidden: Predicate, ops=(), **fields) -> NetModel:
     """``data/<name>.net`` with cfg's initial tokens, its one forbidden
     predicate replaced by `forbidden`, any other `fields` replaced, and `ops`
-    applied through apply_patch, which rejects an invalid result with
-    ResultingModelInvalid even when `ops` is empty."""
-    model = parse_model((Path(__file__).parent / "data" / f"{name}.net").read_text(encoding="utf-8"))
+    applied through apply_patch, the one validation of the fixture, which
+    rejects an invalid result with ResultingModelInvalid even when `ops` is empty."""
+    model = _parse_model((Path(__file__).parent / "data" / f"{name}.net").read_text(encoding="utf-8"))
     tokens = dict(model.initial.tokens_map)
     for p, v in cfg.initial_tokens.items():
         if p not in tokens:

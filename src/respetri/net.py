@@ -100,17 +100,21 @@ class Or:
 Predicate = Union[TokenAtom, CounterAtom, ModeAtom, Not, And, Or]
 
 
-def predicate_atoms(pred: Predicate) -> Iterable[Predicate]:
-    """Yield every atom of the expression tree."""
+def _predicate_nodes(pred: Predicate) -> Iterable[Predicate]:
+    """Yield every node of the expression tree, operators and atoms."""
     stack = [pred]
     while stack:
         node = stack.pop()
+        yield node
         if isinstance(node, (And, Or)):
             stack.extend(node.operands)
         elif isinstance(node, Not):
             stack.append(node.operand)
-        else:
-            yield node
+
+
+def predicate_atoms(pred: Predicate) -> Iterable[Predicate]:
+    """Yield every atom of the expression tree."""
+    return (node for node in _predicate_nodes(pred) if not isinstance(node, (And, Or, Not)))
 
 
 def is_upward_closed(pred: Predicate) -> bool:
@@ -119,19 +123,9 @@ def is_upward_closed(pred: Predicate) -> bool:
     A predicate qualifies iff it is NOT-free, contains no mode atoms, and all
     token/counter atoms use >= or >.
     """
-    stack = [pred]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            return False
-        if isinstance(node, ModeAtom):
-            return False
-        if isinstance(node, (And, Or)):
-            stack.extend(node.operands)
-        elif isinstance(node, (TokenAtom, CounterAtom)):
-            if node.op not in (">=", ">"):
-                return False
-    return True
+    return all(isinstance(node, (And, Or))
+               or isinstance(node, (TokenAtom, CounterAtom)) and node.op in (">=", ">")
+               for node in _predicate_nodes(pred))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +146,8 @@ class Marking:
         object.__setattr__(self, "counters", tuple(sorted(self.counters)))
         object.__setattr__(self, "_tok", dict(self.tokens))
         object.__setattr__(self, "_cnt", dict(self.counters))
+        if len(self._tok) < len(self.tokens) or len(self._cnt) < len(self.counters):
+            raise ValueError(f"marking assigns a place or counter more than once: {self.tokens} {self.counters}")
 
     @classmethod
     def make(cls, tokens: Mapping[str, int], counters: Mapping[str, int] | None = None) -> "Marking":
@@ -173,9 +169,6 @@ class Marking:
     @property
     def counters_map(self) -> Mapping[str, int]:
         return self._cnt
-
-    def __hash__(self):
-        return hash((self.tokens, self.counters))
 
 
 def eval_predicate(pred: Predicate, m: Marking) -> bool:
@@ -414,6 +407,7 @@ def validate_net(model: NetModel) -> list[StructureError]:
             for kind, group in ids.items() for i in group if not _IDENT_RE.fullmatch(i)]
     # places and transitions share one namespace; every other kind has its own
     ids["place or transition"] = ids.pop("place") + ids.pop("transition")
+    ids["mode override"] = [f"{md.id}/{t}" for md in model.modes for t, _ in md.guard_overrides]
     errs += [StructureError("DuplicateId", i, f"{kind} id declared {n} times")
              for kind, group in ids.items() for i, n in Counter(group).items() if n > 1]
     for p in model.places:

@@ -241,8 +241,10 @@ class TestBackwardCoverability:
         assert needed == 10
         assert _backward_coverable(m, pred, needed) is False
         assert _backward_coverable(m, pred, needed - 1) is None
+        assert _backward_coverable(m, pred, -1) is None  # a negative budget expands nothing
         assert check_forbidden(m, "dd", ExplorationBound(max_states=needed)).kind is VerdictKind.SAFE
         assert check_forbidden(m, "dd", ExplorationBound(max_states=needed - 1)).kind is VerdictKind.UNKNOWN
+        assert check_forbidden(m, "dd", ExplorationBound(max_states=-1)).kind is VerdictKind.UNKNOWN
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10**9))

@@ -91,7 +91,9 @@ class TestCheck:
         'meta k "a"\nmeta k "b"\n',
         "place src init 3\nplace t__budget\ntrans t in src:1\nratelimit t max 1 per 2\n",
         "place src init 3\ntrans t in src:1\ntrans t__tick\nratelimit t max 1 per 2\n",
-    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition"])
+        "place p init 1\nplace q\ntrans t in p:1 out q:1\nmode a\n"
+        "override a t := p >= 1\noverride a t := p >= 5\n",
+    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition", "override-twice"])
     def test_duplicate_id_exit_3(self, workdir, text):
         (workdir / "dup.net").write_text(text)
         r = run_cli("check", "dup.net", cwd=workdir)

@@ -22,8 +22,10 @@ import pytest
 from respetri import (
     ExplorationBound,
     Marking,
+    ModeDef,
     NetModel,
     NotEnabled,
+    Patch,
     PlaceDef,
     PressureThreshold,
     Priority,
@@ -53,7 +55,7 @@ from respetri import (
 )
 from respetri import net as net_module
 from respetri.analysis import _backward_coverable
-from respetri.models import FIXTURES
+from respetri.models import FIXTURES, FixtureConfig
 from respetri.net import compiled, kernel_source
 
 from oracles import (marking_key, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
@@ -351,6 +353,13 @@ def _gate_model(**fields):
 
 
 TWICE_P = _gate_model(places=(PlaceDef("p"), PlaceDef("p"), PlaceDef("q")))
+TWICE_P_CAPPED_FIRST = _gate_model(places=(PlaceDef("p", 5), PlaceDef("p"), PlaceDef("q")))
+# the first override compiles, the text keeps both and a reparse the last
+OVERRIDE_TWICE = _gate_model(
+    places=(PlaceDef("p"), PlaceDef("q"), PlaceDef("mode_a")),
+    initial=Marking.make({"p": 1, "q": 0, "mode_a": 1}),
+    modes=(ModeDef("a", guard_overrides=(("t", TokenAtom("p", ">=", 1)),
+                                          ("t", TokenAtom("p", ">=", 5)))),))
 TWO_W = _gate_model(audit_rules=(PressureThreshold("w", "f", 1), PressureThreshold("w", "f", 1)))
 UNKNOWN_IN_PREDICATE = _gate_model(forbidden=(("f", TokenAtom("nowhere", ">=", 1)),))
 ARC_TO_NOWHERE = _gate_model(
@@ -368,10 +377,12 @@ ARC_TO_NOWHERE = _gate_model(
     (ARC_TO_NOWHERE, lambda m: siphons_and_traps(m), "UnknownEndpoint"),
     (ARC_TO_NOWHERE, lambda m: find_cycles(m), "UnknownEndpoint"),
     (replace(TWICE_P, forbidden=()), lambda m: check_all_forbidden(m), "DuplicateId"),
+    (TWICE_P_CAPPED_FIRST, lambda m: apply_patch(m, Patch(())), "DuplicateId"),
+    (OVERRIDE_TWICE, lambda m: check_forbidden(m, "f"), "DuplicateId"),
 ], ids=["explore-place-twice", "simulate-two-rules-w", "audit-two-rules-w",
         "simulate-predicate-on-unknown-place", "fire", "enabled_set", "is_enabled",
         "siphons-arc-to-unknown-place", "cycles-arc-to-unknown-place",
-        "check-all-without-predicates"])
+        "check-all-without-predicates", "empty-patch-place-twice", "mode-overrides-t-twice"])
 def test_no_engine_runs_a_model_that_validate_net_rejects(model, run, code):
     errors = validate_net(model)
     assert code in [e.code for e in errors]
@@ -380,6 +391,13 @@ def test_no_engine_runs_a_model_that_validate_net_rejects(model, run, code):
             run(model)
         assert info.value.errors == errors
     assert model._compiled is None
+
+
+def test_a_marking_assigns_each_place_and_counter_once():
+    for tokens, counters in (((("p", 1), ("p", 2), ("q", 0)), ()),
+                             ((("p", 1),), (("t", 0), ("t", 1)))):
+        with pytest.raises(ValueError, match="more than once"):
+            Marking(tokens, counters)
 
 
 def test_each_model_is_validated_once(monkeypatch):
@@ -398,3 +416,9 @@ def test_each_model_is_validated_once(monkeypatch):
     assert fire(api_built, api_built.initial, "t") == Marking.make({"p": 0, "q": 1})
     check_forbidden(api_built, "f")
     assert calls == [model, api_built]
+    for name, build in FIXTURES.items():
+        for cfg in (FixtureConfig(), FixtureConfig(safeguards_enabled=True)):
+            calls.clear()
+            fixture = build(cfg)
+            explore(fixture)
+            assert calls == [fixture], (name, cfg)

@@ -265,6 +265,8 @@ class TestPatchText:
         ("remove", (1, 7)),
         ("rename place p q", (1, 1)),
         ("remove place p q", (1, 16)),
+        ('author "a"\nrationale "r"\nauthor "b"', (3, 1)),
+        ('rationale "r"\nremove place p\nrationale "s"', (3, 1)),
     ])
     def test_error_points_at_the_bad_word(self, text, position):
         from respetri import ParseFailure
