@@ -22,15 +22,16 @@ import networkx as nx
 
 from .errors import NodeNotInGraph, NotUpwardClosed
 from .net import (
-    And,
     CompiledNet,
+    CounterAtom,
     Marking,
     NetModel,
     Or,
     Predicate,
     TokenAtom,
-    _predicate_nodes,
     compiled,
+    is_upward_closed,
+    predicate_atoms,
 )
 
 
@@ -258,8 +259,7 @@ class CoverabilityResult:
 def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int, ...]]]:
     """Minimal markings of the predicate, via DNF, or None unless it is
     upward-closed and over tokens only (what coverability can decide)."""
-    if not all(isinstance(node, (And, Or)) or isinstance(node, TokenAtom) and node.op in (">=", ">")
-               for node in _predicate_nodes(pred)):
+    if not is_upward_closed(pred) or any(isinstance(a, CounterAtom) for a in predicate_atoms(pred)):
         return None
 
     def rec(node) -> list[dict]:

@@ -299,7 +299,8 @@ class NetModel:
         object.__setattr__(self, "_pindex", {p.id: p for p in self.places})
         object.__setattr__(self, "_tindex", {t.id: t for t in self.transitions})
         counters = self.initial.counters_map
-        zeros = tuple((t.id, 0) for t in self.transitions if t.counted and t.id not in counters)
+        zeros = tuple((tid, 0) for tid in dict.fromkeys(t.id for t in self.transitions if t.counted)
+                      if tid not in counters)
         if zeros:
             object.__setattr__(self, "initial", Marking(self.initial.tokens, self.initial.counters + zeros))
 

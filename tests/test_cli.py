@@ -93,7 +93,9 @@ class TestCheck:
         "place src init 3\ntrans t in src:1\ntrans t__tick\nratelimit t max 1 per 2\n",
         "place p init 1\nplace q\ntrans t in p:1 out q:1\nmode a\n"
         "override a t := p >= 1\noverride a t := p >= 5\n",
-    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition", "override-twice"])
+        "place p\ntrans t counted\ntrans t counted\n",
+    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition", "override-twice",
+            "counted-twice"])
     def test_duplicate_id_exit_3(self, workdir, text):
         (workdir / "dup.net").write_text(text)
         r = run_cli("check", "dup.net", cwd=workdir)

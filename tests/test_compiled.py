@@ -360,6 +360,9 @@ OVERRIDE_TWICE = _gate_model(
     initial=Marking.make({"p": 1, "q": 0, "mode_a": 1}),
     modes=(ModeDef("a", guard_overrides=(("t", TokenAtom("p", ">=", 1)),
                                           ("t", TokenAtom("p", ">=", 5)))),))
+# the counter's zero is added once, so the model builds and validate_net judges the id
+COUNTED_TWICE = _gate_model(
+    transitions=(TransitionDef("t", inputs=(("p", 1),), outputs=(("q", 1),), counted=True),) * 2)
 TWO_W = _gate_model(audit_rules=(PressureThreshold("w", "f", 1), PressureThreshold("w", "f", 1)))
 UNKNOWN_IN_PREDICATE = _gate_model(forbidden=(("f", TokenAtom("nowhere", ">=", 1)),))
 ARC_TO_NOWHERE = _gate_model(
@@ -379,10 +382,12 @@ ARC_TO_NOWHERE = _gate_model(
     (replace(TWICE_P, forbidden=()), lambda m: check_all_forbidden(m), "DuplicateId"),
     (TWICE_P_CAPPED_FIRST, lambda m: apply_patch(m, Patch(())), "DuplicateId"),
     (OVERRIDE_TWICE, lambda m: check_forbidden(m, "f"), "DuplicateId"),
+    (COUNTED_TWICE, lambda m: explore(m), "DuplicateId"),
 ], ids=["explore-place-twice", "simulate-two-rules-w", "audit-two-rules-w",
         "simulate-predicate-on-unknown-place", "fire", "enabled_set", "is_enabled",
         "siphons-arc-to-unknown-place", "cycles-arc-to-unknown-place",
-        "check-all-without-predicates", "empty-patch-place-twice", "mode-overrides-t-twice"])
+        "check-all-without-predicates", "empty-patch-place-twice", "mode-overrides-t-twice",
+        "explore-counted-transition-twice"])
 def test_no_engine_runs_a_model_that_validate_net_rejects(model, run, code):
     errors = validate_net(model)
     assert code in [e.code for e in errors]

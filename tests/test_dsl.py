@@ -154,7 +154,9 @@ class TestParsing:
         ("place src init 3\ntrans t in src:1\ntrans t__tick\nratelimit t max 1 per 2\n", "t__tick"),
         ("place p init 1\nplace q\ntrans t in p:1 out q:1\nmode a\n"
          "override a t := p >= 1\noverride a t := p >= 5\n", "a/t"),
-    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition", "override-twice"])
+        ("place p\ntrans t counted\ntrans t counted\n", "t"),
+    ], ids=["meta-key", "ratelimit-budget-place", "ratelimit-tick-transition", "override-twice",
+            "counted-twice"])
     def test_duplicate_ids_are_rejected(self, text, element):
         # a macro never skips or overwrites a declaration, and every meta line is kept
         with pytest.raises(StructureFailure) as exc:
