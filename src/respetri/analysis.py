@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -87,7 +88,7 @@ class ReachGraph:
     Held as compiled-net state vectors in BFS discovery order, edges as
     (source, transition index, target) positions, and per state the edge
     that discovered it (-1 for the root). The Marking views are built on
-    first use and cached.
+    first use and cached; `root` builds only the first marking.
     """
 
     net: CompiledNet
@@ -102,9 +103,9 @@ class ReachGraph:
     def nodes(self) -> list[Marking]:
         return [self.net.marking(s) for s in self.states]
 
-    @property
+    @cached_property
     def root(self) -> Marking:
-        return self.nodes[0]
+        return self.net.marking(self.states[0])
 
     @cached_property
     def edges(self) -> list[tuple[Marking, str, Marking]]:
@@ -602,9 +603,30 @@ def node_distances(graph: ReachGraph, predicate: Predicate) -> list[Optional[int
     return dist
 
 
-def pressure_map(graph: ReachGraph, predicate: Predicate) -> dict[Marking, Optional[int]]:
-    """Minimum firings from every node to any satisfying node."""
-    return dict(zip(graph.nodes, node_distances(graph, predicate)))
+class _PressureView(Mapping):
+    """Read-only node -> distance mapping over `node_distances`: a lookup goes
+    through `graph.position`, and only iteration builds the node markings."""
+
+    def __init__(self, graph: ReachGraph, distances: list[Optional[int]]):
+        self._graph, self._distances = graph, distances
+
+    def __getitem__(self, m: Marking) -> Optional[int]:
+        i = self._graph.position(m) if isinstance(m, Marking) else None
+        if i is None:
+            raise KeyError(m)
+        return self._distances[i]
+
+    def __iter__(self) -> Iterator[Marking]:
+        return iter(self._graph.nodes)
+
+    def __len__(self) -> int:
+        return len(self._distances)
+
+
+def pressure_map(graph: ReachGraph, predicate: Predicate) -> Mapping[Marking, Optional[int]]:
+    """Minimum firings from every node to any satisfying node, as a read-only
+    mapping in discovery order."""
+    return _PressureView(graph, node_distances(graph, predicate))
 
 
 def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -> Pressure:

@@ -206,6 +206,9 @@ def drift_report(model: NetModel, run: RunRecord, predicate: Union[str, Predicat
     return DriftReport(tuple(series), tuple(episodes), graph.truncated)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)   # json.dumps(rec, sort_keys=True), built once
+
+
 def run_record_to_jsonl(run: RunRecord) -> str:
     """Line-delimited log: one record per step with marking, counters, alarms."""
     alarms_by_step: dict[int, list[Alarm]] = {}
@@ -223,5 +226,5 @@ def run_record_to_jsonl(run: RunRecord) -> str:
                 for a in alarms_by_step.get(step, [])
             ],
         }
-        lines.append(json.dumps(rec, sort_keys=True))
+        lines.append(_ENCODER.encode(rec))
     return "\n".join(lines) + "\n"

@@ -588,8 +588,11 @@ class CompiledNet:
     # -- vectors and markings ---------------------------------------------------
 
     def state(self, m: Marking) -> tuple[int, ...]:
-        return (tuple(m.tokens_at(p) for p in self.place_ids)
-                + tuple(m.counter_of(t) for t in self.counted))
+        try:
+            tokens = tuple(map(m.tokens_map.__getitem__, self.place_ids))
+        except KeyError as e:
+            raise UnknownReference(f"unknown place {e.args[0]!r}") from None
+        return tokens + tuple(m.counter_of(t) for t in self.counted)
 
     def describes(self, m: Marking) -> bool:
         """True iff m assigns exactly the model's places and counted transitions."""

@@ -38,9 +38,9 @@ from respetri import (
     siphons_and_traps,
     violation_trace,
 )
-from respetri.analysis import _backward_coverable, _target_basis
+from respetri.analysis import _backward_coverable, _target_basis, node_distances
 from respetri.net import compiled, predicate_atoms
-from respetri.models import build_risk_scoring_model, build_srs_symbolic_model, build_traffic_model
+from respetri.models import FIXTURES, build_risk_scoring_model, build_srs_symbolic_model, build_traffic_model
 
 from oracles import (oracle_karp_miller, oracle_siphons_traps, oracle_verdict, random_net,
                      random_predicate)
@@ -474,12 +474,48 @@ class TestPressure:
         assert not p.truncated
 
     def test_a_marking_over_other_places_has_no_position(self):
-        g = explore(chain_net())
+        model = chain_net()
+        g = explore(model)
+        dist = pressure_map(g, model.forbidden_predicate("leak"))
         for m in (Marking.make({"p0": 1, "p1": 0}), Marking.make({"p0": 1, "p1": 0, "p2": 0, "x": 0}),
-                  Marking.make({"p0": 1, "p1": 0, "p2": 0}, {"t1": 0})):
+                  Marking.make({"p0": 1, "p1": 0, "p2": 0}, {"t1": 0}),
+                  Marking.make({"p0": 9, "p1": 0, "p2": 0})):
             assert g.position(m) is None
             assert m not in g
+            with pytest.raises(KeyError):
+                dist[m]
+            assert m not in dist and dist.get(m) is None
+        assert "p0" not in dist
         assert g.position(g.root) == 0
+
+    def test_root_builds_one_marking(self):
+        model = build_traffic_model()
+        g = explore(model)
+        assert g.root == model.initial
+        assert "nodes" not in g.__dict__
+        assert g.root == g.nodes[0]
+
+    def test_map_equals_the_distances_by_position(self):
+        """The pressure view reads as the node -> distance dict, in discovery
+        order, under a bound that explores everything and one that cuts."""
+        rng = random.Random(1919)
+        cases = [(m, pred) for m in [b() for b in FIXTURES.values()] + [chain_net()]
+                 + [toggles_net(n) for n in range(3, 8)] for _, pred in m.forbidden]
+        for _ in range(120):
+            model = random_net(rng)
+            cases.append((model, random_predicate(rng, model)))
+        cut = ExplorationBound(max_states=40, max_depth=6, max_tokens_per_place=3)
+        truncated = set()
+        for model, pred in cases:
+            for bound in (WIDE, cut):
+                g = explore(model, bound)
+                want = dict(zip(g.nodes, node_distances(g, pred)))
+                dist = pressure_map(g, pred)
+                assert dict(dist) == want and dist == want and dict(dist.items()) == want
+                assert list(dist) == g.nodes and len(dist) == len(g.nodes)
+                assert all(m in dist and dist.get(m) == d for m, d in want.items())
+                truncated.add(g.truncated)
+        assert truncated == {False, True}
 
     def test_node_not_in_graph(self):
         g = explore(chain_net())

@@ -1,5 +1,6 @@
 """Simulation policies, audit alarms, drift reports."""
 
+import hashlib
 import json
 import time
 
@@ -232,3 +233,12 @@ class TestRunLog:
         assert records[1]["fired"] == "t"
         assert records[2]["counters"] == {"t": 2}
         assert records[2]["alarms"] == [{"observed": 2, "rule": "c"}]
+
+    def test_jsonl_bytes_are_pinned(self):
+        """A counted transition and 20 alarms over 31 steps; the digest was
+        taken before the encoder was built once per module."""
+        m = build_srs_symbolic_model(FixtureConfig(initial_tokens={"pA": 4, "p_permit": 4}))
+        run = simulate(m, UniformRandom(10), 40)
+        assert (len(run.firings), len(run.alarms)) == (31, 20)
+        assert hashlib.sha256(run_record_to_jsonl(run).encode()).hexdigest() == (
+            "1517fbcdfbeae2f6dd69cb55d73b473f71dd54c6083cecf7013b9fa8b04fb112")

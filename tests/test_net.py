@@ -38,7 +38,7 @@ from respetri import (
     serialize_model,
     validate_net,
 )
-from respetri.models import build_srs_symbolic_model
+from respetri.models import build_srs_symbolic_model, build_traffic_model
 
 from oracles import random_net
 
@@ -465,6 +465,13 @@ class TestMarking:
 
         with pytest.raises(UnknownReference):
             Marking.make({"p": 1}).tokens_at("q")
+
+    def test_token_game_names_a_place_the_marking_lacks(self):
+        model, m = build_traffic_model(), Marking.make({"p1": 1})
+        for call in (lambda: fire(model, m, "t1"), lambda: enabled_set(model, m),
+                     lambda: is_enabled(model, m, "t1")):
+            with pytest.raises(UnknownReference, match="unknown place 'p2'"):
+                call()
 
     def test_counter_defaults_to_zero(self):
         assert Marking.make({"p": 1}).counter_of("t") == 0
