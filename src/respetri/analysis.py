@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -81,6 +82,26 @@ class Verdict:
         return f"{self.checked_predicate}: {self.kind.value}/{self.proof.value}"
 
 
+class _NodeMap(Mapping):
+    """Read-only node -> value mapping over a list by position: a lookup goes
+    through `graph.position`, and only iteration builds the node markings."""
+
+    def __init__(self, graph: ReachGraph, values: list):
+        self._graph, self._values = graph, values
+
+    def __getitem__(self, m: Marking):
+        i = self._graph.position(m)
+        if i is None:
+            raise KeyError(m)
+        return self._values[i]
+
+    def __iter__(self) -> Iterator[Marking]:
+        return iter(self._graph.nodes)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 @dataclass(eq=False)
 class ReachGraph:
     """Explored marking graph; every edge (m, t, m') satisfies m' = fire(m, t).
@@ -88,7 +109,9 @@ class ReachGraph:
     Held as compiled-net state vectors in BFS discovery order, edges as
     (source, transition index, target) positions, and per state the edge
     that discovered it (-1 for the root). The Marking views are built on
-    first use and cached; `root` builds only the first marking.
+    first use and cached; `root` builds only the first marking. `depth`, like
+    `pressure_map`, is a read-only view by position: a lookup builds no
+    Marking, and a key that is not a node (or not a Marking) is missing.
     """
 
     net: CompiledNet
@@ -113,23 +136,23 @@ class ReachGraph:
         return [(nodes[a], ids[t], nodes[b]) for a, t, b in self.state_edges]
 
     @cached_property
-    def depth(self) -> dict[Marking, int]:
+    def depth(self) -> Mapping[Marking, int]:
         levels = [0]
         for e in self.discovered_by[1:]:
             levels.append(levels[self.state_edges[e][0]] + 1)
-        return dict(zip(self.nodes, levels))
+        return _NodeMap(self, levels)
 
-    def position(self, m: Marking) -> Optional[int]:
+    def position(self, m: object) -> Optional[int]:
         """Position of m in `states`, or None when m is not a node."""
-        if not self.net.describes(m):
+        if not isinstance(m, Marking) or not self.net.describes(m):
             return None
         return self.index.get(self.net.state(m))
 
-    def __contains__(self, m: Marking) -> bool:
+    def __contains__(self, m: object) -> bool:
         return self.position(m) is not None
 
     def nodes_within_depth(self, d: int) -> frozenset[Marking]:
-        return frozenset(m for m, dep in self.depth.items() if dep <= d)
+        return frozenset(self.nodes[:bisect_right(self.depth._values, d)])
 
 
 def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> ReachGraph:
@@ -603,38 +626,17 @@ def node_distances(graph: ReachGraph, predicate: Predicate) -> list[Optional[int
     return dist
 
 
-class _PressureView(Mapping):
-    """Read-only node -> distance mapping over `node_distances`: a lookup goes
-    through `graph.position`, and only iteration builds the node markings."""
-
-    def __init__(self, graph: ReachGraph, distances: list[Optional[int]]):
-        self._graph, self._distances = graph, distances
-
-    def __getitem__(self, m: Marking) -> Optional[int]:
-        i = self._graph.position(m) if isinstance(m, Marking) else None
-        if i is None:
-            raise KeyError(m)
-        return self._distances[i]
-
-    def __iter__(self) -> Iterator[Marking]:
-        return iter(self._graph.nodes)
-
-    def __len__(self) -> int:
-        return len(self._distances)
-
-
 def pressure_map(graph: ReachGraph, predicate: Predicate) -> Mapping[Marking, Optional[int]]:
     """Minimum firings from every node to any satisfying node, as a read-only
     mapping in discovery order."""
-    return _PressureView(graph, node_distances(graph, predicate))
+    return _NodeMap(graph, node_distances(graph, predicate))
 
 
 def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -> Pressure:
     """Pressure of one marking; raises NodeNotInGraph for unexplored markings."""
-    i = graph.position(m)
-    if i is None:
-        raise NodeNotInGraph(f"marking is not a node of the explored graph")
-    return Pressure(node_distances(graph, predicate)[i], graph.truncated)
+    if m not in graph:
+        raise NodeNotInGraph("marking is not a node of the explored graph")
+    return Pressure(pressure_map(graph, predicate)[m], graph.truncated)
 
 
 def check_all_forbidden(model: NetModel,

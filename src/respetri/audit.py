@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -16,7 +17,7 @@ from .analysis import (
     DEFAULT_BOUND,
     ExplorationBound,
     explore,
-    node_distances,
+    pressure_map,
 )
 from .errors import PressureUnavailable, ScriptedFiringDisabled
 from .net import (
@@ -120,7 +121,7 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
 
 
 def _rule_condition(rule: AuditRule, run: RunRecord, step: int,
-                    pressures: Optional[list]) -> tuple[bool, int]:
+                    pressures: Optional[Mapping]) -> tuple[bool, int]:
     """(holds, observed value) for one rule at one step (post-firing state)."""
     m = run.markings[step]
     if isinstance(rule, CounterThreshold):
@@ -134,7 +135,7 @@ def _rule_condition(rule: AuditRule, run: RunRecord, step: int,
         v = m.tokens_at(rule.place)
         return _OPS[rule.op](v, rule.level), v
     if isinstance(rule, PressureThreshold):
-        d = pressures[step] if pressures else None
+        d = pressures.get(m)
         if d is None:
             return False, -1
         return d <= rule.max_distance, d
@@ -151,14 +152,9 @@ def evaluate_audit_rules(model: NetModel, run: RunRecord,
     outside a truncated graph simply produce no alarm.
     """
     compiled(model)
-    pressures: dict = {}
     pressure_rules = [r for r in model.audit_rules if isinstance(r, PressureThreshold)]
-    if pressure_rules:
-        graph = explore(model, bound)
-        at = [graph.position(m) for m in run.markings]
-        for r in pressure_rules:
-            dist = node_distances(graph, model.forbidden_predicate(r.predicate))
-            pressures[r.id] = [None if i is None else dist[i] for i in at]
+    graph = explore(model, bound) if pressure_rules else None
+    pressures = {r.id: pressure_map(graph, model.forbidden_predicate(r.predicate)) for r in pressure_rules}
     alarms: list[Alarm] = []
     for step in range(len(run.markings)):
         for rule in model.audit_rules:
@@ -187,14 +183,14 @@ def drift_report(model: NetModel, run: RunRecord, predicate: Union[str, Predicat
     """
     pred = model.forbidden_predicate(predicate) if isinstance(predicate, str) else predicate
     graph = explore(model, bound)
-    dist = node_distances(graph, pred)
+    dist = pressure_map(graph, pred)
     series: list[int] = []
     for i, m in enumerate(run.markings):
-        j = graph.position(m)
-        if j is None:
+        try:
+            d = dist[m]
+        except KeyError:
             raise PressureUnavailable(
-                f"marking at step {i} is outside the explored graph (bound exhausted)")
-        d = dist[j]
+                f"marking at step {i} is outside the explored graph (bound exhausted)") from None
         series.append(d if d is not None else -1)
     episodes = []
     start = 0

@@ -31,7 +31,7 @@ from .analysis import (
     explore,
     find_cycles,
     graph_verdict,
-    node_distances,
+    pressure_map,
     siphons_and_traps,
 )
 from .audit import (
@@ -166,7 +166,7 @@ def cmd_check(args):
         results["traps"] = [sorted(x) for x in t]
     if pred is not None:
         results["pressure"] = {"predicate": args.pressure,
-                               "distance": node_distances(graph, pred)[0],
+                               "distance": pressure_map(graph, pred)[graph.root],
                                "truncated": graph.truncated}
     kinds = {v["kind"] for v in verdicts.values()}
     code = 1 if "unsafe" in kinds else 2 if "unknown" in kinds else 0

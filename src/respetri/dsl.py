@@ -33,6 +33,7 @@ from .net import (
     IDENT,
     _AUDIT_MINIMA,
     _OPS,
+    _is_int,
     And,
     AuditRule,
     CounterAtom,
@@ -470,18 +471,31 @@ def _parse_lines(text: str, parse_line) -> None:
         raise ParseFailure(errors)
 
 
+def _clause(cur: _Cursor, word: str, seen: set) -> bool:
+    """accept_keyword(word) for a clause that a declaration has at most once:
+    a second one is an error at its word."""
+    tok = cur.peek()
+    if not cur.accept_keyword(word):
+        return False
+    if word in seen:
+        raise _Err((tok.line, tok.col), f"second {word!r} clause: a declaration has at most one")
+    seen.add(word)
+    return True
+
+
 def _parse_place(cur: _Cursor) -> tuple[PlaceDef, int]:
     """`<id> [cap k] [init n] [label "..."]`, after the `place` keyword."""
     name = cur.take_ident().value
     cap = None
     init = 0
     label = ""
+    seen: set = set()
     while not cur.at_end():
-        if cur.accept_keyword("cap"):
+        if _clause(cur, "cap", seen):
             cap = cur.take_int(minimum=1)
-        elif cur.accept_keyword("init"):
+        elif _clause(cur, "init", seen):
             init = cur.take_int(minimum=0)
-        elif cur.accept_keyword("label"):
+        elif _clause(cur, "label", seen):
             label = cur.take_string()
         else:
             tok = cur.peek()
@@ -513,12 +527,13 @@ def _parse_trans(cur: _Cursor) -> TransitionDef:
     arcs: dict[str, list] = {}
     guard = None
     counted = False
+    seen: set = set()
     while not cur.at_end():
         tok = cur.peek()
         if tok.kind == "ident" and tok.value in ARC_FIELDS:
             cur.i += 1
             arcs.setdefault(ARC_FIELDS[tok.value], []).extend(_parse_arc_list(cur))
-        elif cur.accept_keyword("guard"):
+        elif _clause(cur, "guard", seen):
             guard = _parse_pred(cur)
         elif cur.accept_keyword("counted"):
             counted = True
@@ -652,8 +667,8 @@ def expand_macros(model: NetModel, ratelimits: list[RateLimit] | tuple = ()) -> 
             tokens[md.place_id] = 1 if (none_existed and md is model.modes[0]) else 0
 
     for rl in ratelimits:
-        if rl.max_firings < 1 or rl.window < 1:
-            raise MacroArity(f"ratelimit {rl.transition}: max {rl.max_firings} per {rl.window}")
+        if not all(_is_int(v) and v >= 1 for v in (rl.max_firings, rl.window)):
+            raise MacroArity(f"ratelimit {rl.transition}: max {rl.max_firings!r} per {rl.window!r}")
         i = next((i for i, t in enumerate(transitions) if t.id == rl.transition), None)
         if i is None:
             raise UnknownTransitionInMacro(f"ratelimit names unknown transition {rl.transition!r}")

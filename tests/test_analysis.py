@@ -42,8 +42,8 @@ from respetri.analysis import _backward_coverable, _target_basis, node_distances
 from respetri.net import compiled, predicate_atoms
 from respetri.models import FIXTURES, build_risk_scoring_model, build_srs_symbolic_model, build_traffic_model
 
-from oracles import (oracle_karp_miller, oracle_siphons_traps, oracle_verdict, random_net,
-                     random_predicate)
+from oracles import (marking_key, oracle_bfs, oracle_karp_miller, oracle_siphons_traps,
+                     oracle_verdict, random_net, random_predicate)
 
 WIDE = ExplorationBound(max_states=10**6, max_depth=10**5, max_tokens_per_place=32)
 
@@ -76,6 +76,35 @@ class TestExplore:
         assert len(g.edges) == 2
         assert not g.truncated
         assert g.depth[g.root] == 0
+
+    def test_a_depth_lookup_builds_no_marking(self):
+        g = explore(build_traffic_model())
+        assert g.depth[g.root] == 0
+        assert "nodes" not in g.__dict__
+
+    def test_depth_and_prefixes_match_the_oracle_levels(self):
+        """`depth` reads as the node -> BFS level dict, and nodes_within_depth(d)
+        is the set of nodes at level <= d, for every d from -1 to one past the
+        deepest level, on untruncated, state-cut and depth-cut graphs."""
+        rng = random.Random(2030)
+        models = [b() for b in FIXTURES.values()] + [chain_net()] + [toggles_net(n) for n in range(3, 8)]
+        models += [random_net(rng, plain=i % 2 == 0) for i in range(120)]
+        bounds = {"untruncated": ExplorationBound(100_000, 10_000, 5),
+                  "state-cut": ExplorationBound(7, 10_000, 5),
+                  "depth-cut": ExplorationBound(100_000, 2, 5)}
+        seen = set()
+        for model in models:
+            for kind, bound in bounds.items():
+                g = explore(model, bound)
+                _, _, levels, _ = oracle_bfs(model, bound.max_states, bound.max_depth,
+                                             bound.max_tokens_per_place)
+                want = {m: levels[marking_key(m)] for m in g.nodes}
+                assert dict(g.depth) == want and g.depth == want and len(g.depth) == len(want)
+                for d in range(-1, max(want.values()) + 2):
+                    assert g.nodes_within_depth(d) == frozenset(m for m, dep in want.items() if dep <= d)
+                if g.truncated == (kind != "untruncated"):
+                    seen.add(kind)
+        assert seen == set(bounds)
 
     def test_monotone_prefix(self):
         g = explore(build_traffic_model())
@@ -487,6 +516,18 @@ class TestPressure:
             assert m not in dist and dist.get(m) is None
         assert "p0" not in dist
         assert g.position(g.root) == 0
+
+    def test_a_value_that_is_not_a_marking_is_not_a_node(self):
+        model = chain_net()
+        g = explore(model)
+        pred = model.forbidden_predicate("leak")
+        dist = pressure_map(g, pred)
+        for key in ("x", None, 0, [], g.states[0]):
+            assert g.position(key) is None
+            assert key not in g and key not in g.depth and key not in dist
+            assert g.depth.get(key) is None and dist.get(key) is None
+            with pytest.raises(NodeNotInGraph):
+                reachability_pressure(g, key, pred)
 
     def test_root_builds_one_marking(self):
         model = build_traffic_model()

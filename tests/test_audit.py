@@ -95,6 +95,12 @@ class TestPolicies:
         assert run.firings == ()
         assert len(run.markings) == 1
 
+    def test_steps_counts_the_firings(self):
+        assert simulate(pulse_net(), UniformRandom(0), 0).steps == 0
+        assert simulate(pulse_net(), UniformRandom(0), 7).steps == 7
+        run = simulate(build_traffic_model(), UniformRandom(0), 7)   # deadlocks after 4 firings
+        assert run.steps == run.deadlock_step == len(run.firings) == 4
+
 
 class TestAuditRules:
     def test_counter_threshold_first_alarm_at_third_firing(self):

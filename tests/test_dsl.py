@@ -138,6 +138,27 @@ class TestParsing:
             parse_model(text + "\n")
         assert [(e.position, e.message) for e in exc.value.errors] == [(position, message)]
 
+    @pytest.mark.parametrize("line, col, word", [
+        ("place p cap 2 init 1 cap 3", 22, "cap"),
+        ("place p init 1 init 0", 16, "init"),
+        ('place p label "a" label "b"', 19, "label"),
+        ("trans t in p:1 out q:1 guard p >= 1 guard q >= 5", 37, "guard"),
+        ('place p cap 2 init 1 cap 3 init 0 label "a" label "b"', 22, "cap"),
+    ], ids=["cap", "init", "label", "guard", "first-repeat-is-the-error"])
+    def test_a_repeated_clause_is_an_error_at_the_second(self, line, col, word):
+        # a model line and the patch line that adds it read the same clauses
+        message = f"second {word!r} clause: a declaration has at most one"
+        for parse, text, at in ((parse_model, line, (1, col)), (parse_patch, "add " + line, (1, col + 4))):
+            with pytest.raises(ParseFailure) as exc:
+                parse(text)
+            assert [(e.position, e.message) for e in exc.value.errors] == [(at, message)]
+
+    def test_arc_clauses_of_one_role_accumulate(self):
+        line = "trans t in p:1 in q:2 out r:1 out s:1 guard p >= 1"
+        places = "place p\nplace q\nplace r\nplace s\n"
+        for t in (parse_model(places + line).transition("t"), parse_patch("add " + line).ops[0].transition):
+            assert (t.inputs, t.outputs) == ((("p", 1), ("q", 2)), (("r", 1), ("s", 1)))
+
     def test_expected_tokens_reported(self):
         with pytest.raises(ParseFailure) as exc:
             parse_model("banana p\n")
@@ -289,6 +310,16 @@ class TestRateLimit:
 
         with pytest.raises(UnknownTransitionInMacro):
             parse_model("place p\nratelimit ghost max 1 per 1\n")
+
+    @pytest.mark.parametrize("max_firings, window", [
+        (0, 3), (2, 0), ("2", 3), (2, 2.5), (True, 3), (2, False), (2, None),
+    ], ids=["max-0", "per-0", "str-max", "float-window", "bool-max", "bool-window", "none-window"])
+    def test_api_built_ratelimit_needs_positive_int_arguments(self, max_firings, window):
+        from respetri.errors import MacroArity
+
+        model = parse_model("place p init 1\ntrans t in p:1\n")
+        with pytest.raises(MacroArity, match=f"^ratelimit t: max {max_firings!r} per {window!r}$"):
+            expand_macros(model, [RateLimit("t", max_firings, window)])
 
 
 class TestSerialization:

@@ -1,6 +1,8 @@
 """Token-game semantics, validation, and marking invariants."""
 
 import random
+import types
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +21,17 @@ from respetri import (
     OccupancyThreshold,
     Or,
     ParseFailure,
+    Patch,
     PlaceDef,
     PressureThreshold,
     RateThreshold,
+    Scripted,
     StructureFailure,
     TokenAtom,
     TransitionDef,
     UnknownReference,
     UnknownTransition,
+    apply_patch,
     enabled_set,
     eval_predicate,
     fire,
@@ -36,8 +41,11 @@ from respetri import (
     model_hash,
     parse_model,
     serialize_model,
+    simulate,
     validate_net,
 )
+from respetri.dsl import format_op, format_predicate
+from respetri.net import compiled
 from respetri.models import build_srs_symbolic_model, build_traffic_model
 
 from oracles import random_net
@@ -475,3 +483,31 @@ class TestMarking:
 
     def test_counter_defaults_to_zero(self):
         assert Marking.make({"p": 1}).counter_of("t") == 0
+
+    def test_model_lookup_of_an_unknown_id(self):
+        model = chain_net()
+        assert model.place("p0") == PlaceDef("p0") and model.transition("t1").id == "t1"
+        with pytest.raises(UnknownReference, match="^unknown place 'nope'$"):
+            model.place("nope")
+        with pytest.raises(UnknownTransition, match="^unknown transition 'p0'$"):
+            model.transition("p0")
+
+
+# Of no kind that a predicate, audit rule or edit op dispatch knows; its id
+# gets it through validation and the serializer's sort to the dispatch.
+STRANGER = types.SimpleNamespace(id="stranger")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_predicate(STRANGER, initial_marking(chain_net())),
+    lambda: compiled(chain_net()).predicate(STRANGER),
+    lambda: format_predicate(STRANGER),
+    lambda: serialize_model(replace(chain_net(), audit_rules=(STRANGER,))),
+    lambda: format_op(STRANGER),
+    lambda: apply_patch(chain_net(), Patch((STRANGER,))),
+    lambda: simulate(replace(chain_net(), audit_rules=(STRANGER,)), Scripted(()), 0),
+], ids=["eval_predicate", "compiled-predicate", "format_predicate", "serialize-audit-rule",
+        "format_op", "apply_patch", "audit-rule-condition"])
+def test_a_value_of_no_known_kind_is_a_type_error(call):
+    with pytest.raises(TypeError, match=r"^not an? (predicate|audit rule|edit op): namespace\(id='stranger'\)$"):
+        call()
