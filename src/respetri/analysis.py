@@ -15,14 +15,14 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Optional
 
 import networkx as nx
 
-from .errors import NodeNotInGraph, NotUpwardClosed
+from .errors import NodeNotInGraph, NotUpwardClosed, UnknownReference
 from .net import (
     CompiledNet,
     CounterAtom,
@@ -31,6 +31,7 @@ from .net import (
     Or,
     Predicate,
     TokenAtom,
+    _is_int,
     compiled,
     is_upward_closed,
     predicate_atoms,
@@ -42,6 +43,11 @@ class ExplorationBound:
     max_states: int = 1_000_000
     max_depth: int = 10_000
     max_tokens_per_place: int = 64
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not _is_int(v := getattr(self, f.name)):
+                raise TypeError(f"ExplorationBound.{f.name} must be an int, got {v!r}")
 
 
 DEFAULT_BOUND = ExplorationBound()
@@ -144,9 +150,12 @@ class ReachGraph:
 
     def position(self, m: object) -> Optional[int]:
         """Position of m in `states`, or None when m is not a node."""
-        if not isinstance(m, Marking) or not self.net.describes(m):
+        if not isinstance(m, Marking):
             return None
-        return self.index.get(self.net.state(m))
+        try:
+            return self.index.get(self.net.state(m))
+        except UnknownReference:
+            return None
 
     def __contains__(self, m: object) -> bool:
         return self.position(m) is not None

@@ -19,7 +19,7 @@ from .analysis import (
     explore,
     pressure_map,
 )
-from .errors import PressureUnavailable, ScriptedFiringDisabled
+from .errors import PressureUnavailable, ScriptedFiringDisabled, UnknownTransition
 from .net import (
     AuditRule,
     CounterThreshold,
@@ -44,7 +44,8 @@ class UniformRandom:
 @dataclass(frozen=True)
 class Priority:
     """Prefer the earliest listed enabled transition; unlisted ties fall back
-    to a seeded uniform choice."""
+    to a seeded uniform choice. Every listed name must be a transition of
+    the simulated model (see simulate)."""
 
     order: tuple[str, ...]
     seed: int = 0
@@ -52,7 +53,8 @@ class Priority:
 
 @dataclass(frozen=True)
 class Scripted:
-    """Fire exactly the given sequence; fails fast on a disabled firing."""
+    """Fire exactly the given sequence; fails fast on a disabled firing. Every
+    name must be a transition of the simulated model (see simulate)."""
 
     firings: tuple[str, ...]
 
@@ -85,9 +87,16 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
 
     Stops early at a deadlock (no enabled transition), recording the step at
     which it occurred. Audit rules declared on the model are evaluated over
-    the finished run; pressure rules explore within `bound`.
+    the finished run; pressure rules explore within `bound`. Before the first
+    step, a Priority or Scripted policy that names a transition the model
+    does not declare raises UnknownTransition, listing each such name once;
+    a declared scripted transition that is disabled when its turn comes
+    raises ScriptedFiringDisabled.
     """
     net = compiled(model)
+    named = policy.order if isinstance(policy, Priority) else getattr(policy, "firings", ())
+    if unknown := [t for t in dict.fromkeys(named) if not model.has_transition(t)]:
+        raise UnknownTransition(f"the policy names unknown transitions: {', '.join(map(repr, unknown))}")
     v = net.root
     states = [v]
     firings: list[str] = []

@@ -7,11 +7,22 @@ Exit codes are a stable contract:
 * ``simulate`` — 0 run completed, 3 usage, parse or I/O error, 4 a scripted
   firing was disabled.
 * ``edit``    — 0 patch applied, 1 ``--verify`` found a safe-to-not-safe
-  regression, 3 any error (atomic: nothing is written on failure).
+  regression, 3 any error (nothing is written when a check fails).
+
+``edit`` checks the patch and the log before it writes, then replaces the
+log and then the patched model, each through a temporary file in the same
+directory and ``os.replace``, so a failed write leaves that file as it was
+and no temporary file. Only a failed model write after the log write
+leaves anything changed: the log then records a decision whose patched
+model is not on disk (an earlier ``<stem>.patched.net`` stays as it was);
+replaying the patch on the input model (``replay_log``) rebuilds it, with
+the hash that the log entry names.
 
 Reports are JSON with sorted keys; the ``wall_time_ms`` field is the only
 non-deterministic part and must be excluded when diffing runs. A failure
 prints ``error: `` and its message on stderr; a usage error is one line.
+Every library error (a ``RespetriError``) exits 3, except a disabled
+scripted firing (4).
 """
 
 from __future__ import annotations
@@ -45,11 +56,9 @@ from .audit import (
 from .dsl import model_hash, parse_model, parse_patch, serialize_model
 from .errors import (
     ParseFailure,
-    PressureUnavailable,
     RespetriError,
     ScriptedFiringDisabled,
     StructureFailure,
-    UnknownPredicate,
 )
 from .governance import (
     GovernanceLog,
@@ -83,6 +92,20 @@ def _read(path: str, what: str, parse):
         raise _Fail(f"{what} {path!r} does not parse:\n{details}")
     except RespetriError as e:  # a ratelimit macro that names no transition
         raise _Fail(f"{what} {path!r} does not parse: {e}")
+
+
+def _replace(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then move it onto path: path
+    holds its old content or the new, and the temporary file never stays."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as e:
+        raise _Fail(f"cannot write {str(path)!r}: {e.strerror or e}")
+    finally:
+        if tmp.exists():  # False, not an error, when the parent is no directory
+            tmp.unlink()
 
 
 def _bound(args) -> ExplorationBound:
@@ -149,12 +172,9 @@ def cmd_check(args):
     model = _read(args.model, "model", parse_model)
     bound = _bound(args)
     names = [args.predicate] if args.predicate else [n for n, _ in model.forbidden]
-    try:
-        if args.predicate:
-            model.forbidden_predicate(args.predicate)
-        pred = model.forbidden_predicate(args.pressure) if args.pressure else None
-    except UnknownPredicate as e:
-        raise _Fail(str(e))
+    if args.predicate:
+        model.forbidden_predicate(args.predicate)
+    pred = model.forbidden_predicate(args.pressure) if args.pressure else None
     graph = explore(model, bound) if names or pred is not None else None
     verdicts = {name: _verdict_json(graph_verdict(model, graph, name)) for name in names}
     results: dict = {"verdicts": verdicts}
@@ -175,24 +195,21 @@ def cmd_check(args):
     return model, parameters, results, code
 
 
-def _parse_policy(spec: str, seed: int, model: NetModel):
-    """The --policy of `simulate`; a transition it names must be one of model's."""
+def _parse_policy(spec: str, seed: int):
+    """The --policy of `simulate`; `simulate` checks the transitions it names."""
     if spec == "uniform":
         return UniformRandom(seed)
     kind, sep, rest = spec.partition(":")
     if kind not in ("priority", "scripted") or not sep:
         raise _Fail(f"bad --policy {spec!r}; use uniform, priority:t1,t2 or scripted:t1,t2")
     names = tuple(x for x in rest.split(",") if x)
-    unknown = [n for n in dict.fromkeys(names) if not model.has_transition(n)]
-    if unknown:
-        raise _Fail(f"--policy {spec!r} names unknown transitions: {', '.join(map(repr, unknown))}")
     return Priority(names, seed) if kind == "priority" else Scripted(names)
 
 
 def cmd_simulate(args):
     """Deterministic seeded run with audit alarms."""
     model = _read(args.model, "model", parse_model)
-    pol = _parse_policy(args.policy, args.seed, model)
+    pol = _parse_policy(args.policy, args.seed)
     bound = _bound(args)
     try:
         run = simulate(model, pol, args.steps, bound)
@@ -200,10 +217,7 @@ def cmd_simulate(args):
         raise _Fail(str(e), 4)
     results: dict = {"run": _run_json(run)}
     if args.pressure:
-        try:
-            drift = drift_report(model, run, args.pressure, bound)
-        except (UnknownPredicate, PressureUnavailable) as e:
-            raise _Fail(str(e))
+        drift = drift_report(model, run, args.pressure, bound)
         results["drift"] = {
             "predicate": args.pressure,
             "pressures": list(drift.pressures),
@@ -239,8 +253,8 @@ def cmd_edit(args):
         raise _Fail(f"governance log update failed: {e}")
 
     out_path = Path(args.model).with_name(Path(args.model).stem + ".patched.net")
-    out_path.write_text(serialize_model(patched).text, encoding="utf-8")
-    log_path.write_text(log.to_jsonl(), encoding="utf-8")
+    _replace(log_path, log.to_jsonl())
+    _replace(out_path, serialize_model(patched).text)
 
     results = {
         "patch_id": vreport.patch_id,
@@ -341,7 +355,7 @@ def main(argv=None):
     except _Fail as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(e.code)
-    except OSError as e:  # writing the report, the patched model or the log, or reading the log
+    except (RespetriError, OSError) as e:  # a library error, or writing the report, the model or the log
         print(f"error: {e}", file=sys.stderr)
         sys.exit(3)
     except KeyboardInterrupt:

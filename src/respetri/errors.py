@@ -12,7 +12,8 @@ class UnknownTransition(RespetriError):
 
 
 class UnknownReference(RespetriError):
-    """A predicate refers to a place, transition, or mode the net does not declare."""
+    """A predicate refers to a place, transition, or mode the net does not
+    declare, or a marking does not assign exactly the net's places and counters."""
 
 
 class NotEnabled(RespetriError):

@@ -588,15 +588,16 @@ class CompiledNet:
     # -- vectors and markings ---------------------------------------------------
 
     def state(self, m: Marking) -> tuple[int, ...]:
-        try:
-            tokens = tuple(map(m.tokens_map.__getitem__, self.place_ids))
-        except KeyError as e:
-            raise UnknownReference(f"unknown place {e.args[0]!r}") from None
-        return tokens + tuple(m.counter_of(t) for t in self.counted)
-
-    def describes(self, m: Marking) -> bool:
-        """True iff m assigns exactly the model's places and counted transitions."""
-        return m.tokens_map.keys() == self._slot.keys() and m.counters_map.keys() == self._counter.keys()
+        """m as a state vector, the only way a Marking enters the compiled form.
+        UnknownReference, naming the first place or counter that differs, unless
+        m assigns exactly the net's places and its counted transitions' counters."""
+        tokens, counters = m.tokens_map, m.counters_map
+        if tokens.keys() == self._slot.keys() and counters.keys() == self._counter.keys():
+            return tuple(map(tokens.__getitem__, self.place_ids)) + tuple(map(counters.__getitem__, self.counted))
+        for kind, have, want in (("place", tokens, self._slot), ("counter", counters, self._counter)):
+            for k in [*want, *have]:
+                if (k in have) != (k in want):
+                    raise UnknownReference(f"unknown {kind} {k!r}")
 
     def marking(self, v: tuple[int, ...]) -> Marking:
         return Marking(tuple(zip(self.place_ids, v)),
@@ -689,7 +690,8 @@ def compiled(model: NetModel) -> CompiledNet:
 
 
 def _successors_at(model: NetModel, m: Marking) -> tuple[CompiledNet, list]:
-    """The compiled net and the transitions enabled at m, each with its successor."""
+    """The compiled net and the transitions enabled at m, each with its successor;
+    UnknownReference unless m is a marking of the model (see CompiledNet.state)."""
     net = compiled(model)
     model.active_mode(m)
     return net, net.successors(net.state(m), math.inf)

@@ -22,14 +22,17 @@ from respetri import (
     ProofKind,
     TokenAtom,
     TransitionDef,
+    UnknownReference,
     VerdictKind,
     check_all_forbidden,
     check_forbidden,
+    enabled_set,
     eval_predicate,
     explore,
     find_cycles,
     fire,
     initial_marking,
+    is_enabled,
     is_upward_closed,
     karp_miller,
     parse_model,
@@ -116,6 +119,13 @@ class TestExplore:
         g = explore(chain_net(), ExplorationBound(max_depth=1))
         assert g.truncated
         assert max(g.depth.values()) == 1
+
+    @pytest.mark.parametrize("field", ["max_states", "max_depth", "max_tokens_per_place"])
+    def test_a_bound_field_is_an_int(self, field):
+        for bad in ("5", None, 2.5, True):
+            with pytest.raises(TypeError, match=rf"^ExplorationBound\.{field} must be an int, got {bad!r}$"):
+                ExplorationBound(**{field: bad})
+        assert getattr(ExplorationBound(**{field: -1}), field) == -1
 
     def test_state_bound_truncates_but_keeps_edges_to_known_nodes(self):
         g = explore(build_traffic_model(), ExplorationBound(max_states=5))
@@ -503,12 +513,16 @@ class TestPressure:
         assert not p.truncated
 
     def test_a_marking_over_other_places_has_no_position(self):
+        """Membership and the token game accept the same markings: one over
+        other places or counters is no node, and fire, is_enabled and
+        enabled_set raise UnknownReference naming what differs."""
         model = chain_net()
         g = explore(model)
         dist = pressure_map(g, model.forbidden_predicate("leak"))
-        for m in (Marking.make({"p0": 1, "p1": 0}), Marking.make({"p0": 1, "p1": 0, "p2": 0, "x": 0}),
-                  Marking.make({"p0": 1, "p1": 0, "p2": 0}, {"t1": 0}),
-                  Marking.make({"p0": 9, "p1": 0, "p2": 0})):
+        others = {"place 'p2'": Marking.make({"p0": 1, "p1": 0}),
+                  "place 'x'": Marking.make({"p0": 1, "p1": 0, "p2": 0, "x": 0}),
+                  "counter 't1'": Marking.make({"p0": 1, "p1": 0, "p2": 0}, {"t1": 0})}
+        for m in (*others.values(), Marking.make({"p0": 9, "p1": 0, "p2": 0})):
             assert g.position(m) is None
             assert m not in g
             with pytest.raises(KeyError):
@@ -516,6 +530,18 @@ class TestPressure:
             assert m not in dist and dist.get(m) is None
         assert "p0" not in dist
         assert g.position(g.root) == 0
+        assert enabled_set(model, Marking.make({"p0": 9, "p1": 0, "p2": 0})) == ["t1"]
+        srs = build_srs_symbolic_model()
+        assert srs.initial.counters == (("t2", 0),) and srs.initial in explore(srs)
+        cases = [(model, m, what) for what, m in others.items()]
+        cases += [(srs, Marking(srs.initial.tokens), "counter 't2'"),
+                  (srs, Marking(srs.initial.tokens + (("zz", 0),), srs.initial.counters), "place 'zz'")]
+        for net, m, what in cases:
+            assert m not in explore(net)
+            t = net.transition_ids[0]
+            for call in (lambda: fire(net, m, t), lambda: is_enabled(net, m, t), lambda: enabled_set(net, m)):
+                with pytest.raises(UnknownReference, match=f"^unknown {what}$"):
+                    call()
 
     def test_a_value_that_is_not_a_marking_is_not_a_node(self):
         model = chain_net()

@@ -24,6 +24,7 @@ from respetri import (
     TokenAtom,
     TransitionDef,
     UniformRandom,
+    UnknownTransition,
     drift_report,
     parse_model,
     run_record_to_jsonl,
@@ -56,6 +57,14 @@ class TestPolicies:
             simulate(m, Scripted(("t2",)), 5)
         assert exc.value.step == 1
         assert exc.value.transition == "t2"
+
+    def test_a_policy_naming_an_unknown_transition_fails_before_the_first_step(self):
+        m = build_srs_symbolic_model()
+        with pytest.raises(UnknownTransition, match="^the policy names unknown transitions: 'ghost'$"):
+            simulate(m, Scripted(("ghost",)), 3)
+        for policy in (Priority(("ghost", "tA", "zz", "ghost")), Scripted(("tA", "ghost", "t2", "zz"))):
+            with pytest.raises(UnknownTransition, match="^the policy names unknown transitions: 'ghost', 'zz'$"):
+                simulate(m, policy, 0)
 
     def test_priority_prefers_earliest_listed(self):
         m = build_srs_symbolic_model()

@@ -319,6 +319,25 @@ class TestEdit:
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
         assert not (workdir / "traffic.patched.net").exists()
 
+    def test_a_failed_log_write_leaves_nothing_behind(self, workdir):
+        r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,
+                    env={"RESPETRI_LOG": "nodir/gov.jsonl"})
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert sorted(p.name for p in workdir.iterdir()) == ["safeguards.patch", "srs.net", "traffic.net"]
+
+    def test_a_failed_model_write_after_the_log_write_leaves_the_log_entry(self, workdir):
+        (workdir / "traffic.patched.net").mkdir()
+        r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,
+                    env={"RESPETRI_LOG": "gov.jsonl"})
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "gov.jsonl", "safeguards.patch", "srs.net", "traffic.net", "traffic.patched.net"]
+        assert (workdir / "traffic.patched.net").is_dir()
+        assert len((workdir / "gov.jsonl").read_text().splitlines()) == 1
+
     def test_log_chain_grows(self, workdir):
         env = {"RESPETRI_LOG": str(workdir / "gov.jsonl")}
         run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir, env=env)

@@ -20,11 +20,16 @@ from pathlib import Path
 import pytest
 
 from respetri import (
+    And,
+    CounterAtom,
     ExplorationBound,
     Marking,
+    ModeAtom,
     ModeDef,
     NetModel,
+    Not,
     NotEnabled,
+    Or,
     Patch,
     PlaceDef,
     PressureThreshold,
@@ -39,6 +44,7 @@ from respetri import (
     check_all_forbidden,
     check_forbidden,
     enabled_set,
+    eval_predicate,
     evaluate_audit_rules,
     explore,
     find_cycles,
@@ -58,7 +64,7 @@ from respetri.analysis import _backward_coverable
 from respetri.models import FIXTURES, FixtureConfig
 from respetri.net import compiled, kernel_source
 
-from oracles import (marking_key, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
+from oracles import (_eval, marking_key, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
                      random_net, random_predicate)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
@@ -274,6 +280,48 @@ def test_simulate_replays_under_every_policy():
             assert_replays(model, run)
             if run.deadlock_step is not None:
                 assert enabled_set(model, run.markings[-1]) == []
+
+
+def with_counters_and_modes(rng: random.Random, model: NetModel) -> NetModel:
+    """The model with some transitions counted, and two modes with a switch
+    from the first to the second, so that every kind of atom reads a value."""
+    transitions = tuple(replace(t, counted=rng.random() < 0.5) for t in model.transitions)
+    switch = TransitionDef("switch", inputs=(("mode_a", 1),), outputs=(("mode_b", 1),))
+    return replace(model, places=model.places + (PlaceDef("mode_a"), PlaceDef("mode_b")),
+                   transitions=transitions + (switch,), modes=(ModeDef("a"), ModeDef("b")),
+                   initial=Marking.make({**model.initial.tokens_map, "mode_a": 1, "mode_b": 0}))
+
+
+def random_tree(rng: random.Random, model: NetModel, depth: int = 3):
+    """A random Not/And/Or tree over token, counter and mode atoms; a counter
+    atom names any transition, counted or not."""
+    if depth == 0 or rng.random() < 0.3:
+        op, value = rng.choice(("<", "<=", "=", ">=", ">")), rng.randint(0, 3)
+        return rng.choice((TokenAtom(rng.choice(model.place_ids), op, value),
+                           CounterAtom(rng.choice(model.transition_ids), op, value),
+                           ModeAtom(rng.choice(model.modes).id)))
+    if rng.random() < 0.3:
+        return Not(random_tree(rng, model, depth - 1))
+    return rng.choice((And, Or))(tuple(random_tree(rng, model, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def test_the_predicate_evaluations_are_one_semantics():
+    """eval_predicate over markings, the compiled predicate over state vectors
+    and the reference evaluator agree on every explored marking."""
+    rng = random.Random(2121)
+    seen = set()
+    for _ in range(60):
+        model = with_counters_and_modes(rng, random_net(rng))
+        net = compiled(model)
+        markings = explore(model, ExplorationBound(max_states=60, max_tokens_per_place=4)).nodes
+        for _ in range(10):
+            pred = random_tree(rng, model)
+            holds = net.predicate(pred)
+            for m in markings:
+                want = _eval(pred, m.tokens_map, m.counters_map)
+                assert eval_predicate(pred, m) == holds(net.state(m)) == want, (pred, m)
+                seen.add(want)
+    assert seen == {False, True}
 
 
 # What the generated source may hold besides int literals and operators:
