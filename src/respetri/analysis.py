@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator, Mapping
@@ -118,6 +119,8 @@ class ReachGraph:
     first use and cached; `root` builds only the first marking. `depth`, like
     `pressure_map`, is a read-only view by position: a lookup builds no
     Marking, and a key that is not a node (or not a Marking) is missing.
+    A graph is read-only: the graphs of repeated `explore` calls share their
+    lists and index (see explore).
     """
 
     net: CompiledNet
@@ -164,15 +167,33 @@ class ReachGraph:
         return frozenset(self.nodes[:bisect_right(self.depth._values, d)])
 
 
+# The latest exploration: (weak reference to its compiled net, bound, graph
+# data), one tuple, so that a key is always read with its own data.
+_NO_EXPLORATION = (lambda: None, None, None)
+_latest = _NO_EXPLORATION
+
+
 def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> ReachGraph:
     """Breadth-first exploration of the reachable marking set.
 
     Bounds never fail; exceeding one sets the truncation flag. Exploration
     runs serially over the compiled net. `workers` changes nothing; it is
     kept for the callers that pass it, such as the acceptance test that
-    checks the graph is worker-count invariant (`explore(traffic, workers=4)`).
+    checks the graph is worker-count invariant (`explore(..., workers=4)`).
+
+    The latest exploration is kept: a call with the same model object and an
+    equal bound gets a new ReachGraph over the same (read-only) data without
+    exploring again. Any other call drops it first, so at most one graph
+    outlives its callers. Its key holds the compiled net weakly, so dropping
+    the model still frees the net, and a later net at the same address
+    never matches.
     """
+    global _latest
     net = compiled(model)
+    ref, latest_bound, data = _latest
+    if ref() is net and latest_bound == bound:
+        return ReachGraph(net, bound, *data)
+    _latest = _NO_EXPLORATION
     root = net.root
     states = [root]
     index = {root: 0}
@@ -215,7 +236,9 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
                 state_edges.append((a, t, b))
         frontier = next_frontier
         d += 1
-    return ReachGraph(net, bound, truncated, states, index, state_edges, discovered_by)
+    data = (truncated, states, index, state_edges, discovered_by)
+    _latest = (weakref.ref(net), bound, data)
+    return ReachGraph(net, bound, *data)
 
 
 def violation_trace(graph: ReachGraph, predicate: Predicate) -> Optional[ViolationTrace]:

@@ -28,11 +28,13 @@ scripted firing (4).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .analysis import (
@@ -94,13 +96,18 @@ def _read(path: str, what: str, parse):
         raise _Fail(f"{what} {path!r} does not parse: {e}")
 
 
-def _replace(path: Path, text: str) -> None:
+def _replace(path: Path, text: Optional[str]) -> None:
     """Write text to a temporary file beside path, then move it onto path: path
-    holds its old content or the new, and the temporary file never stays."""
+    holds its old content or the new, and the temporary file never stays.
+    With text None nothing is moved: the call fails as a write would, unless
+    path's directory takes a new file and path is no directory."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        tmp.write_text(text or "", encoding="utf-8")
+        if text is not None:
+            os.replace(tmp, path)
+        elif path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as e:
         raise _Fail(f"cannot write {str(path)!r}: {e.strerror or e}")
     finally:
@@ -152,7 +159,7 @@ def _emit_report(args, started: float, model: NetModel, parameters: dict, result
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        _replace(Path(args.report), text)
     else:
         sys.stdout.write(text)
 
@@ -350,12 +357,14 @@ def main(argv=None):
         if args.command is None:
             raise _Fail("the following arguments are required: command")
         started = time.monotonic()
+        if args.report:  # an unwritable report fails before `edit` writes anything
+            _replace(Path(args.report), None)
         model, parameters, results, code = args.run(args)
         _emit_report(args, started, model, parameters, results)
     except _Fail as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(e.code)
-    except (RespetriError, OSError) as e:  # a library error, or writing the report, the model or the log
+    except (RespetriError, OSError) as e:  # a library error, or an I/O error such as reading the log
         print(f"error: {e}", file=sys.stderr)
         sys.exit(3)
     except KeyboardInterrupt:

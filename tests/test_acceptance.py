@@ -218,7 +218,7 @@ def test_7_round_trip_and_determinism():
     assert run_record_to_jsonl(a) == run_record_to_jsonl(b)
 
     g1 = explore(traffic, workers=1)
-    g4 = explore(traffic, workers=4)
+    g4 = explore(build_traffic_model(), workers=4)   # another model object explores again
     assert g1.nodes == g4.nodes
     assert g1.edges == g4.edges
     assert g1.depth == g4.depth

@@ -153,7 +153,7 @@ class TestExplore:
     def test_worker_confluence(self):
         model = build_traffic_model()
         g1 = explore(model, WIDE, workers=1)
-        g3 = explore(model, WIDE, workers=3)
+        g3 = explore(build_traffic_model(), WIDE, workers=3)   # explores again
         assert g1.nodes == g3.nodes
         assert g1.edges == g3.edges
         assert g1.depth == g3.depth

@@ -327,6 +327,18 @@ class TestEdit:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert sorted(p.name for p in workdir.iterdir()) == ["safeguards.patch", "srs.net", "traffic.net"]
 
+    @pytest.mark.parametrize("report, reason", [("nodir/r.json", "No such file or directory"),
+                                                ("adir", "Is a directory")])
+    def test_an_unwritable_report_fails_before_any_write(self, workdir, report, reason):
+        (workdir / "adir").mkdir()
+        r = run_cli("edit", "traffic.net", "safeguards.patch", "--report", report, cwd=workdir,
+                    env={"RESPETRI_LOG": "gov.jsonl"})
+        assert r.returncode == 3
+        assert r.stdout == "" and r.stderr == f"error: cannot write {report!r}: {reason}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "adir", "safeguards.patch", "srs.net", "traffic.net"]
+        assert list((workdir / "adir").iterdir()) == []
+
     def test_a_failed_model_write_after_the_log_write_leaves_the_log_entry(self, workdir):
         (workdir / "traffic.patched.net").mkdir()
         r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,

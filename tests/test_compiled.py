@@ -9,8 +9,10 @@ successor function with `explore`, so they are checked against
 `oracle_enabled`/`oracle_fire` one marking at a time.
 """
 
+import builtins
 import gc
 import io
+import math
 import random
 import tokenize
 import weakref
@@ -43,6 +45,7 @@ from respetri import (
     apply_patch,
     check_all_forbidden,
     check_forbidden,
+    drift_report,
     enabled_set,
     eval_predicate,
     evaluate_audit_rules,
@@ -369,7 +372,7 @@ def test_kernel_is_generated_on_first_use_and_once(monkeypatch):
     siphons_and_traps(model)
     find_cycles(model)
     assert calls == [] and "successors" not in vars(compiled(model))
-    first, second = explore(model), explore(model)
+    first, second = explore(model), explore(model, BOUNDS[0])   # a second exploration
     assert first.states == second.states
     assert calls == [compiled(model)]
 
@@ -384,6 +387,81 @@ def test_a_dropped_model_frees_its_kernel_without_the_cycle_collector():
         assert kernel() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# One exploration per (model, bound): `explore` keeps the latest graph's data,
+# keyed on the model's compiled net (held weakly) and the bound. Each test
+# first explores a fresh model object, so none depends on what ran before.
+# ---------------------------------------------------------------------------
+
+def expansions(model: NetModel) -> list:
+    """From now on, the states the model's explorations expand: `explore`
+    calls the successor function with the bound's token cut (finite for
+    these nets), the token game with infinity."""
+    net = compiled(model)
+    kernel, expanded = net.successors, []
+
+    def counting(v, cut):
+        if cut != math.inf:
+            expanded.append(v)
+        return kernel(v, cut)
+    net.successors = counting
+    return expanded
+
+
+AUDITED = RICH + "audit near := pressure many within 2\n"
+SMALL = "place a init 2\nplace b\nplace c\ntrans t in a:1 out b:1\ntrans u in b:1 out c:1\n"
+OTHER = "place a init 2\nplace b\ntrans t in a:1 out b:1\n"
+
+
+def test_check_all_forbidden_then_explore_explores_once():
+    model = parse_model(RICH)
+    expanded = expansions(model)
+    verdicts = check_all_forbidden(model, BOUNDS[0])
+    once = len(expanded)
+    assert once == len(explore(model, replace(BOUNDS[0])).states) > 0
+    assert check_forbidden(model, "up", BOUNDS[0]) == verdicts["up"]
+    assert_matches_oracle(model, BOUNDS[0])
+    assert len(expanded) == once
+
+
+def test_an_unequal_bound_or_another_model_object_explores_again():
+    model = parse_model(RICH)
+    expanded = expansions(model)
+    explore(model, BOUNDS[0])
+    once = len(expanded)
+    explore(model, BOUNDS[2])
+    again = len(expanded) - once
+    twin = parse_model(RICH)
+    twin_expanded = expansions(twin)
+    assert explore(twin, BOUNDS[2]).states == explore(model, BOUNDS[2]).states
+    assert len(twin_expanded) == again > 0 and len(expanded) == once + 2 * again
+
+
+def test_a_later_model_never_gets_a_dropped_models_graph(monkeypatch):
+    """CPython may give a new net a dropped one's id; here every object has
+    the same id, so a key made from ids would match the dropped net's."""
+    want = list(explore(parse_model(OTHER), BOUNDS[0]).states)
+    monkeypatch.setattr(builtins, "id", lambda obj: 0)
+    model = parse_model(SMALL)
+    explore(model, BOUNDS[0])
+    net = weakref.ref(compiled(model))
+    del model
+    assert net() is None
+    assert explore(parse_model(OTHER), BOUNDS[0]).states == want
+
+
+def test_simulate_with_a_pressure_rule_then_drift_report_explores_once():
+    model = parse_model(AUDITED)
+    expanded = expansions(model)
+    bound = ExplorationBound(max_tokens_per_place=40)   # r grows without limit
+    run = simulate(model, UniformRandom(1), 30, bound)
+    once = len(expanded)
+    report = drift_report(model, run, "many", bound)
+    assert once == len(explore(model, bound).states) == len(expanded)
+    near = [a.observed for a in run.alarms if a.rule_id == "near"]
+    assert near == [d for d in report.pressures if 0 <= d <= 2] != []
 
 
 # ---------------------------------------------------------------------------
