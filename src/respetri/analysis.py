@@ -173,6 +173,13 @@ _NO_EXPLORATION = (lambda: None, None, None)
 _latest = _NO_EXPLORATION
 
 
+def _forget(ref: weakref.ref) -> None:
+    """Empty the slot when the net of the latest exploration is freed."""
+    global _latest
+    if _latest[0] is ref:
+        _latest = _NO_EXPLORATION
+
+
 def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> ReachGraph:
     """Breadth-first exploration of the reachable marking set.
 
@@ -185,8 +192,8 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     equal bound gets a new ReachGraph over the same (read-only) data without
     exploring again. Any other call drops it first, so at most one graph
     outlives its callers. Its key holds the compiled net weakly, so dropping
-    the model still frees the net, and a later net at the same address
-    never matches.
+    the model still frees the net, and the kept data with it; a later net at
+    the same address never matches.
     """
     global _latest
     net = compiled(model)
@@ -237,7 +244,7 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
         frontier = next_frontier
         d += 1
     data = (truncated, states, index, state_edges, discovered_by)
-    _latest = (weakref.ref(net), bound, data)
+    _latest = (weakref.ref(net, _forget), bound, data)
     return ReachGraph(net, bound, *data)
 
 

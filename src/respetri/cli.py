@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .analysis import (
@@ -96,18 +95,13 @@ def _read(path: str, what: str, parse):
         raise _Fail(f"{what} {path!r} does not parse: {e}")
 
 
-def _replace(path: Path, text: Optional[str]) -> None:
+def _replace(path: Path, text: str) -> None:
     """Write text to a temporary file beside path, then move it onto path: path
-    holds its old content or the new, and the temporary file never stays.
-    With text None nothing is moved: the call fails as a write would, unless
-    path's directory takes a new file and path is no directory."""
+    holds its old content or the new, and the temporary file never stays."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text or "", encoding="utf-8")
-        if text is not None:
-            os.replace(tmp, path)
-        elif path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
     except OSError as e:
         raise _Fail(f"cannot write {str(path)!r}: {e.strerror or e}")
     finally:
@@ -159,7 +153,7 @@ def _emit_report(args, started: float, model: NetModel, parameters: dict, result
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.report:
-        _replace(Path(args.report), text)
+        Path(args.report).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -358,13 +352,20 @@ def main(argv=None):
             raise _Fail("the following arguments are required: command")
         started = time.monotonic()
         if args.report:  # an unwritable report fails before `edit` writes anything
-            _replace(Path(args.report), None)
+            report = Path(args.report)
+            target = report if report.exists() else report.parent
+            error = (errno.EISDIR if report.is_dir() else
+                     errno.ENOENT if not target.exists() else
+                     errno.ENOTDIR if not target.is_dir() and target != report else
+                     None if os.access(target, os.W_OK) else errno.EACCES)
+            if error:
+                raise _Fail(f"cannot write {args.report!r}: {os.strerror(error)}")
         model, parameters, results, code = args.run(args)
         _emit_report(args, started, model, parameters, results)
     except _Fail as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(e.code)
-    except (RespetriError, OSError) as e:  # a library error, or an I/O error such as reading the log
+    except (RespetriError, OSError) as e:  # a library error, or writing the report, the model or the log
         print(f"error: {e}", file=sys.stderr)
         sys.exit(3)
     except KeyboardInterrupt:

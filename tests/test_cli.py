@@ -339,6 +339,22 @@ class TestEdit:
             "adir", "safeguards.patch", "srs.net", "traffic.net"]
         assert list((workdir / "adir").iterdir()) == []
 
+    def test_a_report_to_dev_null_is_written_and_the_edit_applied(self, workdir):
+        r = run_cli("edit", "traffic.net", "safeguards.patch", "--report", os.devnull,
+                    cwd=workdir, env={"RESPETRI_LOG": "gov.jsonl"})
+        assert r.returncode == 0 and r.stdout == "" and r.stderr == ""
+        assert (workdir / "traffic.patched.net").is_file() and (workdir / "gov.jsonl").is_file()
+        assert not Path(os.devnull).is_file()
+
+    def test_a_report_path_that_is_a_symlink_is_written_through(self, workdir):
+        (workdir / "out").mkdir()
+        (workdir / "r.json").symlink_to(workdir / "out" / "target.json")
+        r = run_cli("edit", "traffic.net", "safeguards.patch", "--report", "r.json",
+                    cwd=workdir, env={"RESPETRI_LOG": "gov.jsonl"})
+        assert r.returncode == 0
+        assert (workdir / "r.json").is_symlink()
+        assert report_of(r, workdir / "out" / "target.json")["command"] == "edit"
+
     def test_a_failed_model_write_after_the_log_write_leaves_the_log_entry(self, workdir):
         (workdir / "traffic.patched.net").mkdir()
         r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir,

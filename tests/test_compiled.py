@@ -14,6 +14,7 @@ import gc
 import io
 import math
 import random
+import sys
 import tokenize
 import weakref
 from dataclasses import replace
@@ -451,6 +452,17 @@ def test_a_later_model_never_gets_a_dropped_models_graph(monkeypatch):
     assert net() is None
     assert explore(parse_model(OTHER), BOUNDS[0]).states == want
 
+
+def test_dropping_the_model_frees_the_kept_exploration():
+    gc.disable()
+    try:
+        model = parse_model(SMALL)
+        states = explore(model, BOUNDS[0]).states   # the kept data's list
+        held = sys.getrefcount(states)
+        del model
+        assert sys.getrefcount(states) == held - 1
+    finally:
+        gc.enable()
 
 def test_simulate_with_a_pressure_rule_then_drift_report_explores_once():
     model = parse_model(AUDITED)
