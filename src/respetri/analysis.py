@@ -75,7 +75,9 @@ class ViolationTrace:
     markings: tuple[Marking, ...]
 
     def __post_init__(self):
-        assert len(self.markings) == len(self.firings) + 1
+        if len(self.markings) != len(self.firings) + 1:
+            raise ValueError(f"a trace of {len(self.firings)} firings needs "
+                             f"{len(self.firings) + 1} markings, got {len(self.markings)}")
 
 
 @dataclass(frozen=True)
@@ -281,27 +283,23 @@ def _explored_verdict(graph: ReachGraph, pred: Predicate, name: str) -> Optional
     return None
 
 
-def graph_verdict(model: NetModel, graph: ReachGraph, predicate_name: str) -> Verdict:
-    """Verdict for one named forbidden predicate from an explored graph.
+def check_forbidden(model: NetModel, predicate_name: str,
+                    bound: ExplorationBound = DEFAULT_BOUND) -> Verdict:
+    """Verdict for one named forbidden predicate: the only code that turns an
+    exploration into a verdict.
 
     Unsafe carries a minimal-length replayable trace. Safe/ExhaustiveBounded
     requires an untruncated exploration; Safe/Coverability is attempted for
     upward-closed token-only predicates when the bound was exhausted, by
-    backward coverability within `max_states` basis expansions.
+    backward coverability within `max_states` basis expansions. `explore`
+    alone shares one exploration among the checks of a model and bound.
     """
     pred = model.forbidden_predicate(predicate_name)
-    if verdict := _explored_verdict(graph, pred, predicate_name):
+    if verdict := _explored_verdict(explore(model, bound), pred, predicate_name):
         return verdict
-    if _backward_coverable(model, pred, graph.bound.max_states) is False:
+    if _backward_coverable(model, pred, bound.max_states) is False:
         return Verdict(VerdictKind.SAFE, ProofKind.COVERABILITY, predicate_name)
     return Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
-
-
-def check_forbidden(model: NetModel, predicate_name: str,
-                    bound: ExplorationBound = DEFAULT_BOUND) -> Verdict:
-    """Verdict for one named forbidden predicate (see graph_verdict)."""
-    model.forbidden_predicate(predicate_name)
-    return graph_verdict(model, explore(model, bound), predicate_name)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +678,7 @@ def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -
 
 def check_all_forbidden(model: NetModel,
                         bound: ExplorationBound = DEFAULT_BOUND) -> dict[str, Verdict]:
-    """Verdicts for every named forbidden predicate of the model, from one exploration."""
+    """`check_forbidden` for every named forbidden predicate of the model, in
+    declaration order; they share one exploration through `explore`."""
     compiled(model)
-    if not model.forbidden:
-        return {}
-    graph = explore(model, bound)
-    return {name: graph_verdict(model, graph, name) for name, _ in model.forbidden}
+    return {name: check_forbidden(model, name, bound) for name, _ in model.forbidden}

@@ -88,12 +88,15 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
     Stops early at a deadlock (no enabled transition), recording the step at
     which it occurred. Audit rules declared on the model are evaluated over
     the finished run; pressure rules explore within `bound`. Before the first
-    step, a Priority or Scripted policy that names a transition the model
-    does not declare raises UnknownTransition, listing each such name once;
-    a declared scripted transition that is disabled when its turn comes
-    raises ScriptedFiringDisabled.
+    step, a value that is not a policy raises TypeError, and a Priority or
+    Scripted policy that names a transition the model does not declare
+    raises UnknownTransition, listing each such name once; a declared
+    scripted transition that is disabled when its turn comes raises
+    ScriptedFiringDisabled.
     """
     net = compiled(model)
+    if not isinstance(policy, (UniformRandom, Priority, Scripted)):
+        raise TypeError(f"not a simulation policy: {policy!r}")
     named = policy.order if isinstance(policy, Priority) else getattr(policy, "firings", ())
     if unknown := [t for t in dict.fromkeys(named) if not model.has_transition(t)]:
         raise UnknownTransition(f"the policy names unknown transitions: {', '.join(map(repr, unknown))}")

@@ -40,9 +40,10 @@ from .analysis import (
     DEFAULT_BOUND,
     ExplorationBound,
     Verdict,
+    check_all_forbidden,
+    check_forbidden,
     explore,
     find_cycles,
-    graph_verdict,
     pressure_map,
     siphons_and_traps,
 )
@@ -172,12 +173,12 @@ def cmd_check(args):
     """Verdict for one named forbidden predicate, or all of them."""
     model = _read(args.model, "model", parse_model)
     bound = _bound(args)
-    names = [args.predicate] if args.predicate else [n for n, _ in model.forbidden]
     if args.predicate:
         model.forbidden_predicate(args.predicate)
     pred = model.forbidden_predicate(args.pressure) if args.pressure else None
-    graph = explore(model, bound) if names or pred is not None else None
-    verdicts = {name: _verdict_json(graph_verdict(model, graph, name)) for name in names}
+    checked = ({args.predicate: check_forbidden(model, args.predicate, bound)} if args.predicate
+               else check_all_forbidden(model, bound))
+    verdicts = {name: _verdict_json(v) for name, v in checked.items()}
     results: dict = {"verdicts": verdicts}
     if args.cycles:
         results["cycles"] = [list(c) for c in find_cycles(model)]
@@ -186,6 +187,7 @@ def cmd_check(args):
         results["siphons"] = [sorted(x) for x in s]
         results["traps"] = [sorted(x) for x in t]
     if pred is not None:
+        graph = explore(model, bound)  # the verdicts' exploration, handed back by explore
         results["pressure"] = {"predicate": args.pressure,
                                "distance": pressure_map(graph, pred)[graph.root],
                                "truncated": graph.truncated}

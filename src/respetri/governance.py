@@ -20,8 +20,8 @@ from .analysis import (
     ExplorationBound,
     Verdict,
     VerdictKind,
+    check_all_forbidden,
     explore,
-    graph_verdict,
 )
 from .dsl import (
     AddArc,
@@ -159,8 +159,7 @@ def _verdicts(model: NetModel, bound: Optional[ExplorationBound]):
     """Every forbidden verdict of the model and its state count, from one exploration."""
     if bound is None:
         return (), 0
-    graph = explore(model, bound)
-    return tuple((n, graph_verdict(model, graph, n)) for n, _ in model.forbidden), len(graph.states)
+    return tuple(check_all_forbidden(model, bound).items()), len(explore(model, bound).states)
 
 
 def patch_report(model: NetModel, post: NetModel, patch: Patch,

@@ -24,6 +24,7 @@ from respetri import (
     TransitionDef,
     UnknownReference,
     VerdictKind,
+    ViolationTrace,
     check_all_forbidden,
     check_forbidden,
     enabled_set,
@@ -221,6 +222,12 @@ class TestVerdicts:
     def test_violation_trace_none_when_unreachable(self):
         g = explore(chain_net())
         assert violation_trace(g, TokenAtom("p2", ">=", 5)) is None
+
+    @pytest.mark.parametrize("firings, markings", [((), ()), (("t1",), (Marking.make({"p": 1}),))],
+                             ids=["no-markings", "one-marking-short"])
+    def test_a_trace_needs_one_marking_more_than_firings(self, firings, markings):
+        with pytest.raises(ValueError, match=r"^a trace of \d firings needs \d markings, got \d$"):
+            ViolationTrace(firings, markings)
 
 
 def toggles_net(n: int) -> NetModel:

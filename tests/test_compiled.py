@@ -12,6 +12,7 @@ successor function with `explore`, so they are checked against
 import builtins
 import gc
 import io
+import json
 import math
 import random
 import sys
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from respetri import (
+    DEFAULT_BOUND,
     And,
     CounterAtom,
     ExplorationBound,
@@ -63,8 +65,10 @@ from respetri import (
     verify_patch,
     violation_trace,
 )
+from respetri import cli
 from respetri import net as net_module
 from respetri.analysis import _backward_coverable
+from respetri.governance import patch_report
 from respetri.models import FIXTURES, FixtureConfig
 from respetri.net import compiled, kernel_source
 
@@ -474,6 +478,36 @@ def test_simulate_with_a_pressure_rule_then_drift_report_explores_once():
     assert once == len(explore(model, bound).states) == len(expanded)
     near = [a.observed for a in run.alarms if a.rule_id == "near"]
     assert near == [d for d in report.pressures if 0 <= d <= 2] != []
+
+
+def test_patch_report_explores_each_side_once():
+    model = parse_model((DATA / "traffic.net").read_text())
+    patch = parse_patch((DATA / "traffic_safeguards.patch").read_text())
+    post = apply_patch(model, patch)
+    before, after = expansions(model), expansions(post)
+    report = patch_report(model, post, patch, BOUNDS[0])
+    assert (len(before), len(after)) == (report.states_before, report.states_after)
+    assert report.states_before > 0 and report.states_after > 0
+
+
+@pytest.mark.parametrize("argv", [["--pressure", "many"], ["up", "--pressure", "many"]],
+                         ids=["all-predicates", "one-predicate"])
+def test_check_with_pressure_explores_once(argv, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "rich.net"
+    path.write_text(RICH)
+    parsed = []
+
+    def parse(text):
+        model = parse_model(text)
+        parsed.append((model, expansions(model)))
+        return model
+    monkeypatch.setattr(cli, "parse_model", parse)
+    with pytest.raises(SystemExit):
+        cli.main(["check", str(path), *argv])
+    (model, expanded), = parsed
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["pressure"]["predicate"] == "many" and results["verdicts"]
+    assert len(expanded) == len(explore(model, DEFAULT_BOUND).states) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Token-game semantics, validation, and marking invariants."""
 
 import random
+import re
 import types
 from dataclasses import replace
 
@@ -493,7 +494,7 @@ class TestMarking:
             model.transition("p0")
 
 
-# Of no kind that a predicate, audit rule or edit op dispatch knows; its id
+# Of no kind that a predicate, audit rule, edit op or policy dispatch knows; its id
 # gets it through validation and the serializer's sort to the dispatch.
 STRANGER = types.SimpleNamespace(id="stranger")
 
@@ -511,3 +512,9 @@ STRANGER = types.SimpleNamespace(id="stranger")
 def test_a_value_of_no_known_kind_is_a_type_error(call):
     with pytest.raises(TypeError, match=r"^not an? (predicate|audit rule|edit op): namespace\(id='stranger'\)$"):
         call()
+
+
+@pytest.mark.parametrize("policy", ["uniform", None, STRANGER], ids=["str", "None", "stranger"])
+def test_a_simulation_policy_of_no_known_kind_is_a_type_error(policy):
+    with pytest.raises(TypeError, match=rf"^not a simulation policy: {re.escape(repr(policy))}$"):
+        simulate(chain_net(), policy, 3)
