@@ -1,10 +1,19 @@
 """Simulation policies, audit alarms, drift reports."""
 
+import copy
+import gc
 import hashlib
 import json
+import pickle
+import random
+import sys
 import time
+import weakref
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respetri import (
     Alarm,
@@ -19,19 +28,25 @@ from respetri import (
     PressureUnavailable,
     Priority,
     RateThreshold,
+    RunRecord,
     Scripted,
     ScriptedFiringDisabled,
     TokenAtom,
     TransitionDef,
     UniformRandom,
+    UnknownReference,
     UnknownTransition,
     drift_report,
+    evaluate_audit_rules,
+    explore,
     parse_model,
     run_record_to_jsonl,
     serialize_model,
     simulate,
 )
 from respetri.models import FixtureConfig, build_srs_symbolic_model, build_traffic_model
+from respetri.net import compiled
+from oracles import random_net, random_predicate
 
 
 def pulse_net(audit_rules=()):
@@ -257,3 +272,128 @@ class TestRunLog:
         assert (len(run.firings), len(run.alarms)) == (31, 20)
         assert hashlib.sha256(run_record_to_jsonl(run).encode()).hexdigest() == (
             "1517fbcdfbeae2f6dd69cb55d73b473f71dd54c6083cecf7013b9fa8b04fb112")
+
+    def test_a_hand_built_run_logs_its_values_as_json_does(self):
+        for value in (1.5, True, 2):
+            m = Marking.make({"p": value, "q": 0}, {"t": value})
+            assert run_record_to_jsonl(RunRecord((), (m,))) == json.dumps(
+                {"step": 0, "fired": None, "tokens": {"p": value, "q": 0}, "counters": {"t": value},
+                 "alarms": []}, sort_keys=True) + "\n"
+
+
+def counted_net(seed: int) -> NetModel:
+    """A random net with counted transitions, its places and counters
+    declared against id order, a forbidden `bad` and one rule of each kind."""
+    rng = random.Random(seed)
+    m = random_net(rng)
+    ts = [replace(t, counted=rng.random() < 0.5) for t in reversed(m.transitions)]
+    counted = [t.id for t in ts if t.counted]
+    tids = [t.id for t in ts]
+    rules = (OccupancyThreshold("occ", rng.choice(m.place_ids), rng.choice([">=", "<", "="]), rng.randint(0, 3)),
+             RateThreshold("rate", rng.choice(tids), 1, rng.randint(1, 4)),
+             CounterThreshold("cnt", rng.choice(tids), rng.randint(0, 3)),
+             PressureThreshold("pres", "bad", rng.randint(0, 3)))
+    return NetModel(tuple(reversed(m.places)), tuple(ts),
+                    Marking.make(m.initial.tokens_map, dict.fromkeys(counted, 0)),
+                    forbidden=(("bad", random_predicate(rng, m)),), audit_rules=rules)
+
+
+def reference_lines(run: RunRecord) -> list[str]:
+    """The run log as json.dumps of each step's record, read from the markings."""
+    alarms: dict[int, list] = {}
+    for a in run.alarms:
+        alarms.setdefault(a.step, []).append({"rule": a.rule_id, "observed": a.observed})
+    return [json.dumps({"step": step, "fired": run.firings[step - 1] if step else None,
+                        "tokens": dict(m.tokens), "counters": dict(m.counters),
+                        "alarms": alarms.get(step, [])}, sort_keys=True)
+            for step, m in enumerate(run.markings)]
+
+
+class TestRunsHoldStates:
+    def test_an_audited_run_builds_each_marking_once(self, monkeypatch):
+        base = build_srs_symbolic_model(FixtureConfig(initial_tokens={"pA": 4, "p_permit": 4}))
+        m = NetModel(base.places, base.transitions, base.initial, base.forbidden,
+                     audit_rules=base.audit_rules + (
+                         PressureThreshold("near", "bad_state", 1), RateThreshold("r", "tA", 0, 2),
+                         OccupancyThreshold("o", "pB", ">=", 1)),
+                     metadata=base.metadata)
+        built = []
+        post_init = Marking.__post_init__
+        monkeypatch.setattr(Marking, "__post_init__", lambda self: built.append(self) or post_init(self))
+        run = simulate(m, UniformRandom(10), 40)
+        assert len(built) == len(set(run.markings)) < len(run.markings)   # one per state, in simulate
+        assert all(any(b is m for m in run.markings) for b in built)
+        built.clear()
+        alarms = evaluate_audit_rules(m, run)
+        drift = drift_report(m, run, "bad_state")
+        text = run_record_to_jsonl(run)
+        assert built == []
+        assert {a.rule_id for a in alarms} == {"counter_alarm", "near", "r", "o"} and tuple(alarms) == run.alarms
+        assert len(drift.pressures) == len(run.markings) == run.steps + 1 == len(text.splitlines())
+        assert run.markings[0] == m.initial
+        assert pickle.loads(pickle.dumps(run)) == run == copy.deepcopy(run)
+
+    def test_a_kept_run_does_not_keep_its_dropped_model_alive(self):
+        gc.disable()
+        try:
+            model = replace(pulse_net([PressureThreshold("near", "many", 1)]),
+                            forbidden=(("many", CounterAtom("t", ">=", 3)),))
+            bound = ExplorationBound(max_states=10)
+            run = simulate(model, UniformRandom(1), 8, bound)
+            states = explore(model, bound).states             # the kept exploration's list
+            held = sys.getrefcount(states)
+            kernel = weakref.ref(compiled(model).successors)
+            text = run_record_to_jsonl(run)
+            del model
+            assert kernel() is None and sys.getrefcount(states) == held - 1
+            assert run_record_to_jsonl(run) == text           # now read from the markings
+        finally:
+            gc.enable()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_a_simulated_run_and_its_hand_built_twin_agree(self, seed):
+        model = counted_net(seed)
+        bound = ExplorationBound(max_states=200, max_tokens_per_place=6)
+        run = simulate(model, UniformRandom(seed), 25, bound)
+        twin = RunRecord(run.firings, tuple(run.markings), run.alarms, run.deadlock_step)
+        assert run == twin and twin == run and hash(run) == hash(twin)
+        assert evaluate_audit_rules(model, twin, bound) == evaluate_audit_rules(model, run, bound) == list(run.alarms)
+        drifts = []
+        for r in (run, twin):
+            try:
+                drifts.append(drift_report(model, r, "bad", bound))
+            except PressureUnavailable as e:
+                drifts.append(str(e))
+        assert drifts[0] == drifts[1]
+        text = run_record_to_jsonl(run)
+        assert text == run_record_to_jsonl(twin)
+        assert text.splitlines() == reference_lines(run)
+
+    def test_a_marking_of_another_net_is_not_read_in_part(self):
+        m = pulse_net([CounterThreshold("c", "t", 0)])
+        run = RunRecord(("t",), (m.initial, Marking.make({"p": 1, "q": 0}, {"t": 1})))
+        with pytest.raises(UnknownReference, match="^unknown place 'q'$"):
+            evaluate_audit_rules(m, run)
+        with pytest.raises(PressureUnavailable, match="^marking at step 1 is not a marking of the model"):
+            drift_report(m, run, CounterAtom("t", ">=", 3))
+
+    @pytest.mark.parametrize("steps, error", [("3", TypeError), (True, TypeError), (2.0, TypeError),
+                                              (None, TypeError), (-3, ValueError)])
+    def test_steps_must_be_a_non_negative_int(self, steps, error):
+        with pytest.raises(error, match="^steps must be"):
+            simulate(pulse_net(), UniformRandom(1), steps)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "1"])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        with pytest.raises(TypeError, match=r"^UniformRandom\.seed must be an int"):
+            UniformRandom(seed)
+        with pytest.raises(TypeError, match=r"^Priority\.seed must be an int"):
+            Priority(("t",), seed)
+
+    def test_a_run_holds_one_marking_more_than_its_firings(self):
+        m = pulse_net().initial
+        with pytest.raises(ValueError, match="^a run of 3 firings needs 4 markings, got 2$"):
+            RunRecord(("t",) * 3, (m, m))
+        with pytest.raises(ValueError, match="^a run of 0 firings needs 1 markings, got 0$"):
+            RunRecord((), ())
