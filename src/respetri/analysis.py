@@ -562,6 +562,11 @@ def find_cycles(model: NetModel, max_length: Optional[int] = 16) -> list[tuple[s
     smallest identifier comes first. Length is counted in nodes and capped at
     max_length (None for no cap).
     """
+    if max_length is not None:
+        if not _is_int(max_length):
+            raise TypeError(f"max_length must be an int or None, got {max_length!r}")
+        if max_length < 0:
+            raise ValueError(f"max_length must be >= 0, got {max_length}")
     compiled(model)
     g = nx.DiGraph()
     g.add_nodes_from(model.place_ids)
@@ -581,14 +586,30 @@ def find_cycles(model: NetModel, max_length: Optional[int] = 16) -> list[tuple[s
 
 
 def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """Minimal siphons and traps of size <= max_size.
+    """Minimal siphons and traps of at most max_size places, by size, then ids.
 
     A siphon stays empty once emptied: every transition producing into the
-    set also requires tokens from it. A trap stays marked once marked: every
-    transition consuming from the set also produces into it. Guards and
-    inhibitors are ignored (structural notions).
+    set also requires tokens from it (as input or read place). A trap stays
+    marked once marked: every transition consuming from the set also
+    produces into it. Guards and inhibitors are ignored (structural notions).
+    Larger minimal sets are not reported; max_size 0 gives ([], []).
+
+    The search grows a set only by the places that can mend it. A set S that
+    is not a hit has a lowest transition t it breaks (t produces into S but
+    does not require from S, for a siphon); S grows by each place that t
+    requires from (produces into, for a trap). Exact: t also produces into
+    any minimal siphon S* that contains S, so it requires from some place of
+    S* outside S, and the branch on that place stays inside S*. So every
+    minimal set of at most max_size places is reached, and no set visited has
+    more, which keeps the worst case at the order of a scan of all subsets.
     """
+    if not _is_int(max_size):
+        raise TypeError(f"max_size must be an int, got {max_size!r}")
+    if max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     compiled(model)
+    if max_size == 0:
+        return [], []
     places = sorted(p.id for p in model.places)
     slot = {p: i for i, p in enumerate(places)}
     # per place, bitmasks over the transitions in identifier order
@@ -606,23 +627,32 @@ def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[st
     def search(into: list[int], within: list[int]) -> list[tuple[str, ...]]:
         """Minimal place sets whose `into` transitions all lie in `within`,
         by size, then in lexicographic order."""
-        minimal: list[int] = []   # place bitmasks of the sets found
+        fixers: dict[int, list[int]] = {}   # transition bit -> places whose `within` holds it
+        for i, w in enumerate(within):
+            while w:
+                fixers.setdefault(w & -w, []).append(i)
+                w &= w - 1
+        # (place bitmask, its `into` and `within` unions, size)
+        stack = [(1 << i, into[i], within[i], 1) for i in range(len(places))]
+        seen = {s for s, _, _, _ in stack}
+        hits = []
+        while stack:
+            s, a, b, size = stack.pop()
+            broken = a & ~b
+            if not broken:
+                hits.append((size, tuple(p for k, p in enumerate(places) if s >> k & 1), s))
+            elif size < max_size:
+                for i in fixers.get(broken & -broken, ()):
+                    s2 = s | 1 << i
+                    if s2 not in seen:
+                        seen.add(s2)
+                        stack.append((s2, a | into[i], b | within[i], size + 1))
+        minimal: list[int] = []   # place bitmasks of the sets kept
         found = []
-        # the non-hits of the previous size, with their unions and largest
-        # place; a hit is not grown, as every superset of it is not minimal
-        level = [(0, 0, 0, -1)]
-        for size in range(1, max_size + 1):
-            grown = []
-            for s, a, b, last in level:
-                for i in range(last + 1, len(places)):
-                    s2, a2, b2 = s | 1 << i, a | into[i], b | within[i]
-                    if a2 & ~b2:
-                        if size < max_size:
-                            grown.append((s2, a2, b2, i))
-                    elif not any(m & s2 == m for m in minimal):
-                        minimal.append(s2)
-                        found.append(tuple(p for k, p in enumerate(places) if s2 >> k & 1))
-            level = grown
+        for _, ids, s in sorted(hits):
+            if not any(m & s == m for m in minimal):
+                minimal.append(s)
+                found.append(ids)
         return found
 
     return search(producers, requirers), search(consumers, producers)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -477,6 +478,42 @@ class TestCycles:
         )
         assert ("p", "t") in find_cycles(m)
 
+    def test_a_negative_length_bound_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="max_length"):
+            find_cycles(build_traffic_model(), -1)
+
+    def test_a_non_int_length_bound_is_refused_by_name(self):
+        for bad in (2.5, True):
+            with pytest.raises(TypeError, match="max_length"):
+                find_cycles(build_traffic_model(), bad)
+
+    def test_zero_and_none_length_bounds(self):
+        m = build_traffic_model()
+        assert find_cycles(m, 0) == []
+        assert set(find_cycles(m, None)) >= set(find_cycles(m))
+
+
+def net_of(*lines: str) -> NetModel:
+    return parse_model("\n".join(lines) + "\n")
+
+
+def wide_net(rng: random.Random) -> NetModel:
+    """8-12 places, 3-12 transitions with inputs, outputs and read arcs."""
+    pids = [f"q{i}" for i in range(rng.randint(8, 12))]
+
+    def arcs(verb: str, most: int) -> str:
+        chosen = rng.sample(pids, rng.randint(0, most))
+        return f" {verb} " + " ".join(f"{p}:1" for p in chosen) if chosen else ""
+
+    return net_of(*(f"place {p}" for p in pids),
+                  *(f"trans t{j}{arcs('in', 3)}{arcs('out', 3)}{arcs('read', 2)}"
+                    for j in range(rng.randint(3, 12))))
+
+
+def shuffled(model: NetModel, rng: random.Random) -> NetModel:
+    return replace(model, places=tuple(rng.sample(model.places, len(model.places))),
+                   transitions=tuple(rng.sample(model.transitions, len(model.transitions))))
+
 
 class TestSiphonsTraps:
     def test_hand_example(self):
@@ -492,15 +529,83 @@ class TestSiphonsTraps:
 
     def test_against_oracle_on_random_nets(self):
         rng = random.Random(31)
-        for _ in range(40):
+        for _ in range(300):
             model = random_net(rng)
-            assert siphons_and_traps(model, 3) == oracle_siphons_traps(model, 3)
+            for k in range(6):
+                assert siphons_and_traps(model, k) == oracle_siphons_traps(model, k)
+        for _ in range(60):
+            model = wide_net(rng)
+            for k in range(5):
+                assert siphons_and_traps(model, k) == oracle_siphons_traps(model, k)
 
     def test_results_are_minimal(self):
         siphons, traps = siphons_and_traps(build_traffic_model(), max_size=4)
         for group in (siphons, traps):
             for s in group:
                 assert not any(set(o) < set(s) for o in group)
+
+    def test_declaration_order_is_irrelevant(self):
+        rng = random.Random(5)
+        models = [b() for b in FIXTURES.values()] + [wide_net(rng) for _ in range(20)]
+        for model in models:
+            want = siphons_and_traps(model, 5)
+            for _ in range(3):
+                assert siphons_and_traps(shuffled(model, rng), 5) == want
+
+    def test_fixtures_at_size_six(self):
+        got = {name: siphons_and_traps(build(), 6) for name, build in FIXTURES.items()}
+        assert got == {
+            "traffic": ([("p1",), ("p2", "p3", "p5")],
+                        [("p2", "p5", "p6"), ("p2", "p3", "p4", "p5")]),
+            "risk_scoring": ([("p1", "p3"), ("p2", "p3", "p4", "p5"), ("p2", "p3", "p5", "p6")],
+                             [("p2", "p6"), ("p2", "p3", "p4", "p5")]),
+            "srs_symbolic": ([("pA",), ("p_permit",), ("p_policy",)],
+                             [("p_bad",), ("p_dash",), ("p_flag",)]),
+        }
+
+    def test_siphon_reached_only_through_a_later_input_place(self):
+        # {c, d} is the one siphon; the producers of c and d each also take
+        # from a place (a, b) that a source transition refills
+        m = net_of("place a", "place b", "place c", "place d",
+                "trans t in a:1 d:1 out c:1", "trans u in b:1 c:1 out d:1",
+                "trans v out a:1", "trans w out b:1")
+        assert siphons_and_traps(m)[0] == [("c", "d")]
+        assert siphons_and_traps(m, 1)[0] == []
+
+    def test_a_read_arc_can_be_the_only_way_to_mend_a_siphon(self):
+        m = net_of("place a", "place b", "trans t read a:1 out b:1", "trans u in b:1 out a:1")
+        assert siphons_and_traps(m) == ([("a", "b")], [("a",)])
+
+    def test_trap_mended_through_one_output_of_two(self):
+        # x drains a, so no trap holds a; {b, d} is the one trap
+        m = net_of("place a", "place b", "place d",
+                "trans t in b:1 out a:1 d:1", "trans u in d:1 out a:1 b:1", "trans x in a:1")
+        assert siphons_and_traps(m)[1] == [("b", "d")]
+
+    def test_size_zero_and_one(self):
+        m = net_of("place p init 1", "place q", "trans t in p:1 out q:1")
+        assert siphons_and_traps(m, 0) == ([], [])
+        assert siphons_and_traps(m, 1) == ([("p",)], [("q",)])
+
+    def test_a_long_pipeline_is_searched_only_along_its_arcs(self):
+        n = 200
+        m = net_of(*(f"place p{i:03d}" for i in range(n)),
+                *(f"trans t{i:03d} in p{i:03d}:1 out p{i + 1:03d}:1" for i in range(n - 1)))
+        start = time.perf_counter()
+        assert siphons_and_traps(m) == ([("p000",)], [(f"p{n - 1:03d}",)])
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_negative_size_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="max_size"):
+            siphons_and_traps(build_traffic_model(), -1)
+
+    def test_a_float_size_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="max_size"):
+            siphons_and_traps(build_traffic_model(), 2.5)
+
+    def test_a_bool_size_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="max_size"):
+            siphons_and_traps(build_traffic_model(), True)
 
 
 class TestPressure:
