@@ -54,6 +54,13 @@ class ExplorationBound:
 DEFAULT_BOUND = ExplorationBound()
 
 
+def _check_bound(bound: object) -> None:
+    """TypeError unless bound is an ExplorationBound: the engines that take a
+    bound call this before any work."""
+    if not isinstance(bound, ExplorationBound):
+        raise TypeError(f"bound must be an ExplorationBound, got {bound!r}")
+
+
 class VerdictKind(str, Enum):
     SAFE = "safe"
     UNSAFE = "unsafe"
@@ -198,6 +205,7 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     the same address never matches.
     """
     global _latest
+    _check_bound(bound)
     net = compiled(model)
     ref, latest_bound, data = _latest
     if ref() is net and latest_bound == bound:
@@ -318,60 +326,43 @@ class CoverabilityResult:
 
 
 def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int, ...]]]:
-    """Minimal markings of the predicate, via DNF, or None unless it is
-    upward-closed and over tokens only (what coverability can decide)."""
+    """Minimal markings of the predicate as place vectors, via DNF, or None
+    unless it is upward-closed and over tokens only (what coverability can
+    decide). An atom is a unit vector, And the pointwise max, Or the union."""
     if not is_upward_closed(pred) or any(isinstance(a, CounterAtom) for a in predicate_atoms(pred)):
         return None
+    n = len(net.place_ids)
 
-    def rec(node) -> list[dict]:
+    def rec(node) -> list[tuple[int, ...]]:
         if isinstance(node, TokenAtom):  # with >= or >
-            need = node.value if node.op == ">=" else node.value + 1
-            return [{node.place: max(need, 0)}]
+            vec = [0] * n
+            vec[net.place_index(node.place)] = max(node.value if node.op == ">=" else node.value + 1, 0)
+            return [tuple(vec)]
         parts = [rec(op) for op in node.operands]
         if isinstance(node, Or):
-            return [combo for part in parts for combo in part]
-        combos = [{}]
+            return [vec for part in parts for vec in part]
+        combos = [(0,) * n]
         for part in parts:
-            combos = [{p: max(a.get(p, 0), b.get(p, 0)) for p in {*a, *b}}
-                      for a in combos for b in part]
+            combos = [tuple(map(max, a, b)) for a in combos for b in part]
         return combos
 
-    basis = []
-    for combo in rec(pred):
-        vec = [0] * len(net.place_ids)
-        for p, v in combo.items():
-            vec[net.place_index(p)] = v
-        basis.append(tuple(vec))
-    return basis
+    return rec(pred)
 
 
 def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Optional[bool]:
-    """Whether the plain projection can cover the target; None when the budget
-    runs out or the target is not upward-closed and over tokens only.
+    """Whether the plain projection (`CompiledNet.plain`) can cover the
+    target; None when the budget runs out or the target is not upward-closed
+    and over tokens only. False proves the target uncoverable in the full net.
 
     Backward search over a minimal basis of the markings from which the
     target can be covered (Abdulla, Cerans, Jonsson and Tsay, LICS 1996).
-    The projection keeps input, read and token changes and drops inhibitors,
-    guards, capacities and counters, as the Karp-Miller tree does; a mode
-    compiles to inhibitors and guards, so it goes too. False proves the
-    target uncoverable in the full net. Basis elements are expanded
-    breadth-first, at most `budget` of them.
+    Basis elements are expanded breadth-first, at most `budget` of them.
     """
     net = compiled(model)
     targets = _target_basis(target, net)
     if targets is None:
         return None
-    n = len(net.place_ids)
-    rows = []
-    for t in net.transitions:
-        need, delta = [0] * n, [0] * n
-        for p, w in t.needs:
-            need[p] = w
-        for p, d in t.delta:
-            if p < n:
-                delta[p] = d
-        rows.append((tuple(need), tuple(delta)))
-    root = net.root[:n]
+    root, rows = net.plain
     le, sub = operator.le, operator.sub
     basis: dict[tuple[int, ...], None] = {}   # a minimal antichain, insertion-ordered
     queue: deque[tuple[int, ...]] = deque()
@@ -408,11 +399,10 @@ def karp_miller(model: NetModel, target: Predicate, *,
                 predicate_name: str = "<target>") -> CoverabilityResult:
     """Classical Karp-Miller tree with omega-acceleration.
 
-    The tree is built over the plain projection of the net (inhibitors,
-    guards and capacities dropped, so modes too), which over-approximates
-    reachability: an uncoverable verdict is sound for the full net. A tree
-    that would grow past `bound.max_states` nodes stops with Unknown and no
-    covering path. When the projection covers the target, bounded
+    The tree is built over the plain projection of the net
+    (`CompiledNet.plain`), so an uncoverable verdict is sound for the full
+    net. A tree that would grow past `bound.max_states` nodes stops with
+    Unknown and no covering path. When the projection covers the target, bounded
     exploration under the full semantics decides the verdict. It searches
     for a marking that satisfies the target with token cuts of c, 4c and
     16c, where c is the target's largest minimal-marking entry plus 2, and
@@ -445,17 +435,18 @@ def karp_miller(model: NetModel, target: Predicate, *,
     reach the same least common fixpoint as lifting one ancestor at a time
     in any order: the tree is the classical one, node for node.
     """
+    _check_bound(bound)
     net = compiled(model)
     targets = _target_basis(target, net)
     if targets is None:
         raise NotUpwardClosed(
             "coverability targets must be upward-closed and use no counter or mode atoms")
-    n = len(net.place_ids)
+    root, plain = net.plain
     rows = []
-    for t in net.transitions:
-        delta = tuple((p, d, 1 << p) for p, d in t.delta if p < n)
-        rows.append((t.id, t.needs, delta, ~sum(bit for _, _, bit in delta)))
-    root = net.root[:n]
+    for tid, (need, change) in zip(net.ids, plain):
+        needs = tuple((p, w) for p, w in enumerate(need) if w)
+        delta = tuple((p, d, 1 << p) for p, d in enumerate(change) if d)
+        rows.append((tid, needs, delta, ~sum(bit for _, _, bit in delta)))
 
     unknown = Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
     tree_nodes: list[tuple] = [root]
@@ -710,5 +701,6 @@ def check_all_forbidden(model: NetModel,
                         bound: ExplorationBound = DEFAULT_BOUND) -> dict[str, Verdict]:
     """`check_forbidden` for every named forbidden predicate of the model, in
     declaration order; they share one exploration through `explore`."""
+    _check_bound(bound)
     compiled(model)
     return {name: check_forbidden(model, name, bound) for name, _ in model.forbidden}

@@ -22,6 +22,7 @@ from .analysis import (
     DEFAULT_BOUND,
     ExplorationBound,
     ReachGraph,
+    _check_bound,
     explore,
     node_distances,
 )
@@ -146,14 +147,16 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
     Stops early at a deadlock (no enabled transition), recording the step at
     which it occurred. Audit rules declared on the model are evaluated over
     the finished run; pressure rules explore within `bound`. Before the first
-    step, a value that is not a policy, or a `steps` that is not an int (or
-    is a bool), raises TypeError, a negative `steps` raises ValueError, and
-    a Priority or Scripted policy that names a transition the model does
-    not declare raises UnknownTransition, listing each such name once; a
-    declared scripted transition that is disabled when its turn comes
-    raises ScriptedFiringDisabled. The run's markings also hold the
-    visited states (see RunRecord).
+    step, a value that is not a policy, a `bound` that is not an
+    ExplorationBound, or a `steps` that is not an int (or is a bool), raises
+    TypeError, a negative `steps` raises ValueError, and a Priority or
+    Scripted policy that names a transition the model does not declare
+    raises UnknownTransition, listing each such name once; a declared
+    scripted transition that is disabled when its turn comes raises
+    ScriptedFiringDisabled. The run's markings also hold the visited states
+    (see RunRecord).
     """
+    _check_bound(bound)
     net = compiled(model)
     if not isinstance(policy, (UniformRandom, Priority, Scripted)):
         raise TypeError(f"not a simulation policy: {policy!r}")
@@ -235,6 +238,7 @@ def evaluate_audit_rules(model: NetModel, run: RunRecord,
     outside a truncated graph simply produce no alarm. A marking that is not
     one of the model raises UnknownReference.
     """
+    _check_bound(bound)
     net = compiled(model)
     pressured = any(isinstance(r, PressureThreshold) for r in model.audit_rules)
     graph = explore(model, bound) if pressured else None

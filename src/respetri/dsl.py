@@ -467,6 +467,8 @@ def _parse_lines(text: str, parse_line) -> None:
                 cur.expect_end()
         except _Err as e:
             errors.append(e.error)
+        except RecursionError:  # the predicate grammar recurses once per nesting level
+            errors.append(ParseError((lineno, 1), "predicate nested too deeply"))
     if errors:
         raise ParseFailure(errors)
 

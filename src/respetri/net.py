@@ -532,8 +532,9 @@ class CompiledNet:
     unbounded place the transition fills. The source holds only int
     literals (vector indices, weights, thresholds and capacity limits) and
     fixed names; guard i is bound as `g<i>` beside it. No id or other
-    string of the model enters it. Karp-Miller, backward coverability and
-    the structural analyses read `transitions` and never generate it.
+    string of the model enters it. Karp-Miller and backward coverability
+    read `plain`, the structural analyses read the model, and none of them
+    generates the token game.
     """
 
     def __init__(self, model: NetModel):
@@ -632,6 +633,27 @@ class CompiledNet:
             fs = tuple(map(self.predicate, pred.operands))
             return lambda v: any(f(v) for f in fs)
         raise TypeError(f"not a predicate: {pred!r}")
+
+    @cached_property
+    def plain(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+        """The plain projection that coverability decides: the root's place
+        tokens, and per transition in index order (need, change) over the
+        places, need being the largest input or read weight on each place.
+        Counters, inhibitors, capacities and guards are dropped, so modes too
+        (they compile to inhibitors and guards). That only removes conditions
+        on firing, so the projection fires every sequence the net fires: a
+        target it cannot cover is uncoverable in the net."""
+        n = len(self.place_ids)
+        rows = []
+        for t in self.transitions:
+            need, change = [0] * n, [0] * n
+            for p, w in t.needs:
+                need[p] = w
+            for p, d in t.delta:
+                if p < n:
+                    change[p] = d
+            rows.append((tuple(need), tuple(change)))
+        return self.root[:n], tuple(rows)
 
     @cached_property
     def successors(self) -> Callable[[tuple, float], list[tuple[int, Optional[tuple]]]]:

@@ -408,3 +408,11 @@ def random_predicate(rng: random.Random, model: NetModel, *,
     if len(atoms) == 1:
         return atoms[0]
     return rng.choice([And, Or])(tuple(atoms))
+
+
+def nested_predicate(depth: int, place: str) -> str:
+    """`place >= 1` inside `depth` levels of alternating `or` and `and`, in the text format."""
+    pred = f"{place} >= 1"
+    for i in range(depth):
+        pred = f"({place} >= 1 {'and' if i % 2 else 'or'} {pred})"
+    return pred

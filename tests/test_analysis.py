@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from respetri import (
     ProofKind,
     TokenAtom,
     TransitionDef,
+    UniformRandom,
     UnknownReference,
     VerdictKind,
     ViolationTrace,
@@ -30,6 +32,7 @@ from respetri import (
     check_forbidden,
     enabled_set,
     eval_predicate,
+    evaluate_audit_rules,
     explore,
     find_cycles,
     fire,
@@ -40,6 +43,7 @@ from respetri import (
     parse_model,
     pressure_map,
     reachability_pressure,
+    simulate,
     siphons_and_traps,
     violation_trace,
 )
@@ -339,6 +343,11 @@ class TestKarpMiller:
         (And((TokenAtom("p1", ">=", 1), CounterAtom("t2", ">=", 1))), None),
         (TokenAtom("p1", "=", 1), None),
         (Or((TokenAtom("p1", ">=", 1), Not(TokenAtom("p2", "<", 1)))), None),
+        # two atoms on one place need the larger count, not the sum
+        (And((TokenAtom("p1", ">=", 2), TokenAtom("p1", ">", 2), TokenAtom("p0", ">=", 1))), [(1, 3, 0)]),
+        (And((Or((TokenAtom("p0", ">=", 1), TokenAtom("p1", ">=", 2))),
+              Or((TokenAtom("p1", ">=", 1), TokenAtom("p2", ">=", 1))))),
+         [(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 2, 1)]),
     ])
     def test_target_basis_takes_only_upward_closed_token_predicates(self, pred, basis):
         assert _target_basis(pred, compiled(chain_net())) == basis
@@ -710,3 +719,17 @@ class TestPressure:
         dist = pressure_map(g, pred)
         series = [dist[mk] for mk in trace.markings]
         assert series == list(range(len(series) - 1, -1, -1))
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: explore(chain_net(), None), None),
+    (lambda: check_forbidden(chain_net(), "leak", "x"), "x"),
+    (lambda: karp_miller(chain_net(), TokenAtom("p2", ">=", 1), bound="x"), "x"),
+    (lambda: check_all_forbidden(replace(chain_net(), forbidden=()), 5), 5),
+    (lambda: simulate(chain_net(), UniformRandom(1), 2, bound=5), 5),
+    (lambda: evaluate_audit_rules(chain_net(), simulate(chain_net(), UniformRandom(1), 2), {}), {}),
+], ids=["explore", "check_forbidden", "karp_miller", "check_all_forbidden-no-predicates",
+        "simulate-no-pressure-rule", "evaluate_audit_rules-no-pressure-rule"])
+def test_a_bound_that_is_not_an_exploration_bound_is_a_type_error(call, bad):
+    with pytest.raises(TypeError, match=rf"^bound must be an ExplorationBound, got {re.escape(repr(bad))}$"):
+        call()

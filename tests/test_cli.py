@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import nested_predicate
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "respetri" / "data"
 
@@ -376,3 +378,23 @@ class TestEdit:
                  (workdir / "gov.jsonl").read_text().splitlines()]
         assert len(lines) == 2
         assert lines[0]["post_hash"] == lines[1]["pre_hash"]
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "edit"])
+def test_a_predicate_nested_too_deeply_is_a_parse_error_exit_3(workdir, command):
+    # the parser recurses with each level; past the interpreter's limit the
+    # line is a parse error, not a traceback with exit 1 ("unsafe")
+    deep = f"{nested_predicate(300, 'p1')}\n"
+    env = {"RESPETRI_LOG": str(workdir / "gov.jsonl")}
+    if command == "edit":
+        (workdir / "deep.patch").write_text(f"set guard t1 {deep}")
+        r = run_cli("edit", "traffic.net", "deep.patch", cwd=workdir, env=env)
+        name, line = "deep.patch", 1
+    else:
+        text = (workdir / "traffic.net").read_text()
+        (workdir / "deep.net").write_text(f"{text}forbidden deep := {deep}")
+        r = run_cli(command, "deep.net", cwd=workdir, env=env)
+        name, line = "deep.net", text.count("\n") + 1
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr.splitlines()[1:] == [f"  {name}:{line}:1: predicate nested too deeply"]
+    assert not (workdir / "traffic.patched.net").exists() and not (workdir / "gov.jsonl").exists()

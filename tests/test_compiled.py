@@ -172,6 +172,58 @@ def test_truncated_upward_closed_check_is_decided_by_coverability():
     assert (v.kind.value, v.proof.value) == ("safe", "coverability")
 
 
+# What the plain projection keeps and drops: a read heavier than the input on
+# the same place, a read on a place nothing changes, an inhibitor, a capacity,
+# guards, a mode with a disable set and an override, and a counted transition.
+PLAIN = """
+place p init 2 cap 3
+place q
+place r init 1
+trans a in p:1 read p:2 r:1 out q:2 counted
+trans b in q:2 out p:1 inhibit r:3 guard q >= 2
+trans c in r:1 out r:1 q:1 guard #a < 5
+mode m1
+mode m2 disable a
+override m2 b := p <= 1
+"""
+
+
+def test_plain_keeps_needs_and_token_changes_only():
+    net = compiled(parse_model(PLAIN))
+    assert net.place_ids == ("p", "q", "r", "mode_m1", "mode_m2") and net.counted == ("a",)
+    assert net.root == (2, 0, 1, 1, 0, 0)
+    assert net.plain == ((2, 0, 1, 1, 0), (
+        ((2, 0, 1, 0, 0), (-1, 2, 0, 0, 0)),
+        ((0, 2, 0, 0, 0), (1, -2, 0, 0, 0)),
+        ((0, 0, 1, 0, 0), (0, 1, 0, 0, 0)),
+    ))
+
+
+class _Untouchable:
+    """Raises on any use."""
+
+    def _fail(self, *args):
+        raise AssertionError("coverability read CompiledNet.transitions")
+
+    __iter__ = __len__ = __bool__ = __getitem__ = __getattr__ = _fail
+
+
+@pytest.mark.parametrize("pred, covered, answer", [
+    (TokenAtom("q", ">=", 3), True, ("unsafe", ("a", "c"), ("c",))),
+    (TokenAtom("r", ">=", 2), False, ("safe", None, None)),
+], ids=["coverable", "uncoverable"])
+def test_coverability_reads_only_the_plain_projection(monkeypatch, pred, covered, answer):
+    model = parse_model(PLAIN)
+    net = compiled(model)
+    net.plain, net.successors  # both are built from `transitions`, before it goes
+    monkeypatch.setattr(net, "transitions", _Untouchable())
+    result, reference = karp_miller(model, pred), karp_miller(parse_model(PLAIN), pred)
+    assert result == reference and len(result.tree_nodes) == 13
+    v = result.verdict
+    assert (v.kind.value, v.trace and v.trace.firings, result.covering_path) == answer
+    assert _backward_coverable(model, pred, 1000) is covered
+
+
 def test_random_nets():
     rng = random.Random(2024)
     for i in range(80):

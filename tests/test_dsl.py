@@ -1,7 +1,11 @@
 """Model language: parsing, errors, macros, canonical serialization."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +60,7 @@ from respetri.dsl import RateLimit, expand_macros, format_op, format_predicate
 from respetri.net import ARC_FIELDS, IDENT, _OPS
 from respetri.models import FIXTURES
 
-from oracles import random_net
+from oracles import nested_predicate, random_net
 
 BASIC = """\
 meta name "demo"
@@ -570,3 +574,29 @@ def test_every_line_kind_round_trips():
                  "many": (VerdictKind.UNSAFE, ProofKind.VIOLATION_TRACE, 13)}]
     assert eval_predicate(ModeAtom("calm"), m.initial)
     assert not eval_predicate(ModeAtom("busy"), m.initial)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("depth", [300, 2000])
+    def test_a_predicate_nested_too_deeply_is_a_parse_error(self, depth):
+        deep = nested_predicate(depth, "p")
+        with pytest.raises(ParseFailure) as model_error:
+            parse_model(f"place p\nforbidden f := {deep}\ntrans t in p:0\n")
+        assert [str(e) for e in model_error.value.errors] == [
+            "2:1: predicate nested too deeply", "3:14: integer 0 out of range, must be >= 1"]
+        with pytest.raises(ParseFailure) as patch_error:
+            parse_patch(f"set guard t {deep}\n")
+        assert [str(e) for e in patch_error.value.errors] == ["1:1: predicate nested too deeply"]
+
+    def test_245_levels_round_trip(self):
+        # what parsed before deep nesting became a parse error still parses:
+        # 245 levels, in a fresh interpreter, whose stack starts empty
+        code = ("import sys; from respetri import model_hash, parse_model, serialize_model\n"
+                "m = parse_model(sys.argv[1])\n"
+                "again = parse_model(serialize_model(m).text)\n"
+                "sys.exit(again.forbidden != m.forbidden or model_hash(again) != model_hash(m))\n")
+        text = f"place p init 1\nforbidden f := {nested_predicate(245, 'p')}\n"
+        src = Path(__file__).resolve().parent.parent / "src"
+        r = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)))
+        assert r.returncode == 0, r.stderr[-2000:]

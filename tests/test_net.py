@@ -35,6 +35,7 @@ from respetri import (
     apply_patch,
     enabled_set,
     eval_predicate,
+    explore,
     fire,
     initial_marking,
     is_enabled,
@@ -377,6 +378,16 @@ class TestModes:
                      lambda: enabled_set(m, mk)):
             with pytest.raises(UnknownReference, match=f"found {len(marked)}"):
                 call()
+
+    @pytest.mark.parametrize("marked", [(), ("mode_a", "mode_b")], ids=["no-mode", "two-modes"])
+    def test_where_the_token_game_raises_graph_membership_says_not_a_node(self, marked):
+        m = parse_model(self.TEXT)
+        mk = Marking.make({"p": 1, "q": 0, "mode_a": int("mode_a" in marked), "mode_b": int("mode_b" in marked)})
+        with pytest.raises(UnknownReference, match=f"^expected exactly one marked mode place, found {len(marked)}$"):
+            enabled_set(m, mk)
+        graph = explore(m)
+        assert mk not in graph and graph.position(mk) is None
+        assert Marking.make({"p": 1, "q": 0, "mode_a": 1, "mode_b": 0}) in graph
 
 
 def _random_walk(model, rng, steps=20):
