@@ -299,8 +299,9 @@ def check_forbidden(model: NetModel, predicate_name: str,
     Unsafe carries a minimal-length replayable trace. Safe/ExhaustiveBounded
     requires an untruncated exploration; Safe/Coverability is attempted for
     upward-closed token-only predicates when the bound was exhausted, by
-    backward coverability within `max_states` basis expansions. `explore`
-    alone shares one exploration among the checks of a model and bound.
+    backward coverability within `max_states` basis expansions and their
+    comparison charge (see _backward_coverable). `explore` alone shares one
+    exploration among the checks of a model and bound.
     """
     pred = model.forbidden_predicate(predicate_name)
     if verdict := _explored_verdict(explore(model, bound), pred, predicate_name):
@@ -349,6 +350,9 @@ def _target_basis(pred: Predicate, net: CompiledNet) -> Optional[list[tuple[int,
     return rec(pred)
 
 
+COMPARISONS_PER_EXPANSION = 64   # basis elements a search may scan per expansion of its budget
+
+
 def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Optional[bool]:
     """Whether the plain projection (`CompiledNet.plain`) can cover the
     target; None when the budget runs out or the target is not upward-closed
@@ -357,6 +361,9 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
     Backward search over a minimal basis of the markings from which the
     target can be covered (Abdulla, Cerans, Jonsson and Tsay, LICS 1996).
     Basis elements are expanded breadth-first, at most `budget` of them.
+    Each scan of the basis costs its size, and the search also stops once
+    the scans have cost more than COMPARISONS_PER_EXPANSION * budget, so a
+    large basis cannot outrun the budget.
     """
     net = compiled(model)
     targets = _target_basis(target, net)
@@ -366,11 +373,15 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
     le, sub = operator.le, operator.sub
     basis: dict[tuple[int, ...], None] = {}   # a minimal antichain, insertion-ordered
     queue: deque[tuple[int, ...]] = deque()
+    compared = 0
 
     def add(m: tuple[int, ...]) -> bool:
         """Keep m unless the basis covers it; True iff the root covers m."""
+        nonlocal compared
+        compared += len(basis)
         if any(all(map(le, b, m)) for b in basis):
             return False
+        compared += len(basis)
         for b in [b for b in basis if all(map(le, m, b))]:
             del basis[b]
         basis[m] = None
@@ -385,7 +396,7 @@ def _backward_coverable(model: NetModel, target: Predicate, budget: int) -> Opti
         m = queue.popleft()
         if m not in basis:
             continue  # replaced by a smaller element
-        if expanded >= budget:
+        if expanded >= budget or compared > COMPARISONS_PER_EXPANSION * budget:
             return None
         expanded += 1
         for need, delta in rows:

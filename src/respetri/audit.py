@@ -2,9 +2,9 @@
 
 A run is one interleaved firing sequence: one transition per step, chosen by
 a policy. Identical inputs (including seeds) produce identical RunRecords.
-The markings of a simulated run also hold the compiled net's state vectors:
-audit rules, drift reports and the run log read the states and build no
-Marking.
+The markings of a simulated run also hold its state vectors and the ids they
+are over: audit rules, drift reports and the run log read the states and
+build no Marking.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -89,30 +88,21 @@ class Alarm:
 
 
 class _RunMarkings(tuple):
-    """The markings of a simulated run: their tuple, which also keeps the
-    state vectors they were built from and a weak reference to the compiled
-    net, so that audit rules, drift reports and the run log read the states
-    while a dropped model still frees its net. Steps at one state share its
-    Marking. It copies and pickles as the plain tuple."""
-
-    def __new__(cls, net: CompiledNet, states: tuple[tuple[int, ...], ...]):
-        built = {v: net.marking(v) for v in dict.fromkeys(states)}
-        self = super().__new__(cls, map(built.__getitem__, states))
-        self.net, self.states = weakref.ref(net), states
-        return self
-
-    def __reduce__(self):
-        return tuple, (tuple(self),)
+    """The markings of a simulated run: their tuple, which also keeps
+    `states`, the state vector of each step, and `ids`, the (place ids,
+    counted transitions) those vectors are over. It holds no net, so a
+    dropped model frees its net while a run is kept, and it copies and
+    pickles with both. Steps at one state share its Marking."""
 
 
 @dataclass(frozen=True)
 class RunRecord:
     """A run: its firings, the marking before the first and after each
     firing, the alarms raised, and the step of a deadlock. The markings of a
-    run from `simulate` also hold their net's state vectors, which audit
-    rules, drift reports and the run log read; they compare equal to, and
-    hash like, the plain tuple. A run built by hand from a tuple of markings
-    works wherever a simulated one does."""
+    run from `simulate` also hold each step's state vector and the place and
+    counter ids it is over, which audit rules, drift reports and the run log
+    read; they compare equal to, and hash like, the plain tuple. A run built
+    by hand from a tuple of markings works wherever a simulated one does."""
 
     firings: tuple[str, ...]
     markings: tuple[Marking, ...]            # len = len(firings) + 1
@@ -131,11 +121,12 @@ class RunRecord:
 
 def _run_states(net: CompiledNet, run: RunRecord) -> Iterable[tuple[int, ...]]:
     """The run's markings as state vectors of net; the only place they become
-    states. A simulated run of net hands back its states; any other run goes
-    through net.state once per marking, as it is reached, so a marking that
-    is not one of net raises UnknownReference there."""
+    states. A simulated run over net's ids hands back its states, which
+    depend on nothing else; any other run goes through net.state once per
+    marking, as it is reached, so a marking that is not one of net raises
+    UnknownReference there."""
     markings = run.markings
-    if isinstance(markings, _RunMarkings) and markings.net() is net:
+    if isinstance(markings, _RunMarkings) and markings.ids == (net.place_ids, net.counted):
         return markings.states
     return map(net.state, markings)
 
@@ -194,7 +185,10 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
         firings.append(t)
         states.append(v)
 
-    run = RunRecord(tuple(firings), _RunMarkings(net, tuple(states)))
+    built = {v: net.marking(v) for v in dict.fromkeys(states)}
+    markings = _RunMarkings(map(built.__getitem__, states))
+    markings.states, markings.ids = tuple(states), (net.place_ids, net.counted)
+    run = RunRecord(tuple(firings), markings)
     return replace(run, alarms=tuple(evaluate_audit_rules(model, run, bound)),
                    deadlock_step=deadlock)
 
@@ -296,13 +290,13 @@ def drift_report(model: NetModel, run: RunRecord, predicate: Union[str, Predicat
 _ENCODER = json.JSONEncoder(sort_keys=True)   # json.dumps(rec, sort_keys=True), built once
 
 
-def _line_format(places: Iterable[str], counters: Iterable[str], value: str) -> str:
+def _line_format(places: Iterable[str], counters: Iterable[str]) -> str:
     """The %-format of one run-log line over the given ids, each in sorted
-    order, with `value` for each of their values; it takes (alarms JSON,
-    counter values, fired JSON, step, token values) and gives
-    json.dumps(record, sort_keys=True) of the line."""
+    order; it takes (alarms JSON, counter values, fired JSON, step, token
+    values), all ints but the JSON, and gives json.dumps(record,
+    sort_keys=True) of the line."""
     def obj(ids):
-        return "{" + ", ".join(_ENCODER.encode(k).replace("%", "%%") + ": " + value for k in ids) + "}"
+        return "{" + ", ".join(_ENCODER.encode(k).replace("%", "%%") + ": %d" for k in ids) + "}"
     return '{"alarms": %s, "counters": ' + obj(counters) + ', "fired": %s, "step": %d, "tokens": ' + obj(places) + "}"
 
 
@@ -311,38 +305,29 @@ def _picker(order: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*order) if len(order) > 1 else lambda v: tuple(v[i] for i in order)
 
 
-def _log_rows(markings: tuple[Marking, ...]) -> Iterable[tuple[str, tuple, tuple]]:
-    """(line format, counter values, token values) per marking, values in id
-    order. A simulated run whose net is alive reads them from its states as
-    %d values; any other run from its markings' sorted maps, each value
-    encoded as json.dumps writes it."""
-    net = markings.net() if isinstance(markings, _RunMarkings) else None
-    if net is not None:
-        places, counters = sorted(net.place_ids), sorted(net.counted)
-        fmt = _line_format(places, counters, "%d")
-        tokens = _picker([net.place_index(p) for p in places])
-        counts = _picker([len(net.place_ids) + net.counted.index(c) for c in counters])
-        return ((fmt, counts(v), tokens(v)) for v in markings.states)
-    formats: dict[tuple, str] = {}
-
-    def row(m: Marking) -> tuple[str, tuple, tuple]:
-        ids = (tuple(m.tokens_map), tuple(m.counters_map))
-        if (fmt := formats.get(ids)) is None:
-            fmt = formats[ids] = _line_format(*ids, "%s")
-        encoded = _ENCODER.encode
-        return fmt, tuple(map(encoded, m.counters_map.values())), tuple(map(encoded, m.tokens_map.values()))
-    return map(row, markings)
-
-
 def run_record_to_jsonl(run: RunRecord) -> str:
     """Line-delimited log: one record per step with marking, counters, alarms.
-    Each line is json.dumps(record, sort_keys=True) of its record."""
+    Each line is json.dumps(record, sort_keys=True) of its record. A
+    simulated run writes it from its states, also once its model is gone;
+    a run built by hand encodes each record."""
     alarms_by_step: dict[int, list[dict]] = {}
     for a in run.alarms:
         alarms_by_step.setdefault(a.step, []).append({"rule": a.rule_id, "observed": a.observed})
+    markings = run.markings
+    if not isinstance(markings, _RunMarkings):
+        records = ({"step": step, "fired": run.firings[step - 1] if step else None, "tokens": m.tokens_map,
+                    "counters": m.counters_map, "alarms": alarms_by_step.get(step, [])}
+                   for step, m in enumerate(markings))
+        return "".join(_ENCODER.encode(rec) + "\n" for rec in records)
+    place_ids, counted = markings.ids
+    position = {k: i for i, k in enumerate(place_ids + counted)}   # places and transitions share one namespace
+    places, counters = sorted(place_ids), sorted(counted)
+    fmt = _line_format(places, counters)
+    tokens = _picker([position[p] for p in places])
+    counts = _picker([position[c] for c in counters])
     fired = ["null", *map(_ENCODER.encode, run.firings)]
     lines = []
-    for step, (fmt, counts, tokens) in enumerate(_log_rows(run.markings)):
+    for step, v in enumerate(markings.states):
         alarms = alarms_by_step.get(step)
-        lines.append(fmt % (_ENCODER.encode(alarms) if alarms else "[]", *counts, fired[step], step, *tokens))
+        lines.append(fmt % (_ENCODER.encode(alarms) if alarms else "[]", *counts(v), fired[step], step, *tokens(v)))
     return "\n".join(lines) + "\n"

@@ -305,31 +305,36 @@ def _unquote(tok: Token) -> str:
 # ---------------------------------------------------------------------------
 
 _CMP_OPS = tuple(_OPS)
+MAX_NESTING = 256   # levels of a predicate: the whole is level 1, each `not` and `(` opens the next
 
 
-def _parse_pred(cur: _Cursor) -> Predicate:
-    return _parse_or(cur)
-
-
-def _parse_or(cur: _Cursor) -> Predicate:
-    terms = [_parse_and(cur)]
-    while cur.accept_keyword("or"):
-        terms.append(_parse_and(cur))
-    return terms[0] if len(terms) == 1 else Or(tuple(terms))
-
-
-def _parse_and(cur: _Cursor) -> Predicate:
-    terms = [_parse_not(cur)]
-    while cur.accept_keyword("and"):
-        terms.append(_parse_not(cur))
-    return terms[0] if len(terms) == 1 else And(tuple(terms))
-
-
-def _parse_not(cur: _Cursor) -> Predicate:
-    if cur.at("ident", "not") and not _is_cmp(cur.peek(1)):  # `not >= 1` is an atom
-        cur.i += 1
-        return Not(_parse_not(cur))
-    return _parse_atom(cur)
+def _parse_pred(cur: _Cursor, level: int = 1) -> Predicate:
+    """The `or` of `and`s of operands at one level, read in a loop; only a
+    parenthesis recurses, so the deepest predicate that parses is the same
+    for every caller."""
+    terms: list[Predicate] = []      # the `or` operands read so far
+    factors: list[Predicate] = []    # the `and` operands of the current term
+    while True:
+        nots = 0
+        while cur.at("ident", "not") and not _is_cmp(cur.peek(1)):  # `not >= 1` is an atom
+            cur.i += 1
+            nots += 1
+        if level + nots > MAX_NESTING:
+            raise _Err((cur.lineno, 1), "predicate nested too deeply")
+        if cur.at("op", "("):
+            cur.i += 1
+            operand = _parse_pred(cur, level + nots + 1)
+            cur.take("op", ")")
+        else:
+            operand = _parse_atom(cur)
+        for _ in range(nots):
+            operand = Not(operand)
+        factors.append(operand)
+        if not cur.accept_keyword("and"):
+            terms.append(factors[0] if len(factors) == 1 else And(tuple(factors)))
+            if not cur.accept_keyword("or"):
+                return terms[0] if len(terms) == 1 else Or(tuple(terms))
+            factors = []
 
 
 def _is_cmp(tok: Token | None) -> bool:
@@ -348,11 +353,6 @@ def _parse_atom(cur: _Cursor) -> Predicate:
     tok = cur.peek()
     if tok is None:
         raise _Err(cur.here(), "expected predicate atom", ("identifier", "#identifier", "("))
-    if tok.kind == "op" and tok.value == "(":
-        cur.i += 1
-        inner = _parse_or(cur)
-        cur.take("op", ")")
-        return inner
     if tok.kind == "counter":
         cur.i += 1
         op = _take_cmp(cur)
@@ -467,8 +467,6 @@ def _parse_lines(text: str, parse_line) -> None:
                 cur.expect_end()
         except _Err as e:
             errors.append(e.error)
-        except RecursionError:  # the predicate grammar recurses once per nesting level
-            errors.append(ParseError((lineno, 1), "predicate nested too deeply"))
     if errors:
         raise ParseFailure(errors)
 

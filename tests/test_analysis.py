@@ -1,9 +1,13 @@
 """Exploration, verdicts, coverability, structural analysis, pressure."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from dataclasses import replace
 
 import pytest
@@ -296,6 +300,23 @@ class TestBackwardCoverability:
         assert check_forbidden(m, "dd", ExplorationBound(max_states=needed)).kind is VerdictKind.SAFE
         assert check_forbidden(m, "dd", ExplorationBound(max_states=needed - 1)).kind is VerdictKind.UNKNOWN
         assert check_forbidden(m, "dd", ExplorationBound(max_states=-1)).kind is VerdictKind.UNKNOWN
+
+    def test_a_wide_basis_does_not_outrun_the_bound(self):
+        # eight tokens on a ten-place pipeline under a 5-token cut: the root is
+        # over the cut, so the exploration stops at once, and a budget of
+        # 100,000 expansions grows a basis whose scans ran for minutes. Run in
+        # a child, so that a search that outruns its bound fails here instead
+        # of hanging.
+        text = ("place p0 init 8\n" + "".join(f"place p{i}\ntrans t{i} in p{i - 1}:1 out p{i}:1\n" for i in range(1, 10))
+                + "forbidden deep := p9 >= 8\n")
+        code = ("import sys; from respetri import ExplorationBound, check_forbidden, parse_model\n"
+                "bound = ExplorationBound(max_states=100_000, max_tokens_per_place=5)\n"
+                "v = check_forbidden(parse_model(sys.argv[1]), 'deep', bound)\n"
+                "print(v.kind.value, v.proof.value)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        r = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True, timeout=30,
+                           env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (r.returncode, r.stdout) == (0, "unknown bound-exhausted\n"), r.stderr[-2000:]
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10**9))

@@ -10,6 +10,7 @@ import sys
 import time
 import weakref
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ from respetri import (
     simulate,
 )
 from respetri.models import FixtureConfig, build_srs_symbolic_model, build_traffic_model
-from respetri.net import compiled
+from respetri.net import CompiledNet, compiled
 from oracles import random_net, random_predicate
 
 
@@ -309,6 +310,22 @@ def reference_lines(run: RunRecord) -> list[str]:
             for step, m in enumerate(run.markings)]
 
 
+def audited_srs_net() -> NetModel:
+    """The SRS fixture with four tokens on pA and p_permit and a rule of each kind."""
+    base = build_srs_symbolic_model(FixtureConfig(initial_tokens={"pA": 4, "p_permit": 4}))
+    return replace(base, audit_rules=base.audit_rules + (
+        PressureThreshold("near", "bad_state", 1), RateThreshold("r", "tA", 0, 2),
+        OccupancyThreshold("o", "pB", ">=", 1)))
+
+
+def state_calls(monkeypatch) -> list:
+    """The markings passed to CompiledNet.state from now on."""
+    calls = []
+    state = CompiledNet.state
+    monkeypatch.setattr(CompiledNet, "state", lambda net, m: calls.append(m) or state(net, m))
+    return calls
+
+
 class TestRunsHoldStates:
     def test_an_audited_run_builds_each_marking_once(self, monkeypatch):
         base = build_srs_symbolic_model(FixtureConfig(initial_tokens={"pA": 4, "p_permit": 4}))
@@ -346,7 +363,7 @@ class TestRunsHoldStates:
             text = run_record_to_jsonl(run)
             del model
             assert kernel() is None and sys.getrefcount(states) == held - 1
-            assert run_record_to_jsonl(run) == text           # now read from the markings
+            assert run_record_to_jsonl(run) == text           # still read from the states
         finally:
             gc.enable()
 
@@ -377,6 +394,68 @@ class TestRunsHoldStates:
             evaluate_audit_rules(m, run)
         with pytest.raises(PressureUnavailable, match="^marking at step 1 is not a marking of the model"):
             drift_report(m, run, CounterAtom("t", ">=", 3))
+
+    @pytest.mark.parametrize("copied", [lambda run: pickle.loads(pickle.dumps(run)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_a_copied_run_still_reads_its_states(self, monkeypatch, copied):
+        m = audited_srs_net()
+        run = simulate(m, UniformRandom(10), 40)
+        text, drift = run_record_to_jsonl(run), drift_report(m, run, "bad_state")
+        assert text.splitlines() == reference_lines(run)
+        again = copied(run)
+        calls = state_calls(monkeypatch)
+        assert again == run and run_record_to_jsonl(again) == text
+        assert evaluate_audit_rules(m, again) == list(run.alarms) and len(run.alarms) > 20
+        assert drift_report(m, again, "bad_state") == drift
+        assert calls == []
+
+    def test_a_run_reads_its_states_against_a_parsed_twin_of_its_model(self, monkeypatch):
+        m = audited_srs_net()
+        run = simulate(m, UniformRandom(10), 40)
+        drift = drift_report(m, run, "bad_state")
+        twin = parse_model(serialize_model(m).text)
+        compiled(twin)
+        calls = state_calls(monkeypatch)
+        in_order = attrgetter("step", "rule_id")       # the canonical text sorts the rules
+        assert sorted(evaluate_audit_rules(twin, run), key=in_order) == sorted(run.alarms, key=in_order)
+        assert drift_report(twin, run, "bad_state") == drift
+        assert calls == []
+
+    def test_a_run_whose_model_is_gone_writes_its_log_from_its_states(self, monkeypatch):
+        model = counted_net(7)          # places and counters declared against id order
+        run = simulate(model, UniformRandom(7), 25, ExplorationBound(max_states=200, max_tokens_per_place=6))
+        text = run_record_to_jsonl(run)
+        assert text.splitlines() == reference_lines(run)
+        net = weakref.ref(compiled(model))
+        del model
+        gc.collect()
+        assert net() is None
+        read = []
+        for name in ("tokens_map", "counters_map"):
+            prop = getattr(Marking, name)
+            monkeypatch.setattr(Marking, name, property(lambda m, prop=prop: read.append(m) or prop.fget(m)))
+        assert run_record_to_jsonl(run) == text
+        assert read == []
+
+    def test_a_run_against_a_model_of_other_ids_goes_through_its_markings(self):
+        m = NetModel(places=(PlaceDef("p"), PlaceDef("q")),
+                     transitions=(TransitionDef("t", reads=(("p", 1),), counted=True),),
+                     initial=Marking.make({"p": 1, "q": 0}, {"t": 0}),
+                     audit_rules=(OccupancyThreshold("o", "q", ">=", 1), CounterThreshold("c", "t", 1)))
+        run = simulate(m, Scripted(("t", "t")), 2)
+        assert run.alarms == (Alarm(2, "c", 2),)
+        # the same ids in another order: the states are read through the markings
+        assert evaluate_audit_rules(replace(m, places=m.places[::-1]), run) == list(run.alarms)
+        fewer = replace(m, places=m.places[:1], initial=Marking.make({"p": 1}, {"t": 0}),
+                        audit_rules=m.audit_rules[1:])
+        with pytest.raises(UnknownReference, match="^unknown place 'q'$"):
+            evaluate_audit_rules(fewer, run)
+        with pytest.raises(PressureUnavailable, match="^marking at step 0 is not a marking of the model"):
+            drift_report(fewer, run, CounterAtom("t", ">=", 3))
+        uncounted = replace(m, transitions=(TransitionDef("t", reads=(("p", 1),)),),
+                            initial=Marking.make({"p": 1, "q": 0}), audit_rules=m.audit_rules[:1])
+        with pytest.raises(UnknownReference, match="^unknown counter 't'$"):
+            evaluate_audit_rules(uncounted, run)
 
     @pytest.mark.parametrize("steps, error", [("3", TypeError), (True, TypeError), (2.0, TypeError),
                                               (None, TypeError), (-3, ValueError)])

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from respetri.dsl import MAX_NESTING
+
 from oracles import nested_predicate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -378,6 +380,25 @@ class TestEdit:
                  (workdir / "gov.jsonl").read_text().splitlines()]
         assert len(lines) == 2
         assert lines[0]["post_hash"] == lines[1]["pre_hash"]
+
+
+@pytest.mark.parametrize("args, exit_code", [(["check"], 1), (["simulate", "--pressure", "deep"], 0)])
+def test_the_deepest_admitted_predicate_runs_and_one_level_more_is_exit_3(workdir, args, exit_code):
+    # p1 starts with two tokens, so `deep` holds at the initial marking
+    text = (workdir / "traffic.net").read_text()
+    for depth in (MAX_NESTING - 1, MAX_NESTING):
+        (workdir / f"deep{depth}.net").write_text(f"{text}forbidden deep := {nested_predicate(depth, 'p1')}\n")
+    r = run_cli(*args, f"deep{MAX_NESTING - 1}.net", cwd=workdir)
+    assert r.returncode == exit_code, r.stderr[-2000:]
+    results = report_of(r)["results"]
+    if args[0] == "check":
+        assert results["verdicts"]["deep"]["kind"] == "unsafe"
+    else:
+        assert results["drift"]["predicate"] == "deep" and results["drift"]["pressures"][0] == 0
+    r = run_cli(*args, f"deep{MAX_NESTING}.net", cwd=workdir)
+    assert r.returncode == 3 and r.stdout == ""
+    line = text.count("\n") + 1
+    assert r.stderr.splitlines()[1:] == [f"  deep{MAX_NESTING}.net:{line}:1: predicate nested too deeply"]
 
 
 @pytest.mark.parametrize("command", ["check", "simulate", "edit"])

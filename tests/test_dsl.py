@@ -56,7 +56,7 @@ from respetri import (
     structurally_equal,
     validate_net,
 )
-from respetri.dsl import RateLimit, expand_macros, format_op, format_predicate
+from respetri.dsl import MAX_NESTING, RateLimit, expand_macros, format_op, format_predicate
 from respetri.net import ARC_FIELDS, IDENT, _OPS
 from respetri.models import FIXTURES
 
@@ -587,6 +587,26 @@ class TestNesting:
         with pytest.raises(ParseFailure) as patch_error:
             parse_patch(f"set guard t {deep}\n")
         assert [str(e) for e in patch_error.value.errors] == ["1:1: predicate nested too deeply"]
+
+    def test_the_deepest_admitted_predicate_parses_and_one_level_more_does_not(self):
+        # the whole predicate is level 1, and each `(` and `not` opens the next
+        for deepest, deeper in [(nested_predicate(MAX_NESTING - 1, "p"), nested_predicate(MAX_NESTING, "p")),
+                                ("not " * (MAX_NESTING - 1) + "p >= 1", "not " * MAX_NESTING + "p >= 1"),
+                                ("not (" * 127 + "not p >= 1" + ")" * 127, "not (" * 128 + "p >= 1" + ")" * 128)]:
+            # compared by canonical text: == on trees this deep recurses past the limit under pytest
+            text = serialize_model(parse_model(f"place p init 1\nforbidden f := {deepest}\n")).text
+            assert serialize_model(parse_model(text)).text == text
+            with pytest.raises(ParseFailure) as error:
+                parse_model(f"place p init 1\nforbidden f := {deeper}\n")
+            assert [str(e) for e in error.value.errors] == ["2:1: predicate nested too deeply"]
+            assert error.value.errors[0].position == (2, 1)
+
+    def test_the_limit_does_not_depend_on_the_callers_stack(self):
+        text = f"place p init 1\nforbidden f := {nested_predicate(245, 'p')}\n"
+
+        def parse_at_depth(frames):
+            return parse_at_depth(frames - 1) if frames else parse_model(text)
+        assert serialize_model(parse_at_depth(400)).text == serialize_model(parse_model(text)).text
 
     def test_245_levels_round_trip(self):
         # what parsed before deep nesting became a parse error still parses:
