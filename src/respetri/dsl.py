@@ -2,10 +2,11 @@
 
 The `.net` format is line-oriented. Keywords: `meta`, `place`, `trans` (with
 `in/out/inhibit/read`, `guard`, `counted`), `forbidden`, `audit`, `mode`,
-`override`, `ratelimit`. Comments start with `#` followed by a non-identifier
-character; `#name` is a counter atom inside predicates. No word is reserved:
-one token of lookahead tells a keyword from an id, so `in:1` in an arc list,
-`not >= 1` and `mode = 1` name places.
+`override`, `ratelimit`; `_read_clauses` owns the clause rules of `place` and
+`trans` lines, read from one table each. Comments start with `#` followed by
+a non-identifier character; `#name` is a counter atom inside predicates. No
+word is reserved: one token of lookahead tells a keyword from an id, so
+`in:1` in an arc list, `not >= 1` and `mode = 1` name places.
 
 Canonical serialization orders blocks as places, transitions, forbidden,
 audit, modes, each sorted by identifier, and is byte-stable: it is the
@@ -471,76 +472,60 @@ def _parse_lines(text: str, parse_line) -> None:
         raise ParseFailure(errors)
 
 
-def _clause(cur: _Cursor, word: str, seen: set) -> bool:
-    """accept_keyword(word) for a clause that a declaration has at most once:
-    a second one is an error at its word."""
-    tok = cur.peek()
-    if not cur.accept_keyword(word):
-        return False
-    if word in seen:
-        raise _Err((tok.line, tok.col), f"second {word!r} clause: a declaration has at most one")
-    seen.add(word)
-    return True
+def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
+    """`p:w ...`; a clause word is a place when `:` follows it."""
+    arcs = []
+    while cur.at("ident") and (cur.peek().value not in _TRANS_CLAUSES or cur.at("op", ":", 1)):
+        place = cur.take_ident().value
+        cur.take("op", ":")
+        arcs.append((place, cur.take_int(minimum=1)))
+    return arcs
+
+
+# A declaration's clauses: word -> (field, reader of what follows the word, or
+# None for a flag, the word alone), in the order error messages list the words.
+_PLACE_CLAUSES = {
+    "cap": ("capacity", lambda cur: cur.take_int(minimum=1)),
+    "init": ("init", lambda cur: cur.take_int(minimum=0)),
+    "label": ("label", _Cursor.take_string),
+}
+_TRANS_CLAUSES = {
+    **{word: (f, _parse_arc_list) for word, f in ARC_FIELDS.items()},
+    "guard": ("guard", _parse_pred),
+    "counted": ("counted", None),
+}
+
+
+def _read_clauses(cur: _Cursor, what: str, table: dict) -> dict:
+    """The fields of the clauses up to the end of the line, in any order: an
+    arc list accumulates, a flag may repeat, any other clause comes at most once."""
+    fields: dict = {}
+    while not cur.at_end():
+        tok = cur.peek()
+        if tok.kind != "ident" or tok.value not in table:
+            raise _Err((tok.line, tok.col), f"unexpected {tok.value!r} in {what} declaration", tuple(table))
+        cur.i += 1
+        name, read = table[tok.value]
+        if read is _parse_arc_list:
+            fields.setdefault(name, []).extend(read(cur))
+        elif read is not None and name in fields:
+            raise _Err((tok.line, tok.col), f"second {tok.value!r} clause: a declaration has at most one")
+        else:
+            fields[name] = read(cur) if read else True
+    return fields
 
 
 def _parse_place(cur: _Cursor) -> tuple[PlaceDef, int]:
     """`<id> [cap k] [init n] [label "..."]`, after the `place` keyword."""
     name = cur.take_ident().value
-    cap = None
-    init = 0
-    label = ""
-    seen: set = set()
-    while not cur.at_end():
-        if _clause(cur, "cap", seen):
-            cap = cur.take_int(minimum=1)
-        elif _clause(cur, "init", seen):
-            init = cur.take_int(minimum=0)
-        elif _clause(cur, "label", seen):
-            label = cur.take_string()
-        else:
-            tok = cur.peek()
-            raise _Err((tok.line, tok.col), f"unexpected {tok.value!r} in place declaration",
-                       ("cap", "init", "label"))
-    return PlaceDef(name, cap, label), init
-
-
-_TRANS_WORDS = (*ARC_FIELDS, "guard", "counted")
-
-
-def _parse_arc_list(cur: _Cursor) -> list[tuple[str, int]]:
-    """`p:w ...`; a keyword is a place when `:` follows it."""
-    arcs = []
-    while True:
-        tok = cur.peek()
-        if tok is None or tok.kind != "ident" or (tok.value in _TRANS_WORDS and not cur.at("op", ":", 1)):
-            break
-        place = cur.take_ident().value
-        cur.take("op", ":")
-        weight = cur.take_int(minimum=1)
-        arcs.append((place, weight))
-    return arcs
+    fields = _read_clauses(cur, "place", _PLACE_CLAUSES)
+    init = fields.pop("init", 0)
+    return PlaceDef(name, **fields), init
 
 
 def _parse_trans(cur: _Cursor) -> TransitionDef:
     """`<id> [in|out|inhibit|read p:w ...] [guard pred] [counted]`, after `trans`."""
-    name = cur.take_ident().value
-    arcs: dict[str, list] = {}
-    guard = None
-    counted = False
-    seen: set = set()
-    while not cur.at_end():
-        tok = cur.peek()
-        if tok.kind == "ident" and tok.value in ARC_FIELDS:
-            cur.i += 1
-            arcs.setdefault(ARC_FIELDS[tok.value], []).extend(_parse_arc_list(cur))
-        elif _clause(cur, "guard", seen):
-            guard = _parse_pred(cur)
-        elif cur.accept_keyword("counted"):
-            counted = True
-        else:
-            raise _Err((tok.line, tok.col), f"unexpected {tok.value!r} in transition declaration",
-                       _TRANS_WORDS)
-    return TransitionDef(name, guard=guard, counted=counted, **arcs)
+    return TransitionDef(cur.take_ident().value, **_read_clauses(cur, "transition", _TRANS_CLAUSES))
 
 
 def _parse_forbidden(cur: _Cursor) -> tuple[str, Predicate]:

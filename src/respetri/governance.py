@@ -218,6 +218,13 @@ class LogEntry:
     rationale: str
     verdicts: tuple[tuple[str, str], ...]  # predicate -> "kind/proof"
 
+    def __post_init__(self):
+        """Raises ValueError unless every field but `verdicts`, and each
+        verdict's predicate and value, is a string: the entry a log line holds."""
+        texts = [getattr(self, f.name) for f in fields(self) if f.name != "verdicts"]
+        if not all(isinstance(v, str) for v in texts + [v for pair in self.verdicts for v in pair]):
+            raise ValueError("every field but verdicts, and every verdict, must be a string")
+
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps({**d, "verdicts": dict(self.verdicts)}, sort_keys=True)
@@ -225,14 +232,11 @@ class LogEntry:
     @classmethod
     def from_json(cls, line: str) -> "LogEntry":
         """Raises ValueError unless the line is a JSON object of exactly the
-        entry's fields, each a string but `verdicts`, an object of strings."""
+        entry's fields, `verdicts` an object, whose values make an entry."""
         d = json.loads(line)
         names = [f.name for f in fields(cls)]
         if not isinstance(d, dict) or sorted(d) != sorted(names) or not isinstance(d["verdicts"], dict):
             raise ValueError("not a JSON object with the fields " + ", ".join(names))
-        texts = [d[n] for n in names if n != "verdicts"] + list(d["verdicts"].values())
-        if not all(isinstance(v, str) for v in texts):
-            raise ValueError("every field but verdicts, and every verdict, must be a string")
         return cls(**{**d, "verdicts": tuple(sorted(d["verdicts"].items()))})
 
 

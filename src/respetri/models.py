@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 from .dsl import AddArc, Patch, SetGuard, _parse_model, pred_and
 from .governance import apply_patch
-from .net import CounterAtom, CounterThreshold, Marking, NetModel, Predicate, TokenAtom
+from .net import CounterAtom, CounterThreshold, Marking, NetModel, Predicate, TokenAtom, _is_int
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class FixtureConfig:
 
     def __post_init__(self):
         for name, v in self.thresholds.items():
-            if v < 0:
+            if _is_int(v) and v < 0:  # any other non-int is the patched model's BadWeight
                 raise ValueError(f"threshold {name!r} must be >= 0, got {v}")
 
     def threshold(self, name: str, default: int) -> int:

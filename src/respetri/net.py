@@ -478,7 +478,7 @@ def validate_net(model: NetModel) -> list[StructureError]:
             if not model.has_place(md.place_id):
                 errs.append(StructureError("ModeInvariant", md.id, f"mode place {md.place_id} missing (modes must be expanded)"))
                 continue
-            for t in md.disabled:
+            for t in sorted(md.disabled, key=str):
                 if not model.has_transition(t):
                     errs.append(StructureError("UnknownEndpoint", t, f"mode {md.id} disables unknown transition"))
             for t, g in md.guard_overrides:

@@ -56,7 +56,7 @@ from respetri import (
     structurally_equal,
     validate_net,
 )
-from respetri.dsl import MAX_NESTING, RateLimit, expand_macros, format_op, format_predicate
+from respetri.dsl import MAX_NESTING, RateLimit, _quote, expand_macros, format_op, format_predicate
 from respetri.net import ARC_FIELDS, IDENT, _OPS
 from respetri.models import FIXTURES
 
@@ -534,6 +534,56 @@ class TestPatchRoundTrip:
         bare = [format_op(op).removesuffix(" 1") if isinstance(op, AddArc) and op.weight == 1
                 else format_op(op) for op in ops]
         assert parse_patch("".join(line + "\n" for line in bare)).ops == patch.ops
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_clause_word_ids_round_trip_in_any_clause_order(self, data):
+        # every id is a clause or predicate word, and each `add place|trans`
+        # line also parses back from its clauses shuffled, its arc lists split
+        # into repeated clauses (some empty) and `counted` repeated
+        words = st.lists(st.sampled_from(CLAUSE_WORDS), min_size=1, max_size=3)
+        ops = data.draw(st.lists(_ops(data.draw(words), data.draw(words)), min_size=1, max_size=12))
+        patch = Patch(tuple(ops), author=data.draw(st.text()), rationale=data.draw(st.text()))
+        again = parse_patch(patch.to_text())
+        assert again == patch
+        assert again.id == patch.id
+        for op in ops:
+            if isinstance(op, (AddPlace, AddTransition)):
+                line = "add " + _shuffled_clauses(data, op)
+                assert parse_patch(line).ops == (op,), line
+
+
+CLAUSE_WORDS = ("in", "out", "inhibit", "read", "guard", "counted", "cap", "init", "label",
+                "none", "not", "mode", "and", "or")
+
+
+def _shuffled_clauses(data, op):
+    """The model line of an `add place|trans` op with its clauses in a drawn
+    order; a role's arc clauses keep their order, as the arcs of a role do."""
+    if isinstance(op, AddPlace):
+        p = op.place
+        clauses = [(w, f"{w} {v}") for w, v, given in (
+            ("cap", p.capacity, p.capacity is not None),
+            ("init", op.init, op.init or data.draw(st.booleans())),
+            ("label", _quote(p.label), p.label or data.draw(st.booleans()))) if given]
+        head = f"place {p.id}"
+    else:
+        t = op.transition
+        clauses = []
+        for word, f in ARC_FIELDS.items():
+            arcs = [f"{q}:{w}" for q, w in getattr(t, f)]
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(arcs)), max_size=2)))
+            for lo, hi in zip([0, *cuts], [*cuts, len(arcs)]):
+                if lo < hi or data.draw(st.booleans()):
+                    clauses.append((word, " ".join([word, *arcs[lo:hi]])))
+        if t.guard is not None:
+            clauses.append(("guard", "guard " + format_predicate(t.guard)))
+        clauses += [("counted", "counted")] * (t.counted * data.draw(st.integers(1, 3)))
+        head = f"trans {t.id}"
+    # draw the order of the clause words, then give each slot its word's next clause
+    order = data.draw(st.permutations([word for word, _ in clauses]))
+    queues = {word: [text for w, text in clauses if w == word] for word, _ in clauses}
+    return " ".join([head] + [queues[word].pop(0) for word in order])
 
 
 FULL_GRAMMAR = """\

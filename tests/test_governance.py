@@ -1,6 +1,7 @@
 """Patches, verification reports, and the hash-chained governance log."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -459,6 +460,20 @@ class TestGovernanceLog:
         good = record_decision(GovernanceLog(), m0, m1, SAFEGUARD, r1).to_jsonl().strip()
         with pytest.raises(HashChainBroken, match="line 3"):
             GovernanceLog.from_jsonl(f"{good}\n\n{corrupt(json.loads(good))}\n")
+
+    def test_an_entry_that_no_log_line_can_hold_is_refused_when_recorded(self):
+        # the same check as reading a line, so a recorded log always reads back
+        m0 = build_traffic_model()
+        m1, r1 = self._entry(m0, SAFEGUARD)
+        message = "every field but verdicts, and every verdict, must be a string"
+        with pytest.raises(ValueError, match=message):
+            record_decision(GovernanceLog(), m0, m1, SAFEGUARD, r1, timestamp=5)
+        authored = replace(SAFEGUARD, author=5)
+        with pytest.raises(ValueError, match=message):
+            record_decision(GovernanceLog(), m0, m1, authored, verify_patch(m0, authored))
+        # a predicate name that is not a string would read back as one
+        with pytest.raises(ValueError, match=message):
+            LogEntry("t", "ab", "01", "02", "ops", "why", ((5, "safe/exhaustive-bounded"),))
 
     def test_replay_reproduces_final_hash(self):
         m0 = build_traffic_model()

@@ -55,6 +55,14 @@ class TestConfig:
             build_traffic_model(cfg)
         assert [e.code for e in info.value.errors] == [code]
 
+    @pytest.mark.parametrize("value", ["2", None, 2.5, True])
+    @pytest.mark.parametrize("name, threshold", [("traffic", "q"), ("risk_scoring", "b"),
+                                                 ("srs_symbolic", "theta")])
+    @pytest.mark.parametrize("safeguards", [False, True])
+    def test_a_threshold_that_is_not_an_int_is_an_invalid_model(self, name, threshold, value, safeguards):
+        with pytest.raises(ResultingModelInvalid):
+            FIXTURES[name](FixtureConfig(thresholds={threshold: value}, safeguards_enabled=safeguards))
+
 
 class TestAllFixtures:
     @pytest.mark.parametrize("name", sorted(FIXTURES))

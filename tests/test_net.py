@@ -1,7 +1,10 @@
 """Token-game semantics, validation, and marking invariants."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 import types
 from dataclasses import replace
 
@@ -255,6 +258,22 @@ class TestValidation:
             parse_model(text.format("trans y in mode_a:1 out q:1"))
         assert [(e.code, e.element) for e in exc.value.errors] == [("ModeInvariant", "y")]
         parse_model(text.format("trans y in mode_a:1 out mode_b:1"))
+
+    def test_unknown_disabled_transitions_are_listed_in_sorted_order_under_any_hash_seed(self):
+        # ModeDef.disabled is a frozenset, whose order follows PYTHONHASHSEED
+        code = ("from respetri import StructureFailure, parse_model\n"
+                "try:\n    parse_model('place p init 1\\nmode m disable d a c b\\n')\n"
+                "except StructureFailure as e:\n    print([(x.code, x.element) for x in e.errors])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+                for seed in ("0", "1")}
+        assert outs == {str([("UnknownEndpoint", t) for t in "abcd"]) + "\n"}
+
+    def test_a_disabled_id_that_is_not_a_string_still_gets_its_error(self):
+        m = NetModel(places=(PlaceDef("mode_m", capacity=1),), transitions=(),
+                     initial=Marking.make({"mode_m": 1}), modes=(ModeDef("m", {"b", 3, "a"}),))
+        assert [e.element for e in validate_net(m) if e.code == "UnknownEndpoint"] == [3, "a", "b"]
 
     def test_nonzero_initial_counter(self):
         # the text format starts every counter at 0, so a model that does not
