@@ -234,7 +234,7 @@ def cmd_edit(args):
     """Apply a patch file, log the decision, write the patched model.
 
     The patched model lands next to the input as ``<stem>.patched.net``; the
-    governance log path comes from $RESPETRI_LOG (default
+    governance log path comes from $RESPETRI_LOG (when unset or empty,
     ``respetri-governance.jsonl`` in the working directory). The input model
     file is never modified.
     """
@@ -247,7 +247,7 @@ def cmd_edit(args):
     except RespetriError as e:
         raise _Fail(f"patch failed: {e}")
 
-    log_path = Path(os.environ.get("RESPETRI_LOG", DEFAULT_LOG_PATH))
+    log_path = Path(os.environ.get("RESPETRI_LOG") or DEFAULT_LOG_PATH)
     try:
         log = (GovernanceLog.from_jsonl(log_path.read_text(encoding="utf-8"))
                if log_path.exists() else GovernanceLog())

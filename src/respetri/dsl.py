@@ -1,9 +1,9 @@
 """Textual model and patch languages: parsers, canonical serializer, macro expansion.
 
-The `.net` format is line-oriented. Keywords: `meta`, `place`, `trans` (with
-`in/out/inhibit/read`, `guard`, `counted`), `forbidden`, `audit`, `mode`,
-`override`, `ratelimit`; `_read_clauses` owns the clause rules of `place` and
-`trans` lines, read from one table each. Comments start with `#` followed by
+The `.net` format is line-oriented. `_MODEL_LINES` owns its keywords (`meta`,
+`place`, `trans`, `forbidden`, `audit`, `mode`, `override`, `ratelimit`), each
+with its reader; `_read_clauses` owns the clause rules of `place` and `trans`
+lines, read from one table each. Comments start with `#` followed by
 a non-identifier character; `#name` is a counter atom inside predicates. No
 word is reserved: one token of lookahead tells a keyword from an id, so
 `in:1` in an arc list, `not >= 1` and `mode = 1` name places.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
 from .net import (
     ARC_FIELDS,
     IDENT,
+    MAX_NESTING,
     _AUDIT_MINIMA,
     _OPS,
     _is_int,
@@ -306,7 +307,6 @@ def _unquote(tok: Token) -> str:
 # ---------------------------------------------------------------------------
 
 _CMP_OPS = tuple(_OPS)
-MAX_NESTING = 256   # levels of a predicate: the whole is level 1, each `not` and `(` opens the next
 
 
 def _parse_pred(cur: _Cursor, level: int = 1) -> Predicate:
@@ -443,18 +443,6 @@ def _write_form(form: str, obj) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Draft:
-    meta: list = field(default_factory=list)         # (key, value)
-    places: list = field(default_factory=list)       # PlaceDef
-    inits: dict = field(default_factory=dict)        # place id -> tokens
-    transitions: list = field(default_factory=list)  # TransitionDef
-    forbidden: list = field(default_factory=list)
-    audits: list = field(default_factory=list)
-    modes: list = field(default_factory=list)        # [id, disabled list, overrides list]
-    ratelimits: list = field(default_factory=list)
-
-
 def _parse_lines(text: str, parse_line) -> None:
     """Run `parse_line` on a cursor over each non-blank line; a bad line
     yields one ParseError, and all of them are raised together at the end."""
@@ -528,8 +516,8 @@ def _parse_trans(cur: _Cursor) -> TransitionDef:
     return TransitionDef(cur.take_ident().value, **_read_clauses(cur, "transition", _TRANS_CLAUSES))
 
 
-def _parse_forbidden(cur: _Cursor) -> tuple[str, Predicate]:
-    """`<name> := pred`, after the `forbidden` keyword."""
+def _parse_named_pred(cur: _Cursor) -> tuple[str, Predicate]:
+    """`<name> := pred`: a `forbidden` line after its keyword, an `override` line after its mode."""
     name = cur.take_ident().value
     cur.take("op", ":=")
     return name, _parse_pred(cur)
@@ -544,50 +532,56 @@ def _parse_audit(cur: _Cursor) -> AuditRule:
     raise _Err(cur.here(), "expected audit rule kind", tuple(f.split()[0] for f in _AUDIT_FORMS.values()))
 
 
-def _parse_line(cur: _Cursor, draft: _Draft):
+def _parse_mode(cur: _Cursor) -> ModeDef:
+    """`<id> [disable t ...]`, after the `mode` keyword."""
+    name = cur.take_ident().value
+    disabled = []
+    if cur.accept_keyword("disable"):
+        while not cur.at_end():
+            disabled.append(cur.take_ident().value)
+    return ModeDef(name, disabled)
+
+
+def _parse_ratelimit(cur: _Cursor) -> RateLimit:
+    """`<t> max k per w`, after the `ratelimit` keyword."""
+    t = cur.take_ident().value
+    cur.take("ident", "max")
+    k = cur.take_int(minimum=1)
+    cur.take("ident", "per")
+    return RateLimit(t, k, cur.take_int(minimum=1))
+
+
+# model keyword -> (the NetModel field its lines add to, reader of the rest of
+# the line), in the order error messages list the keywords. `place` lines add
+# (place, initial tokens) pairs and `ratelimit` lines the macros to expand;
+# `override` has no reader: it rebuilds a mode read before it.
+_MODEL_LINES = {
+    "meta": ("metadata", lambda cur: (cur.take_ident().value, cur.take_string())),
+    "place": ("places", _parse_place),
+    "trans": ("transitions", _parse_trans),
+    "forbidden": ("forbidden", _parse_named_pred),
+    "audit": ("audit_rules", _parse_audit),
+    "mode": ("modes", _parse_mode),
+    "override": ("modes", None),
+    "ratelimit": ("ratelimits", _parse_ratelimit),
+}
+
+
+def _parse_line(cur: _Cursor, lines: dict) -> None:
+    """Read one model line into the list of its keyword's field in `lines`."""
     tok = cur.take_ident()
-    kw = tok.value
-    if kw == "meta":
-        key = cur.take_ident().value
-        draft.meta.append((key, cur.take_string()))
-    elif kw == "place":
-        place, init = _parse_place(cur)
-        draft.places.append(place)
-        draft.inits[place.id] = init
-    elif kw == "trans":
-        draft.transitions.append(_parse_trans(cur))
-    elif kw == "forbidden":
-        draft.forbidden.append(_parse_forbidden(cur))
-    elif kw == "audit":
-        draft.audits.append(_parse_audit(cur))
-    elif kw == "mode":
-        name = cur.take_ident().value
-        disabled = []
-        if cur.accept_keyword("disable"):
-            while not cur.at_end():
-                disabled.append(cur.take_ident().value)
-        draft.modes.append([name, disabled, []])
-    elif kw == "override":
-        at, mode = cur.here(), cur.take_ident().value
-        trans = cur.take_ident().value
-        cur.take("op", ":=")
-        pred = _parse_pred(cur)
-        for entry in draft.modes:
-            if entry[0] == mode:
-                entry[2].append((trans, pred))
-                break
-        else:
-            raise _Err(at, f"override for undeclared mode {mode!r}")
-    elif kw == "ratelimit":
-        t = cur.take_ident().value
-        cur.take("ident", "max")
-        k = cur.take_int(minimum=1)
-        cur.take("ident", "per")
-        w = cur.take_int(minimum=1)
-        draft.ratelimits.append(RateLimit(t, k, w))
-    else:
-        raise _Err((tok.line, tok.col), f"unknown keyword {kw!r}",
-                   ("meta", "place", "trans", "forbidden", "audit", "mode", "override", "ratelimit"))
+    if tok.value not in _MODEL_LINES:
+        raise _Err((tok.line, tok.col), f"unknown keyword {tok.value!r}", tuple(_MODEL_LINES))
+    name, read = _MODEL_LINES[tok.value]
+    if read is not None:
+        lines[name].append(read(cur))
+        return
+    at, mode = cur.here(), cur.take_ident().value
+    override, modes = _parse_named_pred(cur), lines[name]
+    i = next((i for i, md in enumerate(modes) if md.id == mode), None)
+    if i is None:
+        raise _Err(at, f"override for undeclared mode {mode!r}")
+    modes[i] = replace(modes[i], guard_overrides=(*modes[i].guard_overrides, override))
 
 
 def parse_model(src: ModelSource | str) -> NetModel:
@@ -603,22 +597,11 @@ def parse_model(src: ModelSource | str) -> NetModel:
 
 def _parse_model(src: ModelSource | str) -> NetModel:
     """parse_model without the validation, for a caller that validates a patched copy."""
-    if isinstance(src, str):
-        src = ModelSource(src)
-    draft = _Draft()
-    _parse_lines(src.text, lambda cur: _parse_line(cur, draft))
-
-    modes = tuple(ModeDef(*entry) for entry in draft.modes)  # ModeDef freezes each list
-    model = NetModel(
-        places=tuple(draft.places),
-        transitions=tuple(draft.transitions),
-        initial=Marking.make(draft.inits),
-        forbidden=tuple(draft.forbidden),
-        audit_rules=tuple(draft.audits),
-        modes=modes,
-        metadata=tuple(draft.meta),
-    )
-    return expand_macros(model, draft.ratelimits)
+    lines = {name: [] for name, _ in _MODEL_LINES.values()}
+    _parse_lines(src if isinstance(src, str) else src.text, lambda cur: _parse_line(cur, lines))
+    places, ratelimits = lines.pop("places"), lines.pop("ratelimits")
+    model = NetModel(places=[p for p, _ in places], initial=Marking.make({p.id: n for p, n in places}), **lines)
+    return expand_macros(model, ratelimits)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +768,7 @@ _OP_READERS = {
     ("add", "trans"): lambda cur: AddTransition(_parse_trans(cur)),
     **{tuple(form.split()[:2]): lambda cur, cls=cls, form=form: cls(**_read_form(cur, form, 2))
        for cls, form in _OP_FORMS.items()},
-    ("add", "forbidden"): lambda cur: AddForbidden(*_parse_forbidden(cur)),
+    ("add", "forbidden"): lambda cur: AddForbidden(*_parse_named_pred(cur)),
 }
 
 

@@ -20,6 +20,7 @@ from .analysis import (
     ExplorationBound,
     Verdict,
     VerdictKind,
+    _check_bound,
     check_all_forbidden,
     explore,
 )
@@ -201,6 +202,7 @@ def verify_patch(model: NetModel, patch: Patch,
     Flags regressions (Safe before, Unsafe or Unknown after) and any change
     to the predicate set itself, which governance must see explicitly.
     """
+    _check_bound(bound)
     return patch_report(model, apply_patch(model, patch), patch, bound)
 
 

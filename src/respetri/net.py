@@ -22,6 +22,9 @@ MODE_PLACE_PREFIX = "mode_"
 # What the text format reads as an identifier; every id must match it.
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(IDENT)
+# The most levels a predicate has: an atom is 1, and each And, Or and Not adds
+# 1; in the text, the whole is level 1 and each `not` and `(` opens the next.
+MAX_NESTING = 256
 
 _OPS = {
     "<": operator.lt,
@@ -100,21 +103,22 @@ class Or:
 Predicate = Union[TokenAtom, CounterAtom, ModeAtom, Not, And, Or]
 
 
-def _predicate_nodes(pred: Predicate) -> Iterable[Predicate]:
-    """Yield every node of the expression tree, operators and atoms."""
-    stack = [pred]
+def _predicate_nodes(pred: Predicate) -> Iterable[tuple[Predicate, int]]:
+    """Yield every node of the expression tree, operators and atoms, with its
+    level: the whole is level 1, and an operand is one level below its operator."""
+    stack = [(pred, 1)]
     while stack:
-        node = stack.pop()
-        yield node
+        node, level = stack.pop()
+        yield node, level
         if isinstance(node, (And, Or)):
-            stack.extend(node.operands)
+            stack.extend((operand, level + 1) for operand in node.operands)
         elif isinstance(node, Not):
-            stack.append(node.operand)
+            stack.append((node.operand, level + 1))
 
 
 def predicate_atoms(pred: Predicate) -> Iterable[Predicate]:
     """Yield every atom of the expression tree."""
-    return (node for node in _predicate_nodes(pred) if not isinstance(node, (And, Or, Not)))
+    return (node for node, _ in _predicate_nodes(pred) if not isinstance(node, (And, Or, Not)))
 
 
 def is_upward_closed(pred: Predicate) -> bool:
@@ -125,7 +129,7 @@ def is_upward_closed(pred: Predicate) -> bool:
     """
     return all(isinstance(node, (And, Or))
                or isinstance(node, (TokenAtom, CounterAtom)) and node.op in (">=", ">")
-               for node in _predicate_nodes(pred))
+               for node, _ in _predicate_nodes(pred))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +369,10 @@ class StructureError:
         return f"{self.code}({self.element}): {self.message}"
 
 
-def _predicate_errors(model: NetModel, pred: Predicate, where: str) -> list[StructureError]:
+def _predicate_errors(model: NetModel, pred: Predicate, element: str, where: str) -> list[StructureError]:
     errs = []
+    if max(level for _, level in _predicate_nodes(pred)) > MAX_NESTING:
+        errs.append(StructureError("BadPredicate", element, f"{where} nests more than {MAX_NESTING} levels"))
     for atom in predicate_atoms(pred):
         if isinstance(atom, TokenAtom) and not model.has_place(atom.place):
             errs.append(StructureError("UnknownEndpoint", atom.place, f"{where} references unknown place"))
@@ -434,7 +440,7 @@ def validate_net(model: NetModel) -> list[StructureError]:
                     "RoleConflict", f"{t.id}/{p}",
                     f"inhibitor threshold {inh[p]} never admits the input weight {w}"))
         if t.guard is not None:
-            errs.extend(_predicate_errors(model, t.guard, f"guard of {t.id}"))
+            errs.extend(_predicate_errors(model, t.guard, t.id, f"guard of {t.id}"))
 
     # initial marking: total, nonnegative, within capacities
     init = model.initial.tokens_map
@@ -457,7 +463,7 @@ def validate_net(model: NetModel) -> list[StructureError]:
             errs.append(StructureError("BadInitial", tid, f"initial counter {v} is not 0"))
 
     for name, pred in model.forbidden:
-        errs.extend(_predicate_errors(model, pred, f"forbidden {name}"))
+        errs.extend(_predicate_errors(model, pred, name, f"forbidden {name}"))
 
     for rule in model.audit_rules:
         if isinstance(rule, (CounterThreshold, RateThreshold)) and not model.has_transition(rule.transition):
@@ -485,7 +491,7 @@ def validate_net(model: NetModel) -> list[StructureError]:
                 if not model.has_transition(t):
                     errs.append(StructureError("UnknownEndpoint", t, f"mode {md.id} overrides unknown transition"))
                 else:
-                    errs.extend(_predicate_errors(model, g, f"mode {md.id} override for {t}"))
+                    errs.extend(_predicate_errors(model, g, f"{md.id}/{t}", f"mode {md.id} override for {t}"))
         tokens = sum(init.get(p, 0) for p in mode_places)
         if all(map(model.has_place, mode_places)) and tokens != 1:
             errs.append(StructureError("ModeInvariant", ",".join(md.id for md in model.modes),

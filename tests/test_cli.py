@@ -286,6 +286,11 @@ class TestEdit:
         assert r.returncode == 1
         assert report_of(r)["results"]["regressions"] == ["gridlock"]
 
+    def test_an_empty_log_variable_means_the_default_log(self, workdir):
+        r = run_cli("edit", "traffic.net", "safeguards.patch", cwd=workdir, env={"RESPETRI_LOG": ""})
+        assert r.returncode == 0, r.stderr
+        assert len((workdir / "respetri-governance.jsonl").read_text().splitlines()) == 1
+
     def test_dangling_patch_exit_3_no_write(self, workdir):
         (workdir / "bad.patch").write_text("remove place p3\n")
         r = run_cli("edit", "traffic.net", "bad.patch", cwd=workdir,

@@ -27,6 +27,7 @@ from respetri import (
     Not,
     OccupancyThreshold,
     Or,
+    ParseError,
     ParseFailure,
     Patch,
     PlaceDef,
@@ -57,7 +58,7 @@ from respetri import (
     validate_net,
 )
 from respetri.dsl import MAX_NESTING, RateLimit, _quote, expand_macros, format_op, format_predicate
-from respetri.net import ARC_FIELDS, IDENT, _OPS
+from respetri.net import ARC_FIELDS, IDENT, _OPS, compiled
 from respetri.models import FIXTURES
 
 from oracles import nested_predicate, random_net
@@ -130,12 +131,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("text, position, message", [
         ("mode a\noverride b t := p >= 1", (2, 10), "override for undeclared mode 'b'"),
+        ("override a t := p >= 1\nmode a", (1, 10), "override for undeclared mode 'a'"),
         ('meta k "v" x', (1, 12), "trailing input 'x'"),
         ("forbidden f := p 1", (1, 18), "expected comparison operator"),
         ("forbidden f :=", (1, 15), "expected predicate atom"),
         ("forbidden f := 5 >= 1", (1, 16), "unexpected '5' in predicate"),
         ("meta k", (1, 7), "unexpected end of line, wanted string"),
-    ], ids=["override-undeclared-mode", "trailing-input", "no-comparison", "empty-predicate",
+    ], ids=["override-undeclared-mode", "override-before-its-mode", "trailing-input", "no-comparison", "empty-predicate",
             "non-atom", "meta-without-string"])
     def test_model_error_points_at_the_bad_word(self, text, position, message):
         with pytest.raises(ParseFailure) as exc:
@@ -162,6 +164,12 @@ class TestParsing:
         places = "place p\nplace q\nplace r\nplace s\n"
         for t in (parse_model(places + line).transition("t"), parse_patch("add " + line).ops[0].transition):
             assert (t.inputs, t.outputs) == ((("p", 1), ("q", 2)), (("r", 1), ("s", 1)))
+
+    def test_an_unknown_keyword_lists_the_model_keywords_in_order(self):
+        with pytest.raises(ParseFailure) as exc:
+            parse_model("place p\n  banana p\n")
+        assert exc.value.errors == [ParseError((2, 3), "unknown keyword 'banana'", (
+            "meta", "place", "trans", "forbidden", "audit", "mode", "override", "ratelimit"))]
 
     def test_expected_tokens_reported(self):
         with pytest.raises(ParseFailure) as exc:
@@ -670,3 +678,43 @@ class TestNesting:
         r = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=str(src)))
         assert r.returncode == 0, r.stderr[-2000:]
+
+
+class TestNestingOfApiBuiltModels:
+    """The parser's limit binds models built through the API too, so every
+    model that validates round-trips. Compared by canonical text: == on trees
+    this deep recurses past the limit under pytest."""
+
+    BASE = "place p init 1\ntrans t in p:1 out p:1\nmode m\n"
+
+    @staticmethod
+    def chain(levels):
+        """`p >= 1` under levels - 1 alternating And and Not nodes."""
+        pred = TokenAtom("p", ">=", 1)
+        for i in range(levels - 1):
+            pred = Not(pred) if i % 2 else And((TokenAtom("p", ">=", 1), pred))
+        return pred
+
+    def model(self, where, levels):
+        """The base model with a forbidden predicate, a guard or a mode override
+        `levels` deep, and the element validate_net names for it."""
+        base, pred = parse_model(self.BASE), self.chain(levels)
+        return {
+            "forbidden": ("f", replace(base, forbidden=(("f", pred),))),
+            "guard": ("t", replace(base, transitions=(replace(base.transition("t"), guard=pred),))),
+            "override": ("m/t", replace(base, modes=(ModeDef("m", (), (("t", pred),)),))),
+        }[where]
+
+    @pytest.mark.parametrize("where", ["forbidden", "guard", "override"])
+    def test_the_deepest_admitted_predicate_validates_and_round_trips(self, where):
+        _, model = self.model(where, MAX_NESTING)
+        assert validate_net(model) == []
+        text = serialize_model(model).text
+        assert serialize_model(parse_model(text)).text == text
+
+    @pytest.mark.parametrize("where", ["forbidden", "guard", "override"])
+    def test_one_level_more_is_a_structure_failure(self, where):
+        element, model = self.model(where, MAX_NESTING + 1)
+        with pytest.raises(StructureFailure) as exc:
+            compiled(model)
+        assert [(e.code, e.element) for e in exc.value.errors] == [("BadPredicate", element)]

@@ -48,6 +48,7 @@ from respetri import (
     verify_patch,
 )
 from respetri.governance import replay_log as _replay  # noqa: F401 (re-export check)
+from respetri.dsl import MAX_NESTING
 from respetri.governance import EditOp, LogEntry, format_op, patch_report
 from respetri.models import FIXTURES, FixtureConfig, build_traffic_model
 
@@ -211,6 +212,14 @@ class TestApplyPatch:
     def test_an_unknown_arc_kind_is_a_patch_error(self, op):
         with pytest.raises(PatchError, match="bad arc kind 'sideways'"):
             apply_patch(build_traffic_model(), Patch((op,)))
+
+    def test_a_guard_nested_past_the_parser_limit_is_invalid(self):
+        guard = TokenAtom("p1", ">=", 1)
+        for _ in range(MAX_NESTING):
+            guard = Not(guard)
+        with pytest.raises(ResultingModelInvalid) as info:
+            apply_patch(build_traffic_model(), Patch((SetGuard("t1", guard),)))
+        assert [(e.code, e.element) for e in info.value.errors] == [("BadPredicate", "t1")]
 
     def test_atomicity_on_midway_failure(self):
         m = build_traffic_model()
@@ -378,6 +387,10 @@ class TestVerifyPatch:
         assert [ (n, v.kind) for n, v in report.verdicts_before ] == \
                [ (n, v.kind) for n, v in report.verdicts_after ]
         assert report.pre_hash == report.post_hash
+
+    def test_the_bound_is_checked_before_the_patch_is_applied(self):
+        with pytest.raises(TypeError, match="bound must be an ExplorationBound, got 5"):
+            verify_patch(build_traffic_model(), parse_patch("remove trans zz\n"), bound=5)
 
     def test_patch_report_explores_only_with_a_bound(self):
         m = build_traffic_model()

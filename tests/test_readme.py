@@ -1,4 +1,5 @@
-"""The README's quick start runs as written and prints what its comments say.
+"""The README's quick start runs as written and prints what its comments say,
+and its "Model language" block is a model that uses every model keyword.
 
 Run as a script (`python tests/test_readme.py`), it checks the respetri that
 Python imports from the working directory, such as an installed package,
@@ -9,6 +10,9 @@ import contextlib
 import io
 import re
 from pathlib import Path
+
+from respetri import parse_model
+from respetri.dsl import _MODEL_LINES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,6 +33,13 @@ def test_quick_start_prints_what_its_comments_say():
     assert out.getvalue().splitlines() == promised
 
 
+def test_the_model_language_block_is_a_model_with_every_keyword():
+    block = re.search(r"## Model language\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
+    assert {line.split()[0] for line in block.splitlines()} == set(_MODEL_LINES)
+    parse_model(block)
+
+
 if __name__ == "__main__":
     test_quick_start_prints_what_its_comments_say()
-    print("README quick start prints what its comments say")
+    test_the_model_language_block_is_a_model_with_every_keyword()
+    print("README quick start prints what its comments say, and its model block parses")
