@@ -445,6 +445,20 @@ def karp_miller(model: NetModel, target: Predicate, *,
     monotone, inflationary operator on m2, so rounds of simultaneous lifts
     reach the same least common fixpoint as lifting one ancestor at a time
     in any order: the tree is the classical one, node for node.
+
+    Two rules spare most children that work without changing the tree:
+    - Enabling reads the `empty` mask of an expanded node, the places where
+      it holds 0 tokens (omega is never empty). A transition whose needed
+      places meet it is disabled; only needs of weight > 1 are then compared
+      place by place. A need of weight 1 fails exactly on an empty place.
+    - A transition that changes only places where m is omega has m itself
+      as its child, since omega +- d = omega, so that child is appended
+      without masks, lifts or a `seen` lookup. Nothing would lift it: when
+      m was built, the lifts ran until no ancestor <= m was below m on a
+      finite place, so each such ancestor equals m on m's finite places,
+      and the first round lifts nothing. And m is already in `seen`, so the
+      child is not expanded. The node budget is checked first, so a budget
+      cuts the tree at the same node.
     """
     _check_bound(bound)
     net = compiled(model)
@@ -455,9 +469,11 @@ def karp_miller(model: NetModel, target: Predicate, *,
     root, plain = net.plain
     rows = []
     for tid, (need, change) in zip(net.ids, plain):
-        needs = tuple((p, w) for p, w in enumerate(need) if w)
+        needed = sum(1 << p for p, w in enumerate(need) if w)
+        heavy = tuple((p, w) for p, w in enumerate(need) if w > 1)
         delta = tuple((p, d, 1 << p) for p, d in enumerate(change) if d)
-        rows.append((tid, needs, delta, ~sum(bit for _, _, bit in delta)))
+        changed = sum(bit for _, _, bit in delta)
+        rows.append((tid, needed, heavy, delta, changed, ~changed))
 
     unknown = Verdict(VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED, predicate_name)
     tree_nodes: list[tuple] = [root]
@@ -479,11 +495,16 @@ def karp_miller(model: NetModel, target: Predicate, *,
                     below |= 1 << i
             ancestors.append((am, above, below))
         finite = sum(1 << i for i, x in enumerate(m) if x != OMEGA)
-        for tid, needs, delta, off in rows:
-            if any(m[p] < w for p, w in needs):
+        empty = sum(1 << i for i, x in enumerate(m) if not x)
+        for tid, needed, heavy, delta, changed, off in rows:
+            if needed & empty or heavy and any(m[p] < w for p, w in heavy):
                 continue
             if len(tree_nodes) >= bound.max_states:
                 return CoverabilityResult(unknown, tree_nodes, tree_edges)
+            if not changed & finite:     # omega +- d = omega: the child is m
+                tree_edges.append((node, tid, len(tree_nodes)))
+                tree_nodes.append(m)
+                continue
             m2 = list(m)
             for p, d, _ in delta:
                 m2[p] += d

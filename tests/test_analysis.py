@@ -433,6 +433,47 @@ class TestKarpMiller:
         assert cut.covering_path is None
         assert len(cut.tree_nodes) == 3072
 
+    def test_every_budget_cuts_the_same_tree(self):
+        # most of this tree's children change only omega places: a budget
+        # must still stop it before such a child, at the same node
+        model = toggles_net(4)
+        pred = model.forbidden_predicate("overflow")
+        full = karp_miller(model, pred)
+        assert len(full.tree_nodes) == 97
+        for k in range(1, len(full.tree_nodes)):
+            cut = karp_miller(model, pred, bound=ExplorationBound(max_states=k))
+            assert (cut.verdict.kind, cut.verdict.proof) == (VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED)
+            assert (cut.tree_nodes, cut.tree_edges) == (full.tree_nodes[:k], full.tree_edges[:k - 1])
+        whole = karp_miller(model, pred, bound=ExplorationBound(max_states=len(full.tree_nodes)))
+        assert (whole.verdict, whole.tree_nodes, whole.tree_edges) == (full.verdict, full.tree_nodes,
+                                                                       full.tree_edges)
+
+    @pytest.mark.parametrize("arcs", ["in a:2 out a:2 b:1", "read a:2 out b:1"])
+    def test_a_weighted_need_is_not_met_by_a_place_that_is_not_empty(self, arcs):
+        # a holds 1 token, not 0, and t needs 2: t is disabled at the root
+        net = parse_model(f"place a init 1\nplace b\ntrans t {arcs}\n")
+        pred = TokenAtom("b", ">=", 1)
+        cov = karp_miller(net, pred, bound=ExplorationBound(max_states=10))
+        assert cov.tree_nodes == [(1, 0)]
+        assert cov.verdict.kind is VerdictKind.SAFE
+        assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(net, pred)
+
+    def test_a_child_that_changes_only_omega_places_is_its_parent(self):
+        # at (w, 0, 1), g and h give the node itself and k lifts q to omega;
+        # h changes nothing, so at the root too its child is the root
+        net = parse_model("place p init 1\nplace q\nplace s init 1\n"
+                          "trans g in p:1 out p:2\ntrans h read s:1 in p:1 out p:1\n"
+                          "trans k in p:1 out q:1\n")
+        pred = TokenAtom("q", ">=", 3)
+        cov = karp_miller(net, pred)
+        w = math.inf
+        assert cov.tree_nodes[:7] == [(1, 0, 1), (w, 0, 1), (1, 0, 1), (0, 1, 1),
+                                      (w, 0, 1), (w, 0, 1), (w, w, 1)]
+        assert cov.tree_edges[:6] == [(0, "g", 1), (0, "h", 2), (0, "k", 3),
+                                      (1, "g", 4), (1, "h", 5), (1, "k", 6)]
+        assert cov.verdict.kind is VerdictKind.UNSAFE
+        assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(net, pred)
+
     def test_spurious_covering_path_gives_safe_not_unsafe(self):
         # t fires only in the projection, which drops the inhibitor
         m = parse_model(INHIBITED)
