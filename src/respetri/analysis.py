@@ -578,6 +578,13 @@ def karp_miller(model: NetModel, target: Predicate, *,
 # Structural analysis
 # ---------------------------------------------------------------------------
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def find_cycles(model: NetModel, max_length: Optional[int] = 16) -> list[tuple[str, ...]]:
     """Elementary cycles of the bipartite net graph, canonically rotated.
 
@@ -590,17 +597,13 @@ def find_cycles(model: NetModel, max_length: Optional[int] = 16) -> list[tuple[s
             raise TypeError(f"max_length must be an int or None, got {max_length!r}")
         if max_length < 0:
             raise ValueError(f"max_length must be >= 0, got {max_length}")
-    compiled(model)
+    net = compiled(model)
     g = nx.DiGraph()
-    g.add_nodes_from(model.place_ids)
-    g.add_nodes_from(model.transition_ids)
-    for t in model.transitions:
-        for p, _ in t.inputs:
-            g.add_edge(p, t.id)
-        for p, _ in t.reads:
-            g.add_edge(p, t.id)
-        for p, _ in t.outputs:
-            g.add_edge(t.id, p)
+    for p, requirers, producers in zip(net.place_ids, net.requirers, net.producers):
+        for k in _bits(requirers):
+            g.add_edge(p, net.ids[k])
+        for k in _bits(producers):
+            g.add_edge(net.ids[k], p)
     out = set()
     for cycle in nx.simple_cycles(g, length_bound=max_length):
         k = cycle.index(min(cycle))
@@ -625,47 +628,34 @@ def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[st
     S* outside S, and the branch on that place stays inside S*. So every
     minimal set of at most max_size places is reached, and no set visited has
     more, which keeps the worst case at the order of a scan of all subsets.
+    As any transition may be the lowest, declaration order does not matter.
     """
     if not _is_int(max_size):
         raise TypeError(f"max_size must be an int, got {max_size!r}")
     if max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
-    compiled(model)
+    net = compiled(model)
     if max_size == 0:
         return [], []
-    places = sorted(p.id for p in model.places)
-    slot = {p: i for i, p in enumerate(places)}
-    # per place, bitmasks over the transitions in identifier order
-    producers, consumers, requirers = ([0] * len(places) for _ in range(3))
-    for k, t in enumerate(sorted(model.transitions, key=lambda t: t.id)):
-        bit = 1 << k
-        for p, _ in t.outputs:
-            producers[slot[p]] |= bit
-        for p, _ in t.inputs:
-            consumers[slot[p]] |= bit
-            requirers[slot[p]] |= bit
-        for p, _ in t.reads:
-            requirers[slot[p]] |= bit
 
     def search(into: list[int], within: list[int]) -> list[tuple[str, ...]]:
         """Minimal place sets whose `into` transitions all lie in `within`,
         by size, then in lexicographic order."""
-        fixers: dict[int, list[int]] = {}   # transition bit -> places whose `within` holds it
+        fixers: dict[int, list[int]] = {}   # transition index -> places whose `within` holds it
         for i, w in enumerate(within):
-            while w:
-                fixers.setdefault(w & -w, []).append(i)
-                w &= w - 1
+            for k in _bits(w):
+                fixers.setdefault(k, []).append(i)
         # (place bitmask, its `into` and `within` unions, size)
-        stack = [(1 << i, into[i], within[i], 1) for i in range(len(places))]
+        stack = [(1 << i, into[i], within[i], 1) for i in range(len(into))]
         seen = {s for s, _, _, _ in stack}
         hits = []
         while stack:
             s, a, b, size = stack.pop()
             broken = a & ~b
             if not broken:
-                hits.append((size, tuple(p for k, p in enumerate(places) if s >> k & 1), s))
+                hits.append((size, tuple(sorted(net.place_ids[k] for k in _bits(s))), s))
             elif size < max_size:
-                for i in fixers.get(broken & -broken, ()):
+                for i in fixers.get((broken & -broken).bit_length() - 1, ()):
                     s2 = s | 1 << i
                     if s2 not in seen:
                         seen.add(s2)
@@ -678,7 +668,7 @@ def siphons_and_traps(model: NetModel, max_size: int = 4) -> tuple[list[tuple[st
                 found.append(ids)
         return found
 
-    return search(producers, requirers), search(consumers, producers)
+    return search(net.producers, net.requirers), search(net.consumers, net.producers)
 
 
 # ---------------------------------------------------------------------------

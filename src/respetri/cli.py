@@ -184,8 +184,8 @@ def cmd_check(args):
         results["cycles"] = [list(c) for c in find_cycles(model)]
     if args.siphons:
         s, t = siphons_and_traps(model)
-        results["siphons"] = [sorted(x) for x in s]
-        results["traps"] = [sorted(x) for x in t]
+        results["siphons"] = [list(x) for x in s]
+        results["traps"] = [list(x) for x in t]
     if pred is not None:
         graph = explore(model, bound)  # the verdicts' exploration, handed back by explore
         results["pressure"] = {"predicate": args.pressure,

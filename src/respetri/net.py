@@ -48,6 +48,22 @@ def _check_operands(self):
         raise ValueError(f"{type(self).__name__} needs at least two operands, got {len(self.operands)}")
 
 
+def _tree_eq(self, other):
+    """== on predicate trees in one walk of both, without recursion, so any
+    tree validate_net admits compares: operators by type and arity, atoms by value."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for (a, _), (b, _) in zip(_predicate_nodes(self), _predicate_nodes(other)):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (And, Or)):
+            if len(a.operands) != len(b.operands):
+                return False
+        elif not isinstance(a, Not) and a != b:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
@@ -85,12 +101,15 @@ class ModeAtom:
 class Not:
     operand: "Predicate"
 
+    __eq__ = _tree_eq
+
 
 @dataclass(frozen=True)
 class And:
     operands: tuple["Predicate", ...]
 
     __post_init__ = _check_operands
+    __eq__ = _tree_eq
 
 
 @dataclass(frozen=True)
@@ -98,6 +117,7 @@ class Or:
     operands: tuple["Predicate", ...]
 
     __post_init__ = _check_operands
+    __eq__ = _tree_eq
 
 
 Predicate = Union[TokenAtom, CounterAtom, ModeAtom, Not, And, Or]
@@ -528,8 +548,13 @@ class CompiledNet:
     initial one. Transitions keep declaration order, which fixes the order
     of enabled sets, exploration and simulation choices. Guards and
     predicates become closures over the vector. Modes are structure too: a
-    mode that disables a transition inhibits it from the mode place, and
-    guard overrides fold into the transition's guard.
+    mode that disables a transition inhibits it from the mode place, and the
+    overrides g_i of modes m_i fold into the guard Or(And(mode = m_i, g_i)...,
+    And(not mode = m_1, ..., not mode = m_k, base)), exact as one mode place
+    is marked at each state and at each marking `_successors_at` checks.
+    `producers`, `consumers` and `requirers` hold per place a bitmask of the
+    transitions, by index, with an out arc to it, an in arc, or an in or read
+    arc from it: arcs, not changes, as a self-loop produces and consumes.
 
     The token game is one generated function, `successors(v, cut)`, made
     from Python source on its first use and kept here. It lists each
@@ -539,8 +564,8 @@ class CompiledNet:
     literals (vector indices, weights, thresholds and capacity limits) and
     fixed names; guard i is bound as `g<i>` beside it. No id or other
     string of the model enters it. Karp-Miller and backward coverability
-    read `plain`, the structural analyses read the model, and none of them
-    generates the token game.
+    read `plain`, siphons, traps and cycles read the arc relations, and
+    none of them generates the token game.
     """
 
     def __init__(self, model: NetModel):
@@ -553,6 +578,14 @@ class CompiledNet:
         self.unbounded = tuple(i for i, p in enumerate(model.places) if p.capacity is None)
         self.transitions = tuple(self._compile(model, t) for t in model.transitions)
         self.root = self.state(model.initial)
+        self.producers, self.consumers, self.requirers = ([0] * len(self._slot) for _ in range(3))
+        for k, t in enumerate(model.transitions):
+            for p, _ in t.outputs:
+                self.producers[self._slot[p]] |= 1 << k
+            for p, _ in t.inputs:
+                self.consumers[self._slot[p]] |= 1 << k
+            for p, _ in t.inputs + t.reads:
+                self.requirers[self._slot[p]] |= 1 << k
 
     def place_index(self, pid: str) -> int:
         try:
@@ -576,21 +609,14 @@ class CompiledNet:
         if t.counted:
             changes += ((self._counter[t.id], 1),)
         inhibitors = t.inhibitors + tuple((md.place_id, 1) for md in model.modes if t.id in md.disabled)
-        guard = None if t.guard is None else self.predicate(t.guard)
-        overrides = tuple((self.place_index(md.place_id), self.predicate(g))
-                          for md in model.modes for tid, g in md.guard_overrides if tid == t.id)
-        if overrides:
-            base = guard or (lambda v: True)
-
-            def guard(v):
-                """The override of the marked mode, else the base guard."""
-                for i, g in overrides:
-                    if v[i]:
-                        return g(v)
-                return base(v)
+        guard = t.guard
+        if overrides := [(ModeAtom(md.id), g) for md in model.modes for tid, g in md.guard_overrides if tid == t.id]:
+            rest = tuple(Not(mode) for mode, _ in overrides) + (() if guard is None else (guard,))
+            guard = Or((*map(And, overrides), rest[0] if len(rest) == 1 else And(rest)))
         return CompiledTransition(
             t.id, tuple((self.place_index(p), w) for p, w in needs.items()),
-            tuple((self.place_index(p), th) for p, th in inhibitors), limits, changes, guard)
+            tuple((self.place_index(p), th) for p, th in inhibitors), limits, changes,
+            None if guard is None else self.predicate(guard))
 
     # -- vectors and markings ---------------------------------------------------
 
@@ -632,12 +658,15 @@ class CompiledNet:
         if isinstance(pred, Not):
             f = self.predicate(pred.operand)
             return lambda v: not f(v)
-        if isinstance(pred, And):
-            fs = tuple(map(self.predicate, pred.operands))
-            return lambda v: all(f(v) for f in fs)
-        if isinstance(pred, Or):
-            fs = tuple(map(self.predicate, pred.operands))
-            return lambda v: any(f(v) for f in fs)
+        if isinstance(pred, (And, Or)):
+            fs, stop = tuple(map(self.predicate, pred.operands)), isinstance(pred, Or)
+
+            def junction(v):   # the first operand that is `stop` decides: true for Or, false for And
+                for f in fs:
+                    if f(v) == stop:
+                        return stop
+                return not stop
+            return junction
         raise TypeError(f"not a predicate: {pred!r}")
 
     @cached_property

@@ -18,6 +18,7 @@ from respetri.net import (
     CounterAtom,
     Marking,
     ModeAtom,
+    ModeDef,
     NetModel,
     Not,
     Or,
@@ -341,6 +342,32 @@ def oracle_siphons_traps(model: NetModel, max_size: int):
     return siphons, traps
 
 
+def oracle_cycles(model: NetModel, max_length):
+    """All elementary cycles of the bipartite net graph of at most max_length
+    nodes (None for no cap), by brute force: from each node, a depth-first
+    search over the nodes with larger ids that closes a path back to it.
+    Each cycle thus starts at its smallest id, so it is canonically rotated."""
+    succ = {n: set() for n in model.place_ids + model.transition_ids}
+    for t in model.transitions:
+        for p, _ in t.inputs + t.reads:
+            succ[p].add(t.id)
+        for p, _ in t.outputs:
+            succ[t.id].add(p)
+    cap = math.inf if max_length is None else max_length
+    found = []
+
+    def extend(path):
+        for n in succ[path[-1]]:
+            if n == path[0] and len(path) <= cap:
+                found.append(tuple(path))
+            elif n > path[0] and n not in path and len(path) < cap:
+                extend(path + [n])
+
+    for start in succ:
+        extend([start])
+    return sorted(found, key=lambda c: (len(c), c))
+
+
 # ---------------------------------------------------------------------------
 # Random model generator
 # ---------------------------------------------------------------------------
@@ -395,6 +422,29 @@ def random_net(rng: random.Random, *, plain: bool = False) -> NetModel:
 
     return NetModel(places=tuple(places), transitions=tuple(transitions),
                     initial=Marking.make(init))
+
+
+def moded_net(rng: random.Random) -> NetModel:
+    """A `random_net` with three modes a, b and c in a switch ring (a to b to
+    c to a), a random initial mode, and per mode a random set of disabled
+    transitions and random guard overrides on the net's transitions."""
+    model = random_net(rng)
+    names = ("a", "b", "c")
+    switches = tuple(TransitionDef(f"to_{b}", inputs=((f"{MODE_PREFIX}{a}", 1),),
+                                   outputs=((f"{MODE_PREFIX}{b}", 1),))
+                     for a, b in zip(names, names[1:] + names[:1]))
+    tids = [t.id for t in model.transitions]
+    modes = tuple(ModeDef(name,
+                          frozenset(t for t in tids if rng.random() < 0.2),
+                          tuple((t, random_predicate(rng, model)) for t in tids if rng.random() < 0.4))
+                  for name in names)
+    first = rng.choice(names)
+    return NetModel(
+        places=model.places + tuple(PlaceDef(MODE_PREFIX + name) for name in names),
+        transitions=model.transitions + switches,
+        initial=Marking.make({**model.initial.tokens_map,
+                              **{MODE_PREFIX + name: int(name == first) for name in names}}),
+        modes=modes)
 
 
 def random_predicate(rng: random.Random, model: NetModel, *,

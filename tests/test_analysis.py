@@ -55,7 +55,7 @@ from respetri.analysis import _backward_coverable, _target_basis, node_distances
 from respetri.net import compiled, predicate_atoms
 from respetri.models import FIXTURES, build_risk_scoring_model, build_srs_symbolic_model, build_traffic_model
 
-from oracles import (marking_key, oracle_bfs, oracle_karp_miller, oracle_siphons_traps,
+from oracles import (marking_key, oracle_bfs, oracle_cycles, oracle_karp_miller, oracle_siphons_traps,
                      oracle_verdict, random_net, random_predicate)
 
 WIDE = ExplorationBound(max_states=10**6, max_depth=10**5, max_tokens_per_place=32)
@@ -563,9 +563,32 @@ class TestCycles:
         assert find_cycles(m, 0) == []
         assert set(find_cycles(m, None)) >= set(find_cycles(m))
 
+    def test_arcs_that_change_nothing_still_make_cycles(self):
+        assert find_cycles(SELF_LOOPS) == [("p", "t"), ("q", "u"), ("r", "w")]
+
+    def test_matches_the_brute_force_oracle(self):
+        for i in range(300):
+            model = random_net(random.Random(i))
+            for bound in (*range(7), None):
+                assert find_cycles(model, bound) == oracle_cycles(model, bound), (i, bound)
+
+    def test_declaration_order_is_irrelevant(self):
+        rng = random.Random(5)
+        models = [b() for b in FIXTURES.values()] + [wide_net(rng) for _ in range(20)]
+        for model in models:
+            want = find_cycles(model)
+            for _ in range(3):
+                assert find_cycles(shuffled(model, rng)) == want
+
 
 def net_of(*lines: str) -> NetModel:
     return parse_model("\n".join(lines) + "\n")
+
+
+# a self-loop, a net change of -1 and a read loop: each place is a siphon and
+# a trap, and each pair a cycle, though only u changes a marking
+SELF_LOOPS = net_of("place p init 1", "place q init 2", "place r", "trans t in p:1 out p:1",
+                    "trans u in q:2 out q:1", "trans w read r:1 out r:1")
 
 
 def wide_net(rng: random.Random) -> NetModel:
@@ -622,6 +645,9 @@ class TestSiphonsTraps:
             want = siphons_and_traps(model, 5)
             for _ in range(3):
                 assert siphons_and_traps(shuffled(model, rng), 5) == want
+
+    def test_arcs_that_change_nothing_still_count(self):
+        assert siphons_and_traps(SELF_LOOPS) == ([("p",), ("q",), ("r",)], [("p",), ("q",), ("r",)])
 
     def test_fixtures_at_size_six(self):
         got = {name: siphons_and_traps(build(), 6) for name, build in FIXTURES.items()}

@@ -72,7 +72,7 @@ from respetri.governance import patch_report
 from respetri.models import FIXTURES, FixtureConfig
 from respetri.net import compiled, kernel_source
 
-from oracles import (_eval, marking_key, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
+from oracles import (_eval, marking_key, moded_net, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
                      random_net, random_predicate)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
@@ -141,6 +141,14 @@ def test_modes_overrides_ratelimit_counter_inhibitors_capacities(bound):
     strict = parse_model(RICH.replace("mode normal\nmode strict disable drain",
                                       "mode strict disable drain\nmode normal"))
     assert_matches_oracle(strict, bound)
+
+
+def test_random_modes_disable_sets_and_overrides():
+    """Three modes in a switch ring over random nets, each with random disable
+    sets and guard overrides, some on transitions that have a guard too."""
+    rng = random.Random(31)
+    for _ in range(300):
+        assert_matches_oracle(moded_net(rng), BOUNDS[0])
 
 
 # Switch transitions move the mode token, so the mode changes during a run:
@@ -578,7 +586,7 @@ def _gate_model(**fields):
 
 TWICE_P = _gate_model(places=(PlaceDef("p"), PlaceDef("p"), PlaceDef("q")))
 TWICE_P_CAPPED_FIRST = _gate_model(places=(PlaceDef("p", 5), PlaceDef("p"), PlaceDef("q")))
-# the first override compiles, the text keeps both and a reparse the last
+# the guard would admit either override, the text keeps both and a reparse the last
 OVERRIDE_TWICE = _gate_model(
     places=(PlaceDef("p"), PlaceDef("q"), PlaceDef("mode_a")),
     initial=Marking.make({"p": 1, "q": 0, "mode_a": 1}),

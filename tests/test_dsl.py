@@ -682,8 +682,8 @@ class TestNesting:
 
 class TestNestingOfApiBuiltModels:
     """The parser's limit binds models built through the API too, so every
-    model that validates round-trips. Compared by canonical text: == on trees
-    this deep recurses past the limit under pytest."""
+    model that validates round-trips, and compares and hashes: == walks a
+    predicate tree without recursing."""
 
     BASE = "place p init 1\ntrans t in p:1 out p:1\nmode m\n"
 
@@ -711,6 +711,25 @@ class TestNestingOfApiBuiltModels:
         assert validate_net(model) == []
         text = serialize_model(model).text
         assert serialize_model(parse_model(text)).text == text
+
+    def test_the_deepest_admitted_predicates_compare_and_hash(self):
+        text = f"place p init 1\nforbidden f := {nested_predicate(MAX_NESTING - 1, 'p')}\n"
+        head, _, tail = text.rpartition("p >= 1")   # the deepest atom
+        a, b, twin = parse_model(text), parse_model(text), parse_model(f"{head}p >= 2{tail}")
+        assert a == b and hash(a) == hash(b)
+        assert a != twin and not a.forbidden_predicate("f") == twin.forbidden_predicate("f")
+        chain = self.chain(MAX_NESTING)
+        assert chain == self.chain(MAX_NESTING) and hash(chain) == hash(self.chain(MAX_NESTING))
+        assert chain != self.chain(MAX_NESTING - 1)
+
+    def test_predicates_compare_by_operator_arity_and_atom(self):
+        p, q = TokenAtom("p", ">=", 1), TokenAtom("q", ">=", 1)
+        assert And((p, Not(q))) == And((p, Not(q)))
+        assert And((p, q)) != Or((p, q))
+        assert And((p, q)) != And((p, q, q)) and And((p, p)) != And((p, p, p))
+        assert And((p, q)) != And((p, And((q, q))))
+        assert Not(p) != Not(CounterAtom("p", ">=", 1))
+        assert Not(p) != p and And((p, q)) != (p, q)
 
     @pytest.mark.parametrize("where", ["forbidden", "guard", "override"])
     def test_one_level_more_is_a_structure_failure(self, where):
