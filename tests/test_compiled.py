@@ -15,6 +15,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import tokenize
 import weakref
@@ -22,6 +23,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respetri import (
     DEFAULT_BOUND,
@@ -59,6 +62,7 @@ from respetri import (
     karp_miller,
     parse_model,
     parse_patch,
+    pressure_map,
     simulate,
     siphons_and_traps,
     validate_net,
@@ -67,7 +71,8 @@ from respetri import (
 )
 from respetri import cli
 from respetri import net as net_module
-from respetri.analysis import _backward_coverable
+from respetri.analysis import _backward_coverable, node_distances
+from respetri.dsl import MAX_NESTING
 from respetri.governance import patch_report
 from respetri.models import FIXTURES, FixtureConfig
 from respetri.net import compiled, kernel_source
@@ -256,13 +261,13 @@ def test_verify_patch_state_counts_come_from_one_exploration(bound):
 
 
 # Ids that are the generated code's own names: `v` is the state, `s` the
-# successor, `out` the result list, `cut` the token cut and `g0` the name the
-# first guard is bound to. Ids never enter the source, so they cannot clash
+# successor, `out` the result list, `cut` the token cut and `x0` the local a
+# deep guard is assigned to. Ids never enter the source, so they cannot clash
 # with it. Built through the API, as `out` is an arc keyword of the text.
 NAMESAKES = NetModel(
     places=(PlaceDef("v"), PlaceDef("s", capacity=2), PlaceDef("out"), PlaceDef("cut")),
     transitions=(
-        TransitionDef("g0", inputs=(("v", 1),), outputs=(("s", 1),), guard=TokenAtom("out", "<", 2)),
+        TransitionDef("x0", inputs=(("v", 1),), outputs=(("s", 1),), guard=TokenAtom("out", "<", 2)),
         TransitionDef("successors", inputs=(("s", 1),), outputs=(("out", 2),),
                       inhibitors=(("cut", 2),)),
         TransitionDef("append", reads=(("out", 1),), outputs=(("cut", 1),), guard=TokenAtom("v", "<=", 1)),
@@ -392,26 +397,142 @@ def test_the_predicate_evaluations_are_one_semantics():
     assert seen == {False, True}
 
 
+# Every comparison, and a transition `u` that is not counted, so `#u` atoms
+# compile to constants; `g` has no arcs, so it is enabled iff its guard holds.
+PREDICATE_NET = parse_model("""
+place p
+place q
+trans c in p:1 out q:1 counted
+trans u in q:1 out p:1
+trans g
+mode a
+mode b
+""")
+_COMPARISONS = st.sampled_from(("<", "<=", "=", ">=", ">"))
+_ATOMS = st.one_of(
+    st.builds(TokenAtom, st.sampled_from(("p", "q", "mode_a")), _COMPARISONS, st.integers(0, 3)),
+    st.builds(CounterAtom, st.sampled_from(("c", "u")), _COMPARISONS, st.integers(0, 3)),
+    st.builds(ModeAtom, st.sampled_from(("a", "b"))))
+_PREDICATES = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.builds(Not, inner),
+    *(st.builds(op, st.lists(inner, min_size=2, max_size=3).map(tuple)) for op in (And, Or))), max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PREDICATES, st.lists(st.tuples(*[st.integers(0, 3)] * 5), min_size=1, max_size=8))
+def test_generated_predicates_and_inlined_guards_agree_with_eval_predicate(pred, states):
+    """The state vectors are p, q, mode_a, mode_b and the counter of c."""
+    model = replace(PREDICATE_NET, transitions=tuple(
+        replace(t, guard=pred) if t.id == "g" else t for t in PREDICATE_NET.transitions))
+    net = compiled(model)
+    holds, g = net.predicate(pred), net.transition_index("g")
+    for v in states:
+        want = eval_predicate(pred, net.marking(v))
+        assert holds(v) == want, (pred, v)
+        assert any(i == g for i, _ in net.successors(v, math.inf)) == want, (pred, v)
+
+
+def deep_predicate(levels: int, outer: tuple[str, str], inner: str) -> str:
+    """`inner` under levels - 1 parentheses, each joining outer[0] with `or`
+    or outer[1] with `and`, alternately: where outer[0] is false and outer[1]
+    true, the innermost atom decides."""
+    pred = inner
+    for i in reversed(range(levels - 1)):
+        pred = f"({outer[i % 2]} {('or', 'and')[i % 2]} {pred})"
+    return pred
+
+
+# A guard, a mode override and forbidden predicates MAX_NESTING levels deep.
+# The override folds into go's guard two levels deeper, and `#back` is a
+# counter of a transition that is not counted.
+DEEP = f"""
+place p init 2
+place q
+place r cap 2
+trans go in p:1 out q:1 guard {deep_predicate(MAX_NESTING, ("q >= 2", "p >= 1"), "r <= 0")}
+trans back in q:1 out p:1
+trans fill read q:1 out r:1
+trans drain in r:1
+trans tighten in mode_normal:1 out mode_strict:1
+trans relax in mode_strict:1 out mode_normal:1
+mode normal
+mode strict disable drain
+override strict go := {deep_predicate(MAX_NESTING, ("r >= 2", "#back <= 0"), "p = 1")}
+forbidden deep := {deep_predicate(MAX_NESTING, ("p >= 3", "q >= 1"), "r = 2")}
+forbidden never := {deep_predicate(MAX_NESTING, ("p >= 3", "q >= 1"), "r >= 3")}
+forbidden negated := {"not " * (MAX_NESTING - 1)}q >= 1
+"""
+
+
+def test_guards_overrides_and_predicates_at_the_deepest_admitted_nesting():
+    model = parse_model(DEEP)
+    assert {max(level for _, level, _ in net_module._predicate_nodes(pred))
+            for pred in (model.transition("go").guard, model.modes[1].guard_overrides[0][1],
+                         *(pred for _, pred in model.forbidden))} == {MAX_NESTING}
+    for bound in BOUNDS:
+        assert_matches_oracle(model, bound)
+    assert {name: v.kind.value for name, v in check_all_forbidden(model, BOUNDS[0]).items()} == {
+        "deep": "unsafe", "never": "safe", "negated": "unsafe"}
+
+
+SHAPE = """
+place {p} init 2
+place {q} cap 3
+trans {go} in {p}:1 out {q}:1 guard {q} < 2 or #{go} = 0
+trans {back} in {q}:1 out {p}:1
+forbidden {bad} := {q} >= 2 and not {p} = 0
+"""
+
+
+def test_nets_of_one_structure_share_their_code():
+    models = [parse_model(SHAPE.format(**dict(zip(("p", "q", "go", "back", "bad"), ids))))
+              for ids in (("p", "q", "go", "back", "bad"), ("left", "right", "run", "undo", "worst"))]
+    kernels = [compiled(m).successors for m in models]
+    predicates = [compiled(m).predicate(m.forbidden[0][1]) for m in models]
+    for first, second in (kernels, predicates):
+        assert first is not second and first.__code__ is second.__code__
+
+
+@pytest.mark.parametrize("value", [1.5, "1", None, True], ids=repr)
+@pytest.mark.parametrize("use", [
+    lambda model, pred: violation_trace(explore(model), pred),
+    lambda model, pred: node_distances(explore(model), pred),
+    lambda model, pred: pressure_map(explore(model), pred),
+    lambda model, pred: drift_report(model, simulate(model, Scripted(()), 0), pred),
+    lambda model, pred: compiled(model).predicate(pred),
+], ids=["violation_trace", "node_distances", "pressure_map", "drift_report", "compiled-predicate"])
+def test_a_compared_value_that_is_not_an_int_is_a_type_error(use, value):
+    model = parse_model(SWITCH)
+    for atom in (TokenAtom("q", ">=", value), CounterAtom("go", "<", value)):
+        with pytest.raises(TypeError, match=f"^the value compared must be an int: {re.escape(repr(atom))}$"):
+            use(model, Or((TokenAtom("p", ">=", 9), Not(atom))))
+
+
 # What the generated source may hold besides int literals and operators:
-# its own fixed names and the guard names g<i>.
-KERNEL_NAMES = {"def", "successors", "v", "cut", "out", "append", "if", "and", "or", "s",
+# its own fixed names, and the locals x<k> that a guard deeper than 50 levels
+# is assigned to.
+KERNEL_NAMES = {"def", "successors", "v", "cut", "out", "append", "if", "and", "or", "not", "s",
                 "list", "tuple", "None", "else", "return"}
+HOISTED = re.compile(r"x(0|[1-9][0-9]*)")
 
 
 def test_kernel_source_holds_only_ints_and_fixed_names():
     fixtures = [f() for f in FIXTURES.values()]
-    for model in (*token_game_models(), parse_model(ABOVE_CUT), *fixtures):
-        source, namespace = kernel_source(compiled(model))
-        guards = set(namespace)
+    hoisted = set()
+    for model in (*token_game_models(), parse_model(ABOVE_CUT), parse_model(DEEP), *fixtures):
+        source = kernel_source(compiled(model))
+        assert isinstance(source, str)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING, tok
             if tok.type == tokenize.NAME:
-                assert tok.string in KERNEL_NAMES | guards, tok
+                assert tok.string in KERNEL_NAMES or HOISTED.fullmatch(tok.string), tok
+                hoisted.update(HOISTED.findall(tok.string))
             elif tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit(), tok
-        assert all(name == f"g{int(name[1:])}" for name in guards)
+    # DEEP's go: a base guard and an override each deeper than 250 levels
+    assert hoisted == {str(k) for k in range(10)}
     for model in fixtures:
-        source, _ = kernel_source(compiled(model))
+        source = kernel_source(compiled(model))
         ids = (*model.place_ids, *model.transition_ids, *(n for n, _ in model.forbidden))
         assert [i for i in ids if i in source] == []
 

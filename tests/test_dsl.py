@@ -1,6 +1,8 @@
 """Model language: parsing, errors, macros, canonical serialization."""
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -682,8 +684,8 @@ class TestNesting:
 
 class TestNestingOfApiBuiltModels:
     """The parser's limit binds models built through the API too, so every
-    model that validates round-trips, and compares and hashes: == walks a
-    predicate tree without recursing."""
+    model that validates round-trips, compares, hashes, prints, pickles and
+    deep-copies: ==, repr and pickling walk a predicate tree without recursing."""
 
     BASE = "place p init 1\ntrans t in p:1 out p:1\nmode m\n"
 
@@ -721,6 +723,35 @@ class TestNestingOfApiBuiltModels:
         chain = self.chain(MAX_NESTING)
         assert chain == self.chain(MAX_NESTING) and hash(chain) == hash(self.chain(MAX_NESTING))
         assert chain != self.chain(MAX_NESTING - 1)
+
+    # the deepest admitted predicate, an And or Or at every level, in each place one can stand
+    DEEPEST = nested_predicate(MAX_NESTING - 1, "p")
+    TEXTS = {"forbidden": f"{BASE}forbidden f := {DEEPEST}\n",
+             "guard": BASE.replace("out p:1", f"out p:1 guard {DEEPEST}"),
+             "override": f"{BASE}override m t := {DEEPEST}\n"}
+
+    def test_the_deepest_admitted_predicates_print_as_dataclasses(self):
+        p, q = TokenAtom("p", ">=", 1), CounterAtom("t", "=", 0)
+        assert repr(Or((p, Not(And((q, ModeAtom("m"))))))) == (
+            "Or(operands=(TokenAtom(place='p', op='>=', value=1), Not(operand=And(operands="
+            "(CounterAtom(transition='t', op='=', value=0), ModeAtom(mode='m'))))))")
+        text = repr(p)
+        for i in range(MAX_NESTING - 1):
+            text = f"{'And' if i % 2 else 'Or'}(operands=({p!r}, {text}))"
+        for model in map(parse_model, self.TEXTS.values()):
+            assert text in repr(model)
+
+    @pytest.mark.parametrize("where", ["forbidden", "guard", "override"])
+    def test_the_deepest_admitted_predicates_deep_copy(self, where):
+        model = parse_model(self.TEXTS[where])
+        again = copy.deepcopy(model)
+        assert again == model and serialize_model(again).text == serialize_model(model).text
+
+    @pytest.mark.parametrize("where", ["forbidden", "guard", "override"])
+    def test_the_deepest_admitted_predicates_pickle(self, where):
+        model = parse_model(self.TEXTS[where])
+        again = pickle.loads(pickle.dumps(model))
+        assert again == model and serialize_model(again).text == serialize_model(model).text
 
     def test_predicates_compare_by_operator_arity_and_atom(self):
         p, q = TokenAtom("p", ">=", 1), TokenAtom("q", ">=", 1)
