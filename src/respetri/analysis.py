@@ -197,6 +197,14 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     kept for the callers that pass it, such as the acceptance test that
     checks the graph is worker-count invariant (`explore(..., workers=4)`).
 
+    Each layer is one call of the net's generated `layer` (see CompiledNet).
+    It tests a successor against the token cut only at the places its
+    transition fills, which is exact once every state is within the cut, so
+    a root beyond the cut has its successors checked at every unbounded
+    place first, in Python. A frontier at the depth limit goes through a
+    layer with no room: it adds no state, and any enabled transition leaves
+    an edge or sets the flag.
+
     The latest exploration is kept: a call with the same model object and an
     equal bound gets a new ReachGraph over the same (read-only) data without
     exploring again. Any other call drops it first, so at most one graph
@@ -218,40 +226,33 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     state_edges: list[tuple[int, int, int]] = []
     truncated = False
     cut = bound.max_tokens_per_place
-    successors = net.successors
-    if any(root[p] > cut for p in net.unbounded):
-        # The generated test looks only at the places a transition fills,
-        # which suffices once every state is within the cut; a root beyond
-        # it has each successor checked at every unbounded place instead.
-        fast, unbounded = successors, net.unbounded
-
-        def successors(v, cut):
-            return [(t, None if any(s[p] > cut for p in unbounded) else s)
-                    for t, s in fast(v, math.inf)]
     frontier = [0]
     d = 0
-    while frontier:
-        if d >= bound.max_depth:
-            if any(successors(states[a], cut) for a in frontier):
+    if bound.max_depth > 0 and any(root[p] > cut for p in net.unbounded):
+        frontier = []
+        for t, s in net.successors(root, math.inf):
+            if any(s[p] > cut for p in net.unbounded):
                 truncated = True
-            break
-        next_frontier: list[int] = []
-        for a in frontier:
-            for t, s in successors(states[a], cut):
-                if s is None:
+                continue
+            b = index.get(s)
+            if b is None:
+                if len(states) >= bound.max_states:
                     truncated = True
                     continue
-                b = index.get(s)
-                if b is None:
-                    if len(states) >= bound.max_states:
-                        truncated = True
-                        continue
-                    b = index[s] = len(states)
-                    states.append(s)
-                    discovered_by.append(len(state_edges))
-                    next_frontier.append(b)
-                state_edges.append((a, t, b))
-        frontier = next_frontier
+                b = index[s] = len(states)
+                states.append(s)
+                discovered_by.append(len(state_edges))
+                frontier.append(b)
+            state_edges.append((0, t, b))
+        d = 1
+    layer = net.layer
+    while frontier:
+        if d >= bound.max_depth:
+            probe: list[tuple[int, int, int]] = []
+            truncated = truncated or layer(frontier, states, index, probe, [], cut, 0)[1] or bool(probe)
+            break
+        frontier, cut_short = layer(frontier, states, index, state_edges, discovered_by, cut, bound.max_states)
+        truncated = truncated or cut_short
         d += 1
     data = (truncated, states, index, state_edges, discovered_by)
     _latest = (weakref.ref(net, _forget), bound, data)
@@ -265,8 +266,7 @@ def violation_trace(graph: ReachGraph, predicate: Predicate) -> Optional[Violati
     is the one a breadth-first search from the root reaches first, and the
     edges that discovered each node form the shortest path back to the root.
     """
-    holds = graph.net.predicate(predicate)
-    target = next((i for i, s in enumerate(graph.states) if holds(s)), None)
+    target = next(graph.net.scan(predicate)(graph.states), None)
     if target is None:
         return None
     firings: list[str] = []
@@ -689,12 +689,12 @@ class Pressure:
 
 def node_distances(graph: ReachGraph, predicate: Predicate) -> list[Optional[int]]:
     """Minimum firings from each node, by position, to any satisfying node (reverse BFS)."""
-    holds = graph.net.predicate(predicate)
+    scan = graph.net.scan(predicate)
     preds: list[list[int]] = [[] for _ in graph.states]
     for a, _t, b in graph.state_edges:
         preds[b].append(a)
     dist: list[Optional[int]] = [None] * len(graph.states)
-    queue = deque(i for i, s in enumerate(graph.states) if holds(s))
+    queue = deque(scan(graph.states))
     for i in queue:
         dist[i] = 0
     while queue:

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import NotEnabled, StructureFailure, UnknownPredicate, UnknownReference, UnknownTransition
 
@@ -363,6 +363,11 @@ class NetModel:
         if zeros:
             object.__setattr__(self, "initial", Marking(self.initial.tokens, self.initial.counters + zeros))
 
+    def __getstate__(self):
+        """The fields without the compiled net, whose generated functions do not
+        pickle: `compiled` rebuilds and revalidates it on first use."""
+        return {**self.__dict__, "_compiled": None}
+
     # -- lookups ------------------------------------------------------------
 
     @property
@@ -591,16 +596,29 @@ class CompiledNet:
     transitions, by index, with an out arc to it, an in arc, or an in or read
     arc from it: arcs, not changes, as a self-loop produces and consumes.
 
-    The token game is one generated function, `successors(v, cut)`, made
-    from Python source on its first use and kept here. It lists each
-    transition enabled at v as (index, successor) in declaration order,
-    with the successor None when it puts more than `cut` tokens on an
-    unbounded place the transition fills. The source holds only int
-    literals (vector indices, weights, thresholds and capacity limits) and
-    fixed names, each guard inlined in its transition's test. No id or other
-    string of the model enters it, so nets of one structure share its code.
-    Karp-Miller and backward coverability read `plain`, siphons, traps and
-    cycles read the arc relations, and none of them generates the token game.
+    The token game is generated Python source, made on first use and kept
+    here. `layer(frontier, states, index, edges, found, cut, room)` expands
+    one breadth-first layer for `explore`, each frontier state given by its
+    position in `states`: per transition, an inlined test and update, then
+    the bookkeeping of the successor. One `index.setdefault` finds a known
+    state or adds a new one, which is appended to `states`, to the returned
+    frontier and, as the position of its edge, to `found` while `states`
+    holds fewer than `room`, and is removed from `index` again otherwise.
+    Every edge kept goes to `edges` as (source, transition index, target).
+    A state without room, or a successor over the cut, sets the returned
+    truncation flag; the cut is tested only at the unbounded places the
+    transition fills. `successors(v, cut)`, the same tests and updates for
+    one state, lists each transition enabled at v as (index, successor) in
+    declaration order, the successor None when over the cut; `fire`,
+    `enabled_set` and `simulate` read it. `scan(pred)` is a generator
+    function over a list of states that yields the position of each one
+    satisfying the predicate, kept per predicate object. The source holds
+    only int literals (vector indices, weights, thresholds and capacity
+    limits) and fixed names, each guard inlined in its transition's test.
+    No id or other string of the model enters it, so nets of one structure
+    share its code. Karp-Miller and backward coverability read `plain`,
+    siphons, traps and cycles read the arc relations, and none of them
+    generates the token game.
     """
 
     def __init__(self, model: NetModel):
@@ -613,6 +631,7 @@ class CompiledNet:
         self.unbounded = tuple(i for i, p in enumerate(model.places) if p.capacity is None)
         self.transitions = tuple(self._compile(model, t) for t in model.transitions)
         self.root = self.state(model.initial)
+        self._scans: dict[int, tuple[Predicate, Callable]] = {}   # id(pred) -> (pred, scan)
         self.producers, self.consumers, self.requirers = ([0] * len(self._slot) for _ in range(3))
         for k, t in enumerate(model.transitions):
             for p, _ in t.outputs:
@@ -676,11 +695,18 @@ class CompiledNet:
         except KeyError:
             raise UnknownTransition(f"unknown transition {tid!r}") from None
 
-    def predicate(self, pred: Predicate) -> Callable[[tuple], bool]:
-        """The predicate as a test over state vectors (see eval_predicate).
-        TypeError, naming the atom, when a compared value is not an int."""
-        lines, test = self.expression(pred)
-        return _function("def holds(v):\n" + "".join(f"    {line}\n" for line in [*lines, f"return {test}"]), "holds")
+    def scan(self, pred: Predicate) -> Callable[[list], Iterator[int]]:
+        """The generated scan of pred (see the class docstring and eval_predicate).
+        TypeError, naming the atom, when a compared value is not an int. Kept by
+        the predicate's identity, not its hash, which recurses through the tree;
+        the entry holds the predicate, so its id is not reused while kept."""
+        entry = self._scans.get(id(pred))
+        if entry is None:
+            scan = _function(scan_source(self, pred), "scan")
+            if len(self._scans) >= SCANS_KEPT:
+                del self._scans[next(iter(self._scans))]
+            entry = self._scans[id(pred)] = (pred, scan)
+        return entry[1]
 
     def expression(self, pred: Predicate) -> tuple[list[str], str]:
         """The predicate as an expression over the state vector v, and the assignments to
@@ -729,9 +755,17 @@ class CompiledNet:
 
     @cached_property
     def successors(self) -> Callable[[tuple, float], list[tuple[int, Optional[tuple]]]]:
-        """The generated token game (see the class docstring)."""
+        """The generated one-state token game (see the class docstring)."""
         return _function(kernel_source(self), "successors")
 
+    @cached_property
+    def layer(self) -> Callable[..., tuple[list[int], bool]]:
+        """The generated breadth-first layer (see the class docstring)."""
+        return _function(layer_source(self), "layer")
+
+
+# the most scans a compiled net keeps, the oldest dropped first
+SCANS_KEPT = 64
 
 # source text -> code object; no id enters the source, so nets of one structure share it
 _code = lru_cache(maxsize=256)(compile)
@@ -745,36 +779,75 @@ def _function(source: str, name: str) -> Callable:
     return namespace.pop(name)
 
 
-def kernel_source(net: CompiledNet) -> str:
-    """The source of `net.successors`.
-
-    Each transition becomes one test, its guard inlined, then an in-place update
-    of a copy of v. Every number is formatted with `d`, which admits ints only.
-    """
-    unbounded = set(net.unbounded)
-    lines = ["def successors(v, cut):", "    out = []"]
-    for i, t in enumerate(net.transitions):
-        tests = [f"v[{p:d}] >= {w:d}" for p, w in t.needs]
-        tests += [f"v[{p:d}] < {th:d}" for p, th in t.inhibitors]
-        tests += [f"v[{p:d}] <= {top:d}" for p, top in t.limits]
-        if t.guard is not None:
-            assignments, guard = net.expression(t.guard)
-            lines += [f"    {line}" for line in assignments]
-            tests.append(guard)
-        pad = "    "
-        if tests:
-            lines.append(f"    if {' and '.join(tests)}:")
-            pad = "        "
-        if not t.delta:
-            lines.append(f"{pad}out.append(({i:d}, v))")
-            continue
+def _firing(net: CompiledNet, t: CompiledTransition, pad: str) -> tuple[list[str], str, str]:
+    """Source that fires t at the state v, for `kernel_source` and `layer_source`:
+    the lines, indented by pad, that test t, its guard inlined, and that build its
+    successor as the list s when t changes v; the indent of the lines that follow
+    under the test; and the test that s has more than `cut` tokens on an
+    unbounded place t fills ('' when t fills none). Every number is formatted
+    with `d`, which admits ints only."""
+    tests = [f"v[{p:d}] >= {w:d}" for p, w in t.needs]
+    tests += [f"v[{p:d}] < {th:d}" for p, th in t.inhibitors]
+    tests += [f"v[{p:d}] <= {top:d}" for p, top in t.limits]
+    lines = []
+    if t.guard is not None:
+        assignments, guard = net.expression(t.guard)
+        lines += [pad + line for line in assignments]
+        tests.append(guard)
+    if tests:
+        lines.append(f"{pad}if {' and '.join(tests)}:")
+        pad += "    "
+    if t.delta:
         lines.append(f"{pad}s = list(v)")
         lines += [f"{pad}s[{p:d}] += {d:d}" for p, d in t.delta]
-        fills = " or ".join(f"s[{p:d}] > cut" for p, d in t.delta if d > 0 and p in unbounded)
-        succ = f"None if {fills} else tuple(s)" if fills else "tuple(s)"
+    fills = " or ".join(f"s[{p:d}] > cut" for p, d in t.delta if d > 0 and p in net.unbounded)
+    return lines, pad, fills
+
+
+def kernel_source(net: CompiledNet) -> str:
+    """The source of `net.successors`: each transition's firing (see _firing),
+    then its entry in the list returned."""
+    lines = ["def successors(v, cut):", "    out = []"]
+    for i, t in enumerate(net.transitions):
+        firing, pad, fills = _firing(net, t, "    ")
+        lines += firing
+        succ = "v" if not t.delta else f"None if {fills} else tuple(s)" if fills else "tuple(s)"
         lines.append(f"{pad}out.append(({i:d}, {succ}))")
     lines.append("    return out")
     return "\n".join(lines) + "\n"
+
+
+def layer_source(net: CompiledNet) -> str:
+    """The source of `net.layer`: per state of the frontier, each transition's
+    firing (see _firing), then the bookkeeping of its successor. A transition
+    that changes nothing leads from a state to itself, a known state."""
+    lines = ["def layer(frontier, states, index, edges, found, cut, room):",
+             "    nxt = []", "    truncated = False", "    n = len(states)",
+             "    for a in frontier:", "        v = states[a]"]
+    for i, t in enumerate(net.transitions):
+        firing, pad, fills = _firing(net, t, "        ")
+        lines += firing
+        if not t.delta:
+            lines.append(f"{pad}edges.append((a, {i:d}, a))")
+            continue
+        if fills:
+            lines += [f"{pad}if {fills}:", f"{pad}    truncated = True", f"{pad}else:"]
+            pad += "    "
+        lines += [pad + line for line in (
+            "s = tuple(s)", "b = index.setdefault(s, n)",
+            "if b < n:", f"    edges.append((a, {i:d}, b))",
+            "elif n < room:", "    states.append(s)", "    found.append(len(edges))", "    nxt.append(n)",
+            f"    edges.append((a, {i:d}, n))", "    n += 1",
+            "else:", "    del index[s]", "    truncated = True")]
+    lines.append("    return nxt, truncated")
+    return "\n".join(lines) + "\n"
+
+
+def scan_source(net: CompiledNet, pred: Predicate) -> str:
+    """The source of `net.scan(pred)`."""
+    lines, test = net.expression(pred)
+    body = [*lines, f"if {test}:", "    yield i"]
+    return "def scan(states):\n    for i, v in enumerate(states):\n" + "".join(f"        {line}\n" for line in body)
 
 
 def compiled(model: NetModel) -> CompiledNet:

@@ -2,7 +2,9 @@
 
 Everything here re-derives the semantics from the data structures alone and
 deliberately avoids calling the library's enabling/firing/exploration code,
-so agreement between the two is meaningful evidence.
+so agreement between the two is meaningful evidence. The one exception is
+`reference_explore`, a plain loop over the library's one-state token game
+that checks the generated breadth-first layer against it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from respetri.net import (
     PlaceDef,
     TokenAtom,
     TransitionDef,
+    compiled,
 )
 
 MODE_PREFIX = "mode_"
@@ -194,6 +197,47 @@ def oracle_bfs(model: NetModel, max_states: int, max_depth: int, token_cap: int)
         frontier = next_frontier
         d += 1
     return nodes, edges, depth, truncated
+
+
+def reference_explore(model: NetModel, max_states: int, max_depth: int, token_cap: int):
+    """The breadth-first loop that `explore` ran before its layers were
+    generated, over the library's one-state token game `successors`: a
+    reference for the generated layer, by the same positions. Returns
+    (truncated, states, index, state_edges, discovered_by) as `explore`
+    holds them."""
+    net = compiled(model)
+    root = net.root
+    states, index, discovered_by, state_edges = [root], {root: 0}, [-1], []
+    truncated = False
+
+    def successors(v):
+        return [(t, None if any(s[p] > token_cap for p in net.unbounded) else s)
+                for t, s in net.successors(v, math.inf)]
+    frontier = [0]
+    d = 0
+    while frontier:
+        if d >= max_depth:
+            truncated = truncated or any(successors(states[a]) for a in frontier)
+            break
+        next_frontier = []
+        for a in frontier:
+            for t, s in successors(states[a]):
+                if s is None:
+                    truncated = True
+                    continue
+                b = index.get(s)
+                if b is None:
+                    if len(states) >= max_states:
+                        truncated = True
+                        continue
+                    b = index[s] = len(states)
+                    states.append(s)
+                    discovered_by.append(len(state_edges))
+                    next_frontier.append(b)
+                state_edges.append((a, t, b))
+        frontier = next_frontier
+        d += 1
+    return truncated, states, index, state_edges, discovered_by
 
 
 def oracle_trace(nodes, edges, pred):

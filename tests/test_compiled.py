@@ -4,9 +4,11 @@
 on the compiled net; `oracles.oracle_bfs` re-derives the same breadth-first
 graph from `oracle_enabled`/`oracle_fire` over token dicts. Node order, edge
 order, depths, truncation and every predicate's trace must agree exactly.
-`is_enabled`, `enabled_set`, `fire` and `simulate` share the generated
-successor function with `explore`, so they are checked against
-`oracle_enabled`/`oracle_fire` one marking at a time.
+`is_enabled`, `enabled_set`, `fire` and `simulate` run the generated
+successor function, which shares each transition's test and update with
+`explore`'s generated layer, so they are checked against
+`oracle_enabled`/`oracle_fire` one marking at a time, and the layer against
+`oracles.reference_explore`, a plain loop over the successor function.
 """
 
 import builtins
@@ -14,6 +16,7 @@ import gc
 import io
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -75,10 +78,10 @@ from respetri.analysis import _backward_coverable, node_distances
 from respetri.dsl import MAX_NESTING
 from respetri.governance import patch_report
 from respetri.models import FIXTURES, FixtureConfig
-from respetri.net import compiled, kernel_source
+from respetri.net import compiled, kernel_source, layer_source, scan_source
 
 from oracles import (_eval, marking_key, moded_net, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
-                     random_net, random_predicate)
+                     random_net, random_predicate, reference_explore)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
 
@@ -228,7 +231,7 @@ class _Untouchable:
 def test_coverability_reads_only_the_plain_projection(monkeypatch, pred, covered, answer):
     model = parse_model(PLAIN)
     net = compiled(model)
-    net.plain, net.successors  # both are built from `transitions`, before it goes
+    net.plain, net.successors, net.layer  # all are built from `transitions`, before it goes
     monkeypatch.setattr(net, "transitions", _Untouchable())
     result, reference = karp_miller(model, pred), karp_miller(parse_model(PLAIN), pred)
     assert result == reference and len(result.tree_nodes) == 13
@@ -326,6 +329,62 @@ def assert_replays(model: NetModel, run):
         assert oracle_fire(tokens, counters, transitions[t]) == (dict(b.tokens_map), dict(b.counters_map))
 
 
+def graph_data(graph) -> tuple:
+    """What `explore` holds of a graph, as `reference_explore` returns it."""
+    return graph.truncated, graph.states, graph.index, graph.state_edges, graph.discovered_by
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("random", "moded", "counted")),
+       st.integers(1, 60), st.integers(0, 4), st.integers(0, 3))
+def test_the_generated_layer_gives_the_reference_loops_graph(seed, kind, max_states, max_depth, cut):
+    """Guards, modes, inhibitors, capacities and counters, under state bounds
+    that cut inside a layer, depth bounds that stop at a frontier, and token
+    cuts that the root may already exceed."""
+    rng = random.Random(seed)
+    model = (random_net(rng) if kind == "random" else moded_net(rng) if kind == "moded"
+             else with_counters_and_modes(rng, random_net(rng)))
+    graph = explore(model, ExplorationBound(max_states, max_depth, cut))
+    assert graph_data(graph) == reference_explore(model, max_states, max_depth, cut)
+    assert list(graph.index.values()) == list(range(len(graph.states)))
+
+
+# From the root, in one layer: `fill` finds a new state, the last one with
+# room under a 2-state bound; `spill` finds another, which is cut; `refill`
+# leads to the state `fill` found; `respill` finds `spill`'s state again.
+CUT_THEN_KNOWN = """
+place a init 1
+place b
+place c
+trans fill read a:1 out b:1
+trans spill read a:1 out c:1
+trans refill in a:1 out a:1 b:1
+trans respill read a:1 out c:1
+"""
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 10])
+def test_a_state_cut_for_room_is_not_kept_in_the_index(max_depth):
+    model = parse_model(CUT_THEN_KNOWN)
+    graph = explore(model, ExplorationBound(max_states=2, max_depth=max_depth))
+    assert graph_data(graph) == reference_explore(model, 2, max_depth, 64)
+    assert graph_data(graph) == (True, [(1, 0, 0), (1, 1, 0)], {(1, 0, 0): 0, (1, 1, 0): 1},
+                                 [(0, 0, 1), (0, 2, 1)], [-1, 0])
+
+
+def test_a_used_model_pickles_and_is_compiled_again_on_first_use():
+    """After `explore`, `fire`, `simulate` and a scan, the compiled net holds
+    generated functions, which do not pickle; the model pickles without it."""
+    model = FIXTURES["traffic"]()
+    graph = explore(model, BOUNDS[0])
+    fire(model, model.initial, enabled_set(model, model.initial)[0])
+    simulate(model, UniformRandom(0), 10)
+    assert violation_trace(graph, model.forbidden[0][1]) is not None
+    twin = pickle.loads(pickle.dumps(model))
+    assert twin == model and twin._compiled is None and model._compiled is not None
+    assert check_all_forbidden(twin, BOUNDS[0]) == check_all_forbidden(model, BOUNDS[0])
+
+
 def test_is_enabled_enabled_set_and_fire_against_the_oracle():
     for model in token_game_models():
         for m in explore(model, BOUNDS[0]).nodes:
@@ -379,8 +438,8 @@ def random_tree(rng: random.Random, model: NetModel, depth: int = 3):
 
 
 def test_the_predicate_evaluations_are_one_semantics():
-    """eval_predicate over markings, the compiled predicate over state vectors
-    and the reference evaluator agree on every explored marking."""
+    """eval_predicate over markings, the compiled scan over state vectors and
+    the reference evaluator agree on every explored marking."""
     rng = random.Random(2121)
     seen = set()
     for _ in range(60):
@@ -389,10 +448,10 @@ def test_the_predicate_evaluations_are_one_semantics():
         markings = explore(model, ExplorationBound(max_states=60, max_tokens_per_place=4)).nodes
         for _ in range(10):
             pred = random_tree(rng, model)
-            holds = net.predicate(pred)
-            for m in markings:
+            hits = set(net.scan(pred)([net.state(m) for m in markings]))
+            for i, m in enumerate(markings):
                 want = _eval(pred, m.tokens_map, m.counters_map)
-                assert eval_predicate(pred, m) == holds(net.state(m)) == want, (pred, m)
+                assert eval_predicate(pred, m) == (i in hits) == want, (pred, m)
                 seen.add(want)
     assert seen == {False, True}
 
@@ -425,11 +484,10 @@ def test_generated_predicates_and_inlined_guards_agree_with_eval_predicate(pred,
     model = replace(PREDICATE_NET, transitions=tuple(
         replace(t, guard=pred) if t.id == "g" else t for t in PREDICATE_NET.transitions))
     net = compiled(model)
-    holds, g = net.predicate(pred), net.transition_index("g")
-    for v in states:
-        want = eval_predicate(pred, net.marking(v))
-        assert holds(v) == want, (pred, v)
-        assert any(i == g for i, _ in net.successors(v, math.inf)) == want, (pred, v)
+    hits, g = list(net.scan(pred)(states)), net.transition_index("g")
+    assert hits == [i for i, v in enumerate(states) if eval_predicate(pred, net.marking(v))], pred
+    for i, v in enumerate(states):
+        assert any(j == g for j, _ in net.successors(v, math.inf)) == (i in hits), (pred, v)
 
 
 def deep_predicate(levels: int, outer: tuple[str, str], inner: str) -> str:
@@ -488,8 +546,9 @@ def test_nets_of_one_structure_share_their_code():
     models = [parse_model(SHAPE.format(**dict(zip(("p", "q", "go", "back", "bad"), ids))))
               for ids in (("p", "q", "go", "back", "bad"), ("left", "right", "run", "undo", "worst"))]
     kernels = [compiled(m).successors for m in models]
-    predicates = [compiled(m).predicate(m.forbidden[0][1]) for m in models]
-    for first, second in (kernels, predicates):
+    layers = [compiled(m).layer for m in models]
+    scans = [compiled(m).scan(m.forbidden[0][1]) for m in models]
+    for first, second in (kernels, layers, scans):
         assert first is not second and first.__code__ is second.__code__
 
 
@@ -499,8 +558,8 @@ def test_nets_of_one_structure_share_their_code():
     lambda model, pred: node_distances(explore(model), pred),
     lambda model, pred: pressure_map(explore(model), pred),
     lambda model, pred: drift_report(model, simulate(model, Scripted(()), 0), pred),
-    lambda model, pred: compiled(model).predicate(pred),
-], ids=["violation_trace", "node_distances", "pressure_map", "drift_report", "compiled-predicate"])
+    lambda model, pred: compiled(model).scan(pred),
+], ids=["violation_trace", "node_distances", "pressure_map", "drift_report", "compiled-scan"])
 def test_a_compared_value_that_is_not_an_int_is_a_type_error(use, value):
     model = parse_model(SWITCH)
     for atom in (TokenAtom("q", ">=", value), CounterAtom("go", "<", value)):
@@ -508,33 +567,55 @@ def test_a_compared_value_that_is_not_an_int_is_a_type_error(use, value):
             use(model, Or((TokenAtom("p", ">=", 9), Not(atom))))
 
 
-# What the generated source may hold besides int literals and operators:
-# its own fixed names, and the locals x<k> that a guard deeper than 50 levels
-# is assigned to.
-KERNEL_NAMES = {"def", "successors", "v", "cut", "out", "append", "if", "and", "or", "not", "s",
-                "list", "tuple", "None", "else", "return"}
+# What each generated source may hold besides int literals and operators:
+# its own fixed names, and the locals x<k> that a guard or predicate deeper
+# than 50 levels is assigned to.
+PREDICATE_NAMES = {"v", "if", "and", "or", "not"}
+KERNEL_NAMES = PREDICATE_NAMES | {"def", "successors", "cut", "out", "append", "s", "list", "tuple", "None",
+                                  "else", "return"}
+LAYER_NAMES = PREDICATE_NAMES | {"def", "layer", "frontier", "states", "index", "edges", "found", "cut", "room",
+                                 "nxt", "truncated", "False", "True", "for", "in", "a", "s", "list", "tuple",
+                                 "append", "n", "len", "b", "setdefault", "elif", "else", "del", "return"}
+SCAN_NAMES = PREDICATE_NAMES | {"def", "scan", "states", "for", "i", "in", "enumerate", "yield"}
 HOISTED = re.compile(r"x(0|[1-9][0-9]*)")
 
 
 def test_kernel_source_holds_only_ints_and_fixed_names():
+    """The kernel, the layer and the scans of each net's forbidden predicates."""
     fixtures = [f() for f in FIXTURES.values()]
-    hoisted = set()
+    hoisted = {"kernel": set(), "layer": set(), "scan": set()}
     for model in (*token_game_models(), parse_model(ABOVE_CUT), parse_model(DEEP), *fixtures):
-        source = kernel_source(compiled(model))
-        assert isinstance(source, str)
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            assert tok.type != tokenize.STRING, tok
-            if tok.type == tokenize.NAME:
-                assert tok.string in KERNEL_NAMES or HOISTED.fullmatch(tok.string), tok
-                hoisted.update(HOISTED.findall(tok.string))
-            elif tok.type == tokenize.NUMBER:
-                assert tok.string.isdigit(), tok
-    # DEEP's go: a base guard and an override each deeper than 250 levels
-    assert hoisted == {str(k) for k in range(10)}
-    for model in fixtures:
-        source = kernel_source(compiled(model))
-        ids = (*model.place_ids, *model.transition_ids, *(n for n, _ in model.forbidden))
-        assert [i for i in ids if i in source] == []
+        net = compiled(model)
+        sources = [("kernel", KERNEL_NAMES, kernel_source(net)), ("layer", LAYER_NAMES, layer_source(net))]
+        sources += [("scan", SCAN_NAMES, scan_source(net, pred)) for _, pred in model.forbidden]
+        for kind, names, source in sources:
+            assert isinstance(source, str)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                assert tok.type != tokenize.STRING, (kind, tok)
+                if tok.type == tokenize.NAME:
+                    assert tok.string in names or HOISTED.fullmatch(tok.string), (kind, tok)
+                    hoisted[kind].update(HOISTED.findall(tok.string))
+                elif tok.type == tokenize.NUMBER:
+                    assert tok.string.isdigit(), (kind, tok)
+            if model in fixtures:
+                ids = (*model.place_ids, *model.transition_ids, *(n for n, _ in model.forbidden))
+                assert [i for i in ids if i in source] == [], kind
+    # DEEP's go: a base guard and an override each deeper than 250 levels;
+    # its forbidden `deep` and `never`: 256 levels, so x0 to x4
+    assert hoisted == {"kernel": {str(k) for k in range(10)}, "layer": {str(k) for k in range(10)},
+                       "scan": {str(k) for k in range(5)}}
+
+
+def test_the_layer_source_grows_with_the_transitions_not_with_places_times_transitions():
+    """Each successor is a copied list updated in place: chain(n, 1) has n
+    places and n - 1 transitions, each changing two places, so doubling n
+    about doubles the source. A tuple display per successor gives about 4x."""
+    def chain(n):
+        lines = ["place p0 init 1"] + [f"place p{i}" for i in range(1, n)]
+        lines += [f"trans t{i} in p{i}:1 out p{i + 1}:1" for i in range(n - 1)]
+        return parse_model("\n".join(lines) + "\n")
+    small, large = (len(layer_source(compiled(chain(n)))) for n in (50, 100))
+    assert large <= 2.2 * small
 
 
 UNCOVERABLE = """
@@ -548,29 +629,37 @@ forbidden bad := err >= 1
 
 
 def test_kernel_is_generated_on_first_use_and_once(monkeypatch):
+    """`explore` generates the layer, once, and never the one-state kernel,
+    which firing generates, once."""
     calls = []
-    real = net_module.kernel_source
-    monkeypatch.setattr(net_module, "kernel_source", lambda net: calls.append(net) or real(net))
+    for name in ("kernel_source", "layer_source"):
+        real = getattr(net_module, name)
+        monkeypatch.setattr(net_module, name, lambda net, name=name, real=real: calls.append(name) or real(net))
     model = parse_model(UNCOVERABLE)
     pred = model.forbidden_predicate("bad")
     assert karp_miller(model, pred).verdict.kind.value == "safe"
     assert _backward_coverable(model, pred, 50) is False
     siphons_and_traps(model)
     find_cycles(model)
-    assert calls == [] and "successors" not in vars(compiled(model))
+    assert calls == [] and "successors" not in vars(compiled(model)) and "layer" not in vars(compiled(model))
     first, second = explore(model), explore(model, BOUNDS[0])   # a second exploration
     assert first.states == second.states
-    assert calls == [compiled(model)]
+    assert calls == ["layer_source"]
+    fire(model, model.initial, "go")
+    enabled_set(model, model.initial)
+    assert calls == ["layer_source", "kernel_source"]
 
 
 def test_a_dropped_model_frees_its_kernel_without_the_cycle_collector():
+    """The kernel, the layer and the kept scans."""
     gc.disable()
     try:
         model = parse_model(RICH)
-        explore(model, BOUNDS[0])
-        kernel = weakref.ref(compiled(model).successors)
-        del model
-        assert kernel() is None
+        violation_trace(explore(model, BOUNDS[0]), model.forbidden[0][1])
+        net = compiled(model)
+        generated = [weakref.ref(f) for f in (net.successors, net.layer, net.scan(model.forbidden[1][1]))]
+        del model, net
+        assert [f() for f in generated] == [None] * 3
     finally:
         gc.enable()
 
@@ -582,17 +671,17 @@ def test_a_dropped_model_frees_its_kernel_without_the_cycle_collector():
 # ---------------------------------------------------------------------------
 
 def expansions(model: NetModel) -> list:
-    """From now on, the states the model's explorations expand: `explore`
-    calls the successor function with the bound's token cut (finite for
-    these nets), the token game with infinity."""
+    """From now on, the states the model's explorations expand: the frontier
+    states, by position, that `explore` hands to the generated layer (these
+    nets' roots are within the bounds' token cuts, so every state goes
+    through it)."""
     net = compiled(model)
-    kernel, expanded = net.successors, []
+    layer, expanded = net.layer, []
 
-    def counting(v, cut):
-        if cut != math.inf:
-            expanded.append(v)
-        return kernel(v, cut)
-    net.successors = counting
+    def counting(frontier, *args):
+        expanded.extend(frontier)
+        return layer(frontier, *args)
+    net.layer = counting
     return expanded
 
 

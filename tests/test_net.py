@@ -531,13 +531,13 @@ STRANGER = types.SimpleNamespace(id="stranger")
 
 @pytest.mark.parametrize("call", [
     lambda: eval_predicate(STRANGER, initial_marking(chain_net())),
-    lambda: compiled(chain_net()).predicate(STRANGER),
+    lambda: compiled(chain_net()).scan(STRANGER),
     lambda: format_predicate(STRANGER),
     lambda: serialize_model(replace(chain_net(), audit_rules=(STRANGER,))),
     lambda: format_op(STRANGER),
     lambda: apply_patch(chain_net(), Patch((STRANGER,))),
     lambda: simulate(replace(chain_net(), audit_rules=(STRANGER,)), Scripted(()), 0),
-], ids=["eval_predicate", "compiled-predicate", "format_predicate", "serialize-audit-rule",
+], ids=["eval_predicate", "compiled-scan", "format_predicate", "serialize-audit-rule",
         "format_op", "apply_patch", "audit-rule-condition"])
 def test_a_value_of_no_known_kind_is_a_type_error(call):
     with pytest.raises(TypeError, match=r"^not an? (predicate|audit rule|edit op): namespace\(id='stranger'\)$"):
