@@ -176,17 +176,9 @@ class ReachGraph:
         return frozenset(self.nodes[:bisect_right(self.depth._values, d)])
 
 
-# The latest exploration: (weak reference to its compiled net, bound, graph
-# data), one tuple, so that a key is always read with its own data.
-_NO_EXPLORATION = (lambda: None, None, None)
-_latest = _NO_EXPLORATION
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Empty the slot when the net of the latest exploration is freed."""
-    global _latest
-    if _latest[0] is ref:
-        _latest = _NO_EXPLORATION
+# The latest exploration: its compiled net, held weakly, to (bound, graph
+# data); at most one entry, so at most one graph outlives its callers.
+_latest: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: int = 1) -> ReachGraph:
@@ -200,10 +192,10 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     Each layer is one call of the net's generated `layer` (see CompiledNet).
     It tests a successor against the token cut only at the places its
     transition fills, which is exact once every state is within the cut, so
-    a root beyond the cut has its successors checked at every unbounded
-    place first, in Python. A frontier at the depth limit goes through a
-    layer with no room: it adds no state, and any enabled transition leaves
-    an edge or sets the flag.
+    a root beyond the cut is expanded first by `successors` (the layer with
+    no cut), each successor checked in Python at every unbounded place. A
+    frontier at the depth limit goes through a layer with no room: it adds
+    no state, and any enabled transition leaves an edge or sets the flag.
 
     The latest exploration is kept: a call with the same model object and an
     equal bound gets a new ReachGraph over the same (read-only) data without
@@ -212,13 +204,13 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     the model still frees the net, and the kept data with it; a later net at
     the same address never matches.
     """
-    global _latest
     _check_bound(bound)
     net = compiled(model)
-    ref, latest_bound, data = _latest
-    if ref() is net and latest_bound == bound:
-        return ReachGraph(net, bound, *data)
-    _latest = _NO_EXPLORATION
+    kept = _latest.get(net)
+    if kept is not None and kept[0] == bound:
+        return ReachGraph(net, bound, *kept[1])
+    del kept
+    _latest.clear()     # frees the kept graph before the next one is explored
     root = net.root
     states = [root]
     index = {root: 0}
@@ -230,7 +222,7 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     d = 0
     if bound.max_depth > 0 and any(root[p] > cut for p in net.unbounded):
         frontier = []
-        for t, s in net.successors(root, math.inf):
+        for t, s in net.successors(root):
             if any(s[p] > cut for p in net.unbounded):
                 truncated = True
                 continue
@@ -255,7 +247,7 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
         truncated = truncated or cut_short
         d += 1
     data = (truncated, states, index, state_edges, discovered_by)
-    _latest = (weakref.ref(net, _forget), bound, data)
+    _latest[net] = (bound, data)
     return ReachGraph(net, bound, *data)
 
 

@@ -145,7 +145,8 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
     raises UnknownTransition, listing each such name once; a declared
     scripted transition that is disabled when its turn comes raises
     ScriptedFiringDisabled. The run's markings also hold the visited states
-    (see RunRecord).
+    (see RunRecord). Each state is expanded by the net's generated layer (see
+    CompiledNet) once per run, however often the run returns to it.
     """
     _check_bound(bound)
     net = compiled(model)
@@ -158,17 +159,22 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
     named = policy.order if isinstance(policy, Priority) else getattr(policy, "firings", ())
     if unknown := [t for t in dict.fromkeys(named) if not model.has_transition(t)]:
         raise UnknownTransition(f"the policy names unknown transitions: {', '.join(map(repr, unknown))}")
-    v = net.root
-    states = [v]
+    states, index = [net.root], {net.root: 0}     # what the run reached or met as successors
+    path = [0]                                     # each step's state, by position in `states`
     firings: list[str] = []
     deadlock: Optional[int] = None
     rng = random.Random(getattr(policy, "seed", 0))
     script = list(policy.firings) if isinstance(policy, Scripted) else None
     limit = min(steps, len(script)) if script is not None else steps
+    expanded: dict = {}     # position -> its edges: a revisited state is expanded once per run
 
+    a = 0
     for step in range(1, limit + 1):
-        succ = net.successors(v, math.inf)
-        enabled = [net.ids[i] for i, _ in succ]
+        edges = expanded.get(a)
+        if edges is None:
+            edges = expanded[a] = []
+            net.layer((a,), states, index, edges, [], math.inf, math.inf)
+        enabled = [net.ids[t] for _, t, _ in edges]
         if script is not None:
             t = script[step - 1]
             if t not in enabled:
@@ -181,13 +187,13 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
             t = listed[0] if listed else rng.choice(enabled)
         else:
             t = rng.choice(enabled)
-        v = succ[enabled.index(t)][1]
+        a = edges[enabled.index(t)][2]
         firings.append(t)
-        states.append(v)
+        path.append(a)
 
-    built = {v: net.marking(v) for v in dict.fromkeys(states)}
-    markings = _RunMarkings(map(built.__getitem__, states))
-    markings.states, markings.ids = tuple(states), (net.place_ids, net.counted)
+    built = {a: net.marking(states[a]) for a in dict.fromkeys(path)}
+    markings = _RunMarkings(map(built.__getitem__, path))
+    markings.states, markings.ids = tuple(map(states.__getitem__, path)), (net.place_ids, net.counted)
     run = RunRecord(tuple(firings), markings)
     return replace(run, alarms=tuple(evaluate_audit_rules(model, run, bound)),
                    deadlock_step=deadlock)

@@ -596,9 +596,9 @@ class CompiledNet:
     transitions, by index, with an out arc to it, an in arc, or an in or read
     arc from it: arcs, not changes, as a self-loop produces and consumes.
 
-    The token game is generated Python source, made on first use and kept
-    here. `layer(frontier, states, index, edges, found, cut, room)` expands
-    one breadth-first layer for `explore`, each frontier state given by its
+    The token game is one generated Python function, made on first use and
+    kept here. `layer(frontier, states, index, edges, found, cut, room)`
+    expands one breadth-first layer, each frontier state given by its
     position in `states`: per transition, an inlined test and update, then
     the bookkeeping of the successor. One `index.setdefault` finds a known
     state or adds a new one, which is appended to `states`, to the returned
@@ -607,18 +607,17 @@ class CompiledNet:
     Every edge kept goes to `edges` as (source, transition index, target).
     A state without room, or a successor over the cut, sets the returned
     truncation flag; the cut is tested only at the unbounded places the
-    transition fills. `successors(v, cut)`, the same tests and updates for
-    one state, lists each transition enabled at v as (index, successor) in
-    declaration order, the successor None when over the cut; `fire`,
-    `enabled_set` and `simulate` read it. `scan(pred)` is a generator
-    function over a list of states that yields the position of each one
-    satisfying the predicate, kept per predicate object. The source holds
-    only int literals (vector indices, weights, thresholds and capacity
-    limits) and fixed names, each guard inlined in its transition's test.
-    No id or other string of the model enters it, so nets of one structure
-    share its code. Karp-Miller and backward coverability read `plain`,
-    siphons, traps and cycles read the arc relations, and none of them
-    generates the token game.
+    transition fills. `explore` runs it per layer, and `simulate` once per
+    state its run visits, with no cut and no room limit; `successors(v)`
+    runs it so over v alone, for `fire`, `is_enabled` and `enabled_set`.
+    `scan(pred)` is a generator function over a list of states that yields
+    the position of each one satisfying the predicate, kept per predicate
+    object. The source holds only int literals (vector indices, weights,
+    thresholds and capacity limits) and fixed names, each guard inlined in
+    its transition's test. No id or other string of the model enters it, so
+    nets of one structure share its code. Karp-Miller and backward
+    coverability read `plain`, siphons, traps and cycles read the arc
+    relations, and none of them generates the token game.
     """
 
     def __init__(self, model: NetModel):
@@ -754,14 +753,16 @@ class CompiledNet:
         return self.root[:n], tuple(rows)
 
     @cached_property
-    def successors(self) -> Callable[[tuple, float], list[tuple[int, Optional[tuple]]]]:
-        """The generated one-state token game (see the class docstring)."""
-        return _function(kernel_source(self), "successors")
-
-    @cached_property
     def layer(self) -> Callable[..., tuple[list[int], bool]]:
         """The generated breadth-first layer (see the class docstring)."""
         return _function(layer_source(self), "layer")
+
+    def successors(self, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """Each transition enabled at v, by index, with its successor, in
+        declaration order: one layer over v alone, with no cut and no room limit."""
+        states, edges = [v], []
+        self.layer((0,), states, {v: 0}, edges, [], math.inf, math.inf)
+        return [(t, states[b]) for _, t, b in edges]
 
 
 # the most scans a compiled net keeps, the oldest dropped first
@@ -779,58 +780,33 @@ def _function(source: str, name: str) -> Callable:
     return namespace.pop(name)
 
 
-def _firing(net: CompiledNet, t: CompiledTransition, pad: str) -> tuple[list[str], str, str]:
-    """Source that fires t at the state v, for `kernel_source` and `layer_source`:
-    the lines, indented by pad, that test t, its guard inlined, and that build its
-    successor as the list s when t changes v; the indent of the lines that follow
-    under the test; and the test that s has more than `cut` tokens on an
-    unbounded place t fills ('' when t fills none). Every number is formatted
-    with `d`, which admits ints only."""
-    tests = [f"v[{p:d}] >= {w:d}" for p, w in t.needs]
-    tests += [f"v[{p:d}] < {th:d}" for p, th in t.inhibitors]
-    tests += [f"v[{p:d}] <= {top:d}" for p, top in t.limits]
-    lines = []
-    if t.guard is not None:
-        assignments, guard = net.expression(t.guard)
-        lines += [pad + line for line in assignments]
-        tests.append(guard)
-    if tests:
-        lines.append(f"{pad}if {' and '.join(tests)}:")
-        pad += "    "
-    if t.delta:
-        lines.append(f"{pad}s = list(v)")
-        lines += [f"{pad}s[{p:d}] += {d:d}" for p, d in t.delta]
-    fills = " or ".join(f"s[{p:d}] > cut" for p, d in t.delta if d > 0 and p in net.unbounded)
-    return lines, pad, fills
-
-
-def kernel_source(net: CompiledNet) -> str:
-    """The source of `net.successors`: each transition's firing (see _firing),
-    then its entry in the list returned."""
-    lines = ["def successors(v, cut):", "    out = []"]
-    for i, t in enumerate(net.transitions):
-        firing, pad, fills = _firing(net, t, "    ")
-        lines += firing
-        succ = "v" if not t.delta else f"None if {fills} else tuple(s)" if fills else "tuple(s)"
-        lines.append(f"{pad}out.append(({i:d}, {succ}))")
-    lines.append("    return out")
-    return "\n".join(lines) + "\n"
-
-
 def layer_source(net: CompiledNet) -> str:
-    """The source of `net.layer`: per state of the frontier, each transition's
-    firing (see _firing), then the bookkeeping of its successor. A transition
-    that changes nothing leads from a state to itself, a known state."""
+    """The source of `net.layer`: per state of the frontier and per transition,
+    its test, guard inlined; its successor as a copy s of v updated in place,
+    tested against `cut` at the unbounded places it fills; then the successor's
+    bookkeeping. A transition that changes nothing leads back to its state.
+    Numbers are formatted with `d`, which admits ints only."""
     lines = ["def layer(frontier, states, index, edges, found, cut, room):",
              "    nxt = []", "    truncated = False", "    n = len(states)",
              "    for a in frontier:", "        v = states[a]"]
     for i, t in enumerate(net.transitions):
-        firing, pad, fills = _firing(net, t, "        ")
-        lines += firing
+        pad = "        "
+        tests = [f"v[{p:d}] >= {w:d}" for p, w in t.needs]
+        tests += [f"v[{p:d}] < {th:d}" for p, th in t.inhibitors]
+        tests += [f"v[{p:d}] <= {top:d}" for p, top in t.limits]
+        if t.guard is not None:
+            assignments, guard = net.expression(t.guard)
+            lines += [pad + line for line in assignments]
+            tests.append(guard)
+        if tests:
+            lines.append(f"{pad}if {' and '.join(tests)}:")
+            pad += "    "
         if not t.delta:
             lines.append(f"{pad}edges.append((a, {i:d}, a))")
             continue
-        if fills:
+        lines.append(f"{pad}s = list(v)")
+        lines += [f"{pad}s[{p:d}] += {d:d}" for p, d in t.delta]
+        if fills := " or ".join(f"s[{p:d}] > cut" for p, d in t.delta if d > 0 and p in net.unbounded):
             lines += [f"{pad}if {fills}:", f"{pad}    truncated = True", f"{pad}else:"]
             pad += "    "
         lines += [pad + line for line in (
@@ -866,10 +842,15 @@ def compiled(model: NetModel) -> CompiledNet:
 
 def _successors_at(model: NetModel, m: Marking) -> tuple[CompiledNet, list]:
     """The compiled net and the transitions enabled at m, each with its successor;
-    UnknownReference unless m is a marking of the model (see CompiledNet.state)."""
+    UnknownReference unless m is a marking of the model (see CompiledNet.state)
+    within every capacity, and on a net with modes marks exactly one mode place."""
     net = compiled(model)
     model.active_mode(m)
-    return net, net.successors(net.state(m), math.inf)
+    v = net.state(m)
+    for p, tokens in zip(model.places, v):
+        if p.capacity is not None and tokens > p.capacity:
+            raise UnknownReference(f"place {p.id!r} holds {tokens} tokens, above its capacity {p.capacity}")
+    return net, net.successors(v)
 
 
 def is_enabled(model: NetModel, m: Marking, tid: str) -> bool:

@@ -2,9 +2,9 @@
 
 Everything here re-derives the semantics from the data structures alone and
 deliberately avoids calling the library's enabling/firing/exploration code,
-so agreement between the two is meaningful evidence. The one exception is
-`reference_explore`, a plain loop over the library's one-state token game
-that checks the generated breadth-first layer against it.
+so agreement between the two is meaningful evidence. The library's policy
+and error types are data here: `oracle_simulate` reads a policy's fields and
+raises the library's ScriptedFiringDisabled.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import random
 from collections import deque
 from itertools import combinations
 
+from respetri.audit import Priority, Scripted
+from respetri.errors import ScriptedFiringDisabled
 from respetri.net import (
     And,
     CounterAtom,
@@ -27,7 +29,6 @@ from respetri.net import (
     PlaceDef,
     TokenAtom,
     TransitionDef,
-    compiled,
 )
 
 MODE_PREFIX = "mode_"
@@ -201,18 +202,27 @@ def oracle_bfs(model: NetModel, max_states: int, max_depth: int, token_cap: int)
 
 def reference_explore(model: NetModel, max_states: int, max_depth: int, token_cap: int):
     """The breadth-first loop that `explore` ran before its layers were
-    generated, over the library's one-state token game `successors`: a
-    reference for the generated layer, by the same positions. Returns
-    (truncated, states, index, state_edges, discovered_by) as `explore`
-    holds them."""
-    net = compiled(model)
-    root = net.root
+    generated, over `oracle_enabled`/`oracle_fire`: a reference for the
+    generated layer, by the same positions. A state is a vector, the tokens
+    of each place in declaration order, then the counter of each counted
+    transition. Returns (truncated, states, index, state_edges,
+    discovered_by) as `explore` holds them."""
+    places = model.place_ids
+    counted = [t.id for t in model.transitions if t.counted]
+    unbounded = [p.id for p in model.places if p.capacity is None]
+    root = tuple(model.initial.tokens_map[p] for p in places) + tuple(model.initial.counters_map[t] for t in counted)
     states, index, discovered_by, state_edges = [root], {root: 0}, [-1], []
     truncated = False
 
     def successors(v):
-        return [(t, None if any(s[p] > token_cap for p in net.unbounded) else s)
-                for t, s in net.successors(v, math.inf)]
+        tokens, counters = dict(zip(places, v)), dict(zip(counted, v[len(places):]))
+        out = []
+        for i, t in enumerate(model.transitions):
+            if oracle_enabled(model, tokens, counters, t):
+                t2, c2 = oracle_fire(tokens, counters, t)
+                s = tuple(t2[p] for p in places) + tuple(c2[c] for c in counted)
+                out.append((i, None if any(t2[p] > token_cap for p in unbounded) else s))
+        return out
     frontier = [0]
     d = 0
     while frontier:
@@ -238,6 +248,39 @@ def reference_explore(model: NetModel, max_states: int, max_depth: int, token_ca
         frontier = next_frontier
         d += 1
     return truncated, states, index, state_edges, discovered_by
+
+
+def oracle_simulate(model: NetModel, policy, steps: int):
+    """The run `simulate` makes, under `oracle_enabled`/`oracle_fire`, with
+    the same choices of a `random.Random` seeded by the policy: Scripted
+    fires its firings in turn and raises ScriptedFiringDisabled at the first
+    disabled one; Priority takes the first listed enabled transition, else a
+    uniform choice; UniformRandom a uniform choice. Returns (firings, marking
+    keys as by marking_key, deadlock_step, the key of each marking at which
+    the enabled set was read, in order)."""
+    transitions = {t.id: t for t in model.transitions}
+    tokens, counters = dict(model.initial.tokens_map), dict(model.initial.counters_map)
+    keys = [_key(tokens, counters)]
+    firings, read, deadlock = [], [], None
+    rng = random.Random(getattr(policy, "seed", 0))
+    script = policy.firings if isinstance(policy, Scripted) else None
+    for step in range(1, (steps if script is None else min(steps, len(script))) + 1):
+        read.append(keys[-1])
+        enabled = [t.id for t in model.transitions if oracle_enabled(model, tokens, counters, t)]
+        if script is not None:
+            tid = script[step - 1]
+            if tid not in enabled:
+                raise ScriptedFiringDisabled(step, tid)
+        elif not enabled:
+            deadlock = step - 1
+            break
+        else:
+            listed = [t for t in policy.order if t in enabled] if isinstance(policy, Priority) else []
+            tid = listed[0] if listed else rng.choice(enabled)
+        tokens, counters = oracle_fire(tokens, counters, transitions[tid])
+        firings.append(tid)
+        keys.append(_key(tokens, counters))
+    return tuple(firings), keys, deadlock, read
 
 
 def oracle_trace(nodes, edges, pred):

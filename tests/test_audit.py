@@ -359,10 +359,10 @@ class TestRunsHoldStates:
             run = simulate(model, UniformRandom(1), 8, bound)
             states = explore(model, bound).states             # the kept exploration's list
             held = sys.getrefcount(states)
-            kernel = weakref.ref(compiled(model).successors)
+            layer = weakref.ref(compiled(model).layer)
             text = run_record_to_jsonl(run)
             del model
-            assert kernel() is None and sys.getrefcount(states) == held - 1
+            assert layer() is None and sys.getrefcount(states) == held - 1
             assert run_record_to_jsonl(run) == text           # still read from the states
         finally:
             gc.enable()

@@ -4,11 +4,12 @@
 on the compiled net; `oracles.oracle_bfs` re-derives the same breadth-first
 graph from `oracle_enabled`/`oracle_fire` over token dicts. Node order, edge
 order, depths, truncation and every predicate's trace must agree exactly.
-`is_enabled`, `enabled_set`, `fire` and `simulate` run the generated
-successor function, which shares each transition's test and update with
-`explore`'s generated layer, so they are checked against
-`oracle_enabled`/`oracle_fire` one marking at a time, and the layer against
-`oracles.reference_explore`, a plain loop over the successor function.
+`is_enabled`, `enabled_set`, `fire` and `simulate` run the same generated
+layer over one state at a time, so they are checked against
+`oracle_enabled`/`oracle_fire` one marking at a time, a simulated run
+against `oracles.oracle_simulate`, and the layer's own data against
+`oracles.reference_explore`, the plain breadth-first loop over
+`oracle_enabled`/`oracle_fire`.
 """
 
 import builtins
@@ -47,6 +48,7 @@ from respetri import (
     Priority,
     RunRecord,
     Scripted,
+    ScriptedFiringDisabled,
     StructureFailure,
     TokenAtom,
     TransitionDef,
@@ -78,10 +80,10 @@ from respetri.analysis import _backward_coverable, node_distances
 from respetri.dsl import MAX_NESTING
 from respetri.governance import patch_report
 from respetri.models import FIXTURES, FixtureConfig
-from respetri.net import compiled, kernel_source, layer_source, scan_source
+from respetri.net import compiled, layer_source, scan_source
 
-from oracles import (_eval, marking_key, moded_net, oracle_bfs, oracle_enabled, oracle_fire, oracle_trace,
-                     random_net, random_predicate, reference_explore)
+from oracles import (_eval, marking_key, moded_net, oracle_bfs, oracle_enabled, oracle_fire, oracle_simulate,
+                     oracle_trace, random_net, random_predicate, reference_explore)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "respetri" / "data"
 
@@ -231,7 +233,7 @@ class _Untouchable:
 def test_coverability_reads_only_the_plain_projection(monkeypatch, pred, covered, answer):
     model = parse_model(PLAIN)
     net = compiled(model)
-    net.plain, net.successors, net.layer  # all are built from `transitions`, before it goes
+    net.plain, net.layer  # both are built from `transitions`, before it goes
     monkeypatch.setattr(net, "transitions", _Untouchable())
     result, reference = karp_miller(model, pred), karp_miller(parse_model(PLAIN), pred)
     assert result == reference and len(result.tree_nodes) == 13
@@ -263,10 +265,11 @@ def test_verify_patch_state_counts_come_from_one_exploration(bound):
     assert dict(report.verdicts_after) == check_all_forbidden(post, bound)
 
 
-# Ids that are the generated code's own names: `v` is the state, `s` the
-# successor, `out` the result list, `cut` the token cut and `x0` the local a
-# deep guard is assigned to. Ids never enter the source, so they cannot clash
-# with it. Built through the API, as `out` is an arc keyword of the text.
+# Ids that are names of the generated code or of the compiled net: `v` is the
+# state, `s` the successor, `cut` the token cut, `append` and `tuple` calls of
+# the layer, `successors` the net's one-state method and `x0` the local a deep
+# guard is assigned to. Ids never enter the source, so they cannot clash with
+# it. Built through the API, as `out` is an arc keyword of the text.
 NAMESAKES = NetModel(
     places=(PlaceDef("v"), PlaceDef("s", capacity=2), PlaceDef("out"), PlaceDef("cut")),
     transitions=(
@@ -424,6 +427,44 @@ def with_counters_and_modes(rng: random.Random, model: NetModel) -> NetModel:
                    initial=Marking.make({**model.initial.tokens_map, "mode_a": 1, "mode_b": 0}))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("random", "moded", "counted")), st.integers(0, 200))
+def test_simulate_gives_the_reference_run(seed, kind, steps):
+    """Three runs of one model, under UniformRandom, Priority and Scripted (the
+    first run's firings, sometimes with a firing put in): each has the
+    firings, markings and deadlock step of `oracles.oracle_simulate`, or its
+    ScriptedFiringDisabled. Each run expands every state it reads the enabled
+    set at once in the layer, however often it returns to it: not once per
+    step, and not never because an earlier run expanded it."""
+    rng = random.Random(seed)
+    model = (random_net(rng) if kind == "random" else moded_net(rng) if kind == "moded"
+             else with_counters_and_modes(rng, random_net(rng)))
+    ids = list(model.transition_ids)
+    net = compiled(model)
+    layer, expanded = net.layer, []
+
+    def counting(frontier, states, *args):
+        expanded.extend(states[a] for a in frontier)
+        return layer(frontier, states, *args)
+    net.layer = counting
+    script = list(oracle_simulate(model, UniformRandom(seed), steps)[0])
+    if rng.random() < 0.5:
+        script.insert(rng.randint(0, len(script)), rng.choice(ids))
+    order = tuple(rng.sample(ids, rng.randint(0, len(ids))))
+    for policy in (UniformRandom(seed), Priority(order, seed), Scripted(tuple(script))):
+        expanded.clear()
+        try:
+            firings, keys, deadlock, read = oracle_simulate(model, policy, steps)
+        except ScriptedFiringDisabled as e:
+            with pytest.raises(ScriptedFiringDisabled) as raised:
+                simulate(model, policy, steps)
+            assert (raised.value.step, raised.value.transition) == (e.step, e.transition)
+            continue
+        run = simulate(model, policy, steps)
+        assert (run.firings, [marking_key(m) for m in run.markings], run.deadlock_step) == (firings, keys, deadlock)
+        assert sorted(marking_key(net.marking(v)) for v in expanded) == sorted(set(read))
+
+
 def random_tree(rng: random.Random, model: NetModel, depth: int = 3):
     """A random Not/And/Or tree over token, counter and mode atoms; a counter
     atom names any transition, counted or not."""
@@ -487,7 +528,7 @@ def test_generated_predicates_and_inlined_guards_agree_with_eval_predicate(pred,
     hits, g = list(net.scan(pred)(states)), net.transition_index("g")
     assert hits == [i for i, v in enumerate(states) if eval_predicate(pred, net.marking(v))], pred
     for i, v in enumerate(states):
-        assert any(j == g for j, _ in net.successors(v, math.inf)) == (i in hits), (pred, v)
+        assert any(j == g for j, _ in net.successors(v)) == (i in hits), (pred, v)
 
 
 def deep_predicate(levels: int, outer: tuple[str, str], inner: str) -> str:
@@ -545,10 +586,9 @@ forbidden {bad} := {q} >= 2 and not {p} = 0
 def test_nets_of_one_structure_share_their_code():
     models = [parse_model(SHAPE.format(**dict(zip(("p", "q", "go", "back", "bad"), ids))))
               for ids in (("p", "q", "go", "back", "bad"), ("left", "right", "run", "undo", "worst"))]
-    kernels = [compiled(m).successors for m in models]
     layers = [compiled(m).layer for m in models]
     scans = [compiled(m).scan(m.forbidden[0][1]) for m in models]
-    for first, second in (kernels, layers, scans):
+    for first, second in (layers, scans):
         assert first is not second and first.__code__ is second.__code__
 
 
@@ -571,8 +611,6 @@ def test_a_compared_value_that_is_not_an_int_is_a_type_error(use, value):
 # its own fixed names, and the locals x<k> that a guard or predicate deeper
 # than 50 levels is assigned to.
 PREDICATE_NAMES = {"v", "if", "and", "or", "not"}
-KERNEL_NAMES = PREDICATE_NAMES | {"def", "successors", "cut", "out", "append", "s", "list", "tuple", "None",
-                                  "else", "return"}
 LAYER_NAMES = PREDICATE_NAMES | {"def", "layer", "frontier", "states", "index", "edges", "found", "cut", "room",
                                  "nxt", "truncated", "False", "True", "for", "in", "a", "s", "list", "tuple",
                                  "append", "n", "len", "b", "setdefault", "elif", "else", "del", "return"}
@@ -581,12 +619,12 @@ HOISTED = re.compile(r"x(0|[1-9][0-9]*)")
 
 
 def test_kernel_source_holds_only_ints_and_fixed_names():
-    """The kernel, the layer and the scans of each net's forbidden predicates."""
+    """The layer and the scans of each net's forbidden predicates."""
     fixtures = [f() for f in FIXTURES.values()]
-    hoisted = {"kernel": set(), "layer": set(), "scan": set()}
+    hoisted = {"layer": set(), "scan": set()}
     for model in (*token_game_models(), parse_model(ABOVE_CUT), parse_model(DEEP), *fixtures):
         net = compiled(model)
-        sources = [("kernel", KERNEL_NAMES, kernel_source(net)), ("layer", LAYER_NAMES, layer_source(net))]
+        sources = [("layer", LAYER_NAMES, layer_source(net))]
         sources += [("scan", SCAN_NAMES, scan_source(net, pred)) for _, pred in model.forbidden]
         for kind, names, source in sources:
             assert isinstance(source, str)
@@ -602,8 +640,7 @@ def test_kernel_source_holds_only_ints_and_fixed_names():
                 assert [i for i in ids if i in source] == [], kind
     # DEEP's go: a base guard and an override each deeper than 250 levels;
     # its forbidden `deep` and `never`: 256 levels, so x0 to x4
-    assert hoisted == {"kernel": {str(k) for k in range(10)}, "layer": {str(k) for k in range(10)},
-                       "scan": {str(k) for k in range(5)}}
+    assert hoisted == {"layer": {str(k) for k in range(10)}, "scan": {str(k) for k in range(5)}}
 
 
 def test_the_layer_source_grows_with_the_transitions_not_with_places_times_transitions():
@@ -629,37 +666,45 @@ forbidden bad := err >= 1
 
 
 def test_kernel_is_generated_on_first_use_and_once(monkeypatch):
-    """`explore` generates the layer, once, and never the one-state kernel,
-    which firing generates, once."""
+    """The layer is the net's one generated token game: `explore` generates
+    it, once, and firing then generates nothing; on a fresh model, firing
+    generates it and `simulate` and `explore` reuse it."""
     calls = []
-    for name in ("kernel_source", "layer_source"):
-        real = getattr(net_module, name)
-        monkeypatch.setattr(net_module, name, lambda net, name=name, real=real: calls.append(name) or real(net))
+    real = net_module.layer_source
+    monkeypatch.setattr(net_module, "layer_source", lambda net: calls.append("layer_source") or real(net))
     model = parse_model(UNCOVERABLE)
     pred = model.forbidden_predicate("bad")
     assert karp_miller(model, pred).verdict.kind.value == "safe"
     assert _backward_coverable(model, pred, 50) is False
     siphons_and_traps(model)
     find_cycles(model)
-    assert calls == [] and "successors" not in vars(compiled(model)) and "layer" not in vars(compiled(model))
+    assert calls == [] and "layer" not in vars(compiled(model))
     first, second = explore(model), explore(model, BOUNDS[0])   # a second exploration
     assert first.states == second.states
     assert calls == ["layer_source"]
     fire(model, model.initial, "go")
     enabled_set(model, model.initial)
-    assert calls == ["layer_source", "kernel_source"]
+    assert calls == ["layer_source"]
+    fresh = parse_model(UNCOVERABLE)
+    fire(fresh, fresh.initial, "go")
+    simulate(fresh, UniformRandom(0), 5)
+    explore(fresh, BOUNDS[0])
+    assert calls == ["layer_source"] * 2
+    for net in (compiled(model), compiled(fresh)):
+        assert [name for name, value in vars(net).items() if callable(value)] == ["layer"]
 
 
 def test_a_dropped_model_frees_its_kernel_without_the_cycle_collector():
-    """The kernel, the layer and the kept scans."""
+    """The layer, which exploration and firing both ran, and the kept scans."""
     gc.disable()
     try:
         model = parse_model(RICH)
         violation_trace(explore(model, BOUNDS[0]), model.forbidden[0][1])
+        fire(model, model.initial, enabled_set(model, model.initial)[0])
         net = compiled(model)
-        generated = [weakref.ref(f) for f in (net.successors, net.layer, net.scan(model.forbidden[1][1]))]
+        generated = [weakref.ref(f) for f in (net.layer, net.scan(model.forbidden[1][1]))]
         del model, net
-        assert [f() for f in generated] == [None] * 3
+        assert [f() for f in generated] == [None] * 2
     finally:
         gc.enable()
 
@@ -674,13 +719,15 @@ def expansions(model: NetModel) -> list:
     """From now on, the states the model's explorations expand: the frontier
     states, by position, that `explore` hands to the generated layer (these
     nets' roots are within the bounds' token cuts, so every state goes
-    through it)."""
+    through it). Firing and simulation run the layer too, over one state with
+    no room limit; those calls are not counted."""
     net = compiled(model)
     layer, expanded = net.layer, []
 
-    def counting(frontier, *args):
-        expanded.extend(frontier)
-        return layer(frontier, *args)
+    def counting(frontier, states, index, edges, found, cut, room):
+        if room < math.inf:
+            expanded.extend(frontier)
+        return layer(frontier, states, index, edges, found, cut, room)
     net.layer = counting
     return expanded
 
@@ -737,6 +784,22 @@ def test_dropping_the_model_frees_the_kept_exploration():
         assert sys.getrefcount(states) == held - 1
     finally:
         gc.enable()
+
+@pytest.mark.parametrize("same_model", [True, False], ids=["other-bound", "other-model"])
+def test_a_new_exploration_frees_the_kept_one_before_it_explores(same_model):
+    model = parse_model(SMALL)
+    states = explore(model, BOUNDS[0]).states   # the kept data's list
+    held = sys.getrefcount(states)
+    after = model if same_model else parse_model(OTHER)
+    layer, seen = compiled(after).layer, []
+
+    def counting(*args):
+        seen.append(sys.getrefcount(states))
+        return layer(*args)
+    compiled(after).layer = counting
+    explore(after, BOUNDS[2])
+    assert seen and set(seen) == {held - 1}
+
 
 def test_simulate_with_a_pressure_rule_then_drift_report_explores_once():
     model = parse_model(AUDITED)

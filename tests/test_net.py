@@ -512,6 +512,19 @@ class TestMarking:
             with pytest.raises(UnknownReference, match="unknown place 'p2'"):
                 call()
 
+    def test_token_game_refuses_a_marking_above_a_capacity(self):
+        """Like a marking with no mode or two: no reachable marking has it, and
+        graph membership answers that it is not a node."""
+        model = parse_model("place a init 1\nplace b cap 1\nplace c\ntrans t in a:1 out c:1\n")
+        over = Marking.make({"a": 1, "b": 3, "c": 0})
+        for call in (lambda: fire(model, over, "t"), lambda: enabled_set(model, over),
+                     lambda: is_enabled(model, over, "t")):
+            with pytest.raises(UnknownReference, match="^place 'b' holds 3 tokens, above its capacity 1$"):
+                call()
+        assert over not in explore(model)
+        full = Marking.make({"a": 1, "b": 1, "c": 0})
+        assert enabled_set(model, full) == ["t"] and fire(model, full, "t").tokens_map == {"a": 0, "b": 1, "c": 1}
+
     def test_counter_defaults_to_zero(self):
         assert Marking.make({"p": 1}).counter_of("t") == 0
 
