@@ -122,9 +122,11 @@ class _NodeMap(Mapping):
 class ReachGraph:
     """Explored marking graph; every edge (m, t, m') satisfies m' = fire(m, t).
 
-    Held as compiled-net state vectors in BFS discovery order, edges as
-    (source, transition index, target) positions, and per state the edge
-    that discovered it (-1 for the root). The Marking views are built on
+    Held as compiled-net state vectors in BFS discovery order; the edges as
+    one flat list of ints, each edge three entries (source position,
+    transition index, target position), in the order the layers found them;
+    and per state the flat offset of the edge that discovered it, where its
+    source is (-1 for the root). The Marking views are built on
     first use and cached; `root` builds only the first marking. `depth`, like
     `pressure_map`, is a read-only view by position: a lookup builds no
     Marking, and a key that is not a node (or not a Marking) is missing.
@@ -137,7 +139,7 @@ class ReachGraph:
     truncated: bool
     states: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
-    state_edges: list[tuple[int, int, int]]
+    state_edges: list[int]
     discovered_by: list[int]
 
     @cached_property
@@ -150,14 +152,14 @@ class ReachGraph:
 
     @cached_property
     def edges(self) -> list[tuple[Marking, str, Marking]]:
-        nodes, ids = self.nodes, self.net.ids
-        return [(nodes[a], ids[t], nodes[b]) for a, t, b in self.state_edges]
+        nodes, ids, triples = self.nodes, self.net.ids, iter(self.state_edges)
+        return [(nodes[a], ids[t], nodes[b]) for a, t, b in zip(triples, triples, triples)]
 
     @cached_property
     def depth(self) -> Mapping[Marking, int]:
         levels = [0]
         for e in self.discovered_by[1:]:
-            levels.append(levels[self.state_edges[e][0]] + 1)
+            levels.append(levels[self.state_edges[e]] + 1)
         return _NodeMap(self, levels)
 
     def position(self, m: object) -> Optional[int]:
@@ -196,6 +198,8 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     no cut), each successor checked in Python at every unbounded place. A
     frontier at the depth limit goes through a layer with no room: it adds
     no state, and any enabled transition leaves an edge or sets the flag.
+    The edges go to one flat list, three ints each, so exploring allocates
+    no object per edge (see ReachGraph).
 
     The latest exploration is kept: a call with the same model object and an
     equal bound gets a new ReachGraph over the same (read-only) data without
@@ -215,7 +219,7 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
     states = [root]
     index = {root: 0}
     discovered_by = [-1]
-    state_edges: list[tuple[int, int, int]] = []
+    state_edges: list[int] = []
     truncated = False
     cut = bound.max_tokens_per_place
     frontier = [0]
@@ -235,12 +239,12 @@ def explore(model: NetModel, bound: ExplorationBound = DEFAULT_BOUND, workers: i
                 states.append(s)
                 discovered_by.append(len(state_edges))
                 frontier.append(b)
-            state_edges.append((0, t, b))
+            state_edges += (0, t, b)
         d = 1
     layer = net.layer
     while frontier:
         if d >= bound.max_depth:
-            probe: list[tuple[int, int, int]] = []
+            probe: list[int] = []
             truncated = truncated or layer(frontier, states, index, probe, [], cut, 0)[1] or bool(probe)
             break
         frontier, cut_short = layer(frontier, states, index, state_edges, discovered_by, cut, bound.max_states)
@@ -264,9 +268,9 @@ def violation_trace(graph: ReachGraph, predicate: Predicate) -> Optional[Violati
     firings: list[str] = []
     path = [target]
     while path[-1]:
-        a, t, _ = graph.state_edges[graph.discovered_by[path[-1]]]
-        firings.append(graph.net.ids[t])
-        path.append(a)
+        e = graph.discovered_by[path[-1]]
+        firings.append(graph.net.ids[graph.state_edges[e + 1]])
+        path.append(graph.state_edges[e])
     markings = tuple(graph.net.marking(graph.states[i]) for i in reversed(path))
     return ViolationTrace(tuple(reversed(firings)), markings)
 
@@ -424,19 +428,21 @@ def karp_miller(model: NetModel, target: Predicate, *,
     <= (expanded markings are unique, so the set is an antichain).
 
     The comparisons work on place bitmasks. An expanded node m is compared
-    once with each minimal marking a: `above` holds the places where
-    a[i] > m[i], `below` those where a[i] < m[i] (omega compares as
-    infinity). A child m2 = m + delta differs from m only on the places
-    delta changes, so its fail mask (a[i] > m2[i]) and lift mask
-    (a[i] < m2[i]) are those of m elsewhere, recomputed there. With `fin`
-    the finite places of m2, a is <= m2 iff its fail mask misses `fin`;
-    the lift masks of those markings, restricted to `fin`, go to omega, and
-    rounds repeat over the others until one lifts nothing. If none is
-    <= m2, nothing is lifted, and m2 <= a iff a's lift mask is empty: the
-    child's set comes from the same masks. Each marking's lift is a
-    monotone, inflationary operator on m2, so rounds of simultaneous lifts
-    reach the same least common fixpoint as lifting one ancestor at a time
-    in any order: the tree is the classical one, node for node.
+    once with each minimal marking a, at its first child that needs it: a
+    node with no child, or whose children are all m itself (see below), is
+    compared with none. `above` holds the places where a[i] > m[i], `below`
+    those where a[i] < m[i] (omega compares as infinity). A child
+    m2 = m + delta differs from m only on the places delta changes, so its
+    fail mask (a[i] > m2[i]) and lift mask (a[i] < m2[i]) are those of m
+    elsewhere, recomputed there. With `fin` the finite places of m2, a is
+    <= m2 iff its fail mask misses `fin`; the lift masks of those markings,
+    restricted to `fin`, go to omega, and rounds repeat over the others
+    until one lifts nothing. If none is <= m2, nothing is lifted, and
+    m2 <= a iff a's lift mask is empty: the child's set comes from the same
+    masks. Each marking's lift is a monotone, inflationary operator on m2,
+    so rounds of simultaneous lifts reach the same least common fixpoint as
+    lifting one ancestor at a time in any order: the tree is the classical
+    one, node for node.
 
     Two rules spare most children that work without changing the tree:
     - Enabling reads the `empty` mask of an expanded node, the places where
@@ -477,15 +483,7 @@ def karp_miller(model: NetModel, target: Predicate, *,
     while worklist:
         node, minimal = worklist.popleft()
         m = tree_nodes[node]
-        ancestors = []                   # (marking, above, below) of each minimal marking
-        for am in minimal:
-            above = below = 0
-            for i, (x, y) in enumerate(zip(am, m)):
-                if x > y:
-                    above |= 1 << i
-                elif x < y:
-                    below |= 1 << i
-            ancestors.append((am, above, below))
+        ancestors = None                 # (marking, above, below) of each minimal marking
         finite = sum(1 << i for i, x in enumerate(m) if x != OMEGA)
         empty = sum(1 << i for i, x in enumerate(m) if not x)
         for tid, needed, heavy, delta, changed, off in rows:
@@ -497,6 +495,16 @@ def karp_miller(model: NetModel, target: Predicate, *,
                 tree_edges.append((node, tid, len(tree_nodes)))
                 tree_nodes.append(m)
                 continue
+            if ancestors is None:        # made at the first child that compares
+                ancestors = []
+                for am in minimal:
+                    above = below = 0
+                    for i, (x, y) in enumerate(zip(am, m)):
+                        if x > y:
+                            above |= 1 << i
+                        elif x < y:
+                            below |= 1 << i
+                    ancestors.append((am, above, below))
             m2 = list(m)
             for p, d, _ in delta:
                 m2[p] += d
@@ -683,7 +691,8 @@ def node_distances(graph: ReachGraph, predicate: Predicate) -> list[Optional[int
     """Minimum firings from each node, by position, to any satisfying node (reverse BFS)."""
     scan = graph.net.scan(predicate)
     preds: list[list[int]] = [[] for _ in graph.states]
-    for a, _t, b in graph.state_edges:
+    edges = graph.state_edges
+    for a, b in zip(edges[::3], edges[2::3]):
         preds[b].append(a)
     dist: list[Optional[int]] = [None] * len(graph.states)
     queue = deque(scan(graph.states))

@@ -174,7 +174,7 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
         if edges is None:
             edges = expanded[a] = []
             net.layer((a,), states, index, edges, [], math.inf, math.inf)
-        enabled = [net.ids[t] for _, t, _ in edges]
+        enabled = [net.ids[t] for t in edges[1::3]]
         if script is not None:
             t = script[step - 1]
             if t not in enabled:
@@ -187,7 +187,7 @@ def simulate(model: NetModel, policy: SimPolicy, steps: int,
             t = listed[0] if listed else rng.choice(enabled)
         else:
             t = rng.choice(enabled)
-        a = edges[enabled.index(t)][2]
+        a = edges[3 * enabled.index(t) + 2]
         firings.append(t)
         path.append(a)
 

@@ -191,14 +191,23 @@ def is_upward_closed(pred: Predicate) -> bool:
 # Markings
 # ---------------------------------------------------------------------------
 
+# past the frozen dataclass's __setattr__, for the fields Marking sets itself
+_new, _set = object.__new__, object.__setattr__
+
+
 @dataclass(frozen=True)
 class Marking:
-    """Total map place -> token count, plus counter values for counted transitions."""
+    """Total map place -> token count, plus counter values for counted transitions.
+
+    The hash is computed on first use and kept in `_hash`, which takes no
+    part in ==, repr or the pickled state: string hashes differ between
+    processes, so a kept value would be wrong where the marking is loaded."""
 
     tokens: tuple[tuple[str, int], ...]
     counters: tuple[tuple[str, int], ...] = ()
     _tok: dict = field(init=False, repr=False, compare=False, default=None)
     _cnt: dict = field(init=False, repr=False, compare=False, default=None)
+    _hash: Optional[int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(sorted(self.tokens)))
@@ -211,6 +220,27 @@ class Marking:
     @classmethod
     def make(cls, tokens: Mapping[str, int], counters: Mapping[str, int] | None = None) -> "Marking":
         return cls(tuple(tokens.items()), tuple((counters or {}).items()))
+
+    @classmethod
+    def _sorted(cls, tokens: tuple[tuple[str, int], ...], counters: tuple[tuple[str, int], ...]) -> "Marking":
+        """The Marking of pairs already sorted by id, each id once, built
+        without the sort and the check of `__post_init__`."""
+        m = _new(cls)
+        _set(m, "tokens", tokens)
+        _set(m, "counters", counters)
+        _set(m, "_tok", dict(tokens))
+        _set(m, "_cnt", dict(counters))
+        return m
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.tokens, self.counters))
+            _set(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {"tokens": self.tokens, "counters": self.counters, "_tok": self._tok, "_cnt": self._cnt}
 
     def tokens_at(self, place: str) -> int:
         try:
@@ -604,7 +634,9 @@ class CompiledNet:
     state or adds a new one, which is appended to `states`, to the returned
     frontier and, as the position of its edge, to `found` while `states`
     holds fewer than `room`, and is removed from `index` again otherwise.
-    Every edge kept goes to `edges` as (source, transition index, target).
+    Every edge kept is appended to the flat list `edges` as three ints,
+    source position, transition index and target position, so the offset
+    that `found` gets is where the discovering edge's source is.
     A state without room, or a successor over the cut, sets the returned
     truncation flag; the cut is tested only at the unbounded places the
     transition fills. `explore` runs it per layer, and `simulate` once per
@@ -617,7 +649,9 @@ class CompiledNet:
     its transition's test. No id or other string of the model enters it, so
     nets of one structure share its code. Karp-Miller and backward
     coverability read `plain`, siphons, traps and cycles read the arc
-    relations, and none of them generates the token game.
+    relations, and none of them generates the token game. `marking(v)`
+    builds the Marking of a vector in one pass over the place and counter
+    ids sorted once here.
     """
 
     def __init__(self, model: NetModel):
@@ -627,6 +661,8 @@ class CompiledNet:
         self._slot = {p: i for i, p in enumerate(self.place_ids)}
         self._counter = {t: len(self._slot) + i for i, t in enumerate(self.counted)}
         self._index = {t: i for i, t in enumerate(self.ids)}
+        # for `marking`: the place ids, then the counter ids, sorted, each with their vector positions
+        self._by_id = [(tuple(sorted(ids)), tuple(ids[k] for k in sorted(ids))) for ids in (self._slot, self._counter)]
         self.unbounded = tuple(i for i, p in enumerate(model.places) if p.capacity is None)
         self.transitions = tuple(self._compile(model, t) for t in model.transitions)
         self.root = self.state(model.initial)
@@ -685,8 +721,11 @@ class CompiledNet:
                     raise UnknownReference(f"unknown {kind} {k!r}")
 
     def marking(self, v: tuple[int, ...]) -> Marking:
-        return Marking(tuple(zip(self.place_ids, v)),
-                       tuple(zip(self.counted, v[len(self.place_ids):])))
+        """The Marking of state vector v, in one pass: the id-sorted places
+        and counters, each zipped with v read at its position."""
+        (places, slots), (counters, positions) = self._by_id
+        get = v.__getitem__
+        return Marking._sorted(tuple(zip(places, map(get, slots))), tuple(zip(counters, map(get, positions))))
 
     def transition_index(self, tid: str) -> int:
         try:
@@ -762,7 +801,7 @@ class CompiledNet:
         declaration order: one layer over v alone, with no cut and no room limit."""
         states, edges = [v], []
         self.layer((0,), states, {v: 0}, edges, [], math.inf, math.inf)
-        return [(t, states[b]) for _, t, b in edges]
+        return [(t, states[b]) for t, b in zip(edges[1::3], edges[2::3])]
 
 
 # the most scans a compiled net keeps, the oldest dropped first
@@ -785,7 +824,9 @@ def layer_source(net: CompiledNet) -> str:
     its test, guard inlined; its successor as a copy s of v updated in place,
     tested against `cut` at the unbounded places it fills; then the successor's
     bookkeeping. A transition that changes nothing leads back to its state.
-    Numbers are formatted with `d`, which admits ints only."""
+    An edge is added as `edges += (a, i, b)`: the tuple is freed at once, so
+    the flat list holds ints only. Numbers are formatted with `d`, which
+    admits ints only."""
     lines = ["def layer(frontier, states, index, edges, found, cut, room):",
              "    nxt = []", "    truncated = False", "    n = len(states)",
              "    for a in frontier:", "        v = states[a]"]
@@ -802,7 +843,7 @@ def layer_source(net: CompiledNet) -> str:
             lines.append(f"{pad}if {' and '.join(tests)}:")
             pad += "    "
         if not t.delta:
-            lines.append(f"{pad}edges.append((a, {i:d}, a))")
+            lines.append(f"{pad}edges += (a, {i:d}, a)")
             continue
         lines.append(f"{pad}s = list(v)")
         lines += [f"{pad}s[{p:d}] += {d:d}" for p, d in t.delta]
@@ -811,9 +852,9 @@ def layer_source(net: CompiledNet) -> str:
             pad += "    "
         lines += [pad + line for line in (
             "s = tuple(s)", "b = index.setdefault(s, n)",
-            "if b < n:", f"    edges.append((a, {i:d}, b))",
+            "if b < n:", f"    edges += (a, {i:d}, b)",
             "elif n < room:", "    states.append(s)", "    found.append(len(edges))", "    nxt.append(n)",
-            f"    edges.append((a, {i:d}, n))", "    n += 1",
+            f"    edges += (a, {i:d}, n)", "    n += 1",
             "else:", "    del index[s]", "    truncated = True")]
     lines.append("    return nxt, truncated")
     return "\n".join(lines) + "\n"

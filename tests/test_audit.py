@@ -334,9 +334,11 @@ class TestRunsHoldStates:
                          PressureThreshold("near", "bad_state", 1), RateThreshold("r", "tA", 0, 2),
                          OccupancyThreshold("o", "pB", ">=", 1)),
                      metadata=base.metadata)
-        built = []
-        post_init = Marking.__post_init__
+        built = []      # every Marking made, by its constructor or from a compiled net's vector
+        post_init, from_sorted = Marking.__post_init__, Marking._sorted
         monkeypatch.setattr(Marking, "__post_init__", lambda self: built.append(self) or post_init(self))
+        monkeypatch.setattr(Marking, "_sorted", classmethod(
+            lambda cls, *pairs: built.append(from_sorted(*pairs)) or built[-1]))
         run = simulate(m, UniformRandom(10), 40)
         assert len(built) == len(set(run.markings)) < len(run.markings)   # one per state, in simulate
         assert all(any(b is m for m in run.markings) for b in built)

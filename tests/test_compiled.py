@@ -333,8 +333,12 @@ def assert_replays(model: NetModel, run):
 
 
 def graph_data(graph) -> tuple:
-    """What `explore` holds of a graph, as `reference_explore` returns it."""
-    return graph.truncated, graph.states, graph.index, graph.state_edges, graph.discovered_by
+    """What `explore` holds of a graph, as `reference_explore` returns it: the
+    flat edge list regrouped into (source, transition, target) triples, and
+    each discovering edge's flat offset as its triple's position."""
+    triples = iter(graph.state_edges)
+    return (graph.truncated, graph.states, graph.index, list(zip(triples, triples, triples)),
+            [e // 3 for e in graph.discovered_by])
 
 
 @settings(max_examples=400, deadline=None)
@@ -350,6 +354,51 @@ def test_the_generated_layer_gives_the_reference_loops_graph(seed, kind, max_sta
     graph = explore(model, ExplorationBound(max_states, max_depth, cut))
     assert graph_data(graph) == reference_explore(model, max_states, max_depth, cut)
     assert list(graph.index.values()) == list(range(len(graph.states)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("random", "moded", "counted")))
+def test_a_compiled_nets_marking_is_the_constructors(seed, kind):
+    """`marking(v)` skips the sort and the duplicate check of `Marking(...)`,
+    and nothing tells the two apart: ==, hash, repr, both maps in order, and
+    the pickled bytes."""
+    rng = random.Random(seed)
+    model = (random_net(rng) if kind == "random" else moded_net(rng) if kind == "moded"
+             else with_counters_and_modes(rng, random_net(rng)))
+    # these nets declare their ids in sorted order; shuffled, a vector is not
+    model = replace(model, places=rng.sample(model.places, len(model.places)),
+                    transitions=rng.sample(model.transitions, len(model.transitions)))
+    net = compiled(model)
+    n = len(net.place_ids)
+    for v in explore(model, ExplorationBound(max_states=30)).states:
+        fast, made = net.marking(v), Marking(tuple(zip(net.place_ids, v)), tuple(zip(net.counted, v[n:])))
+        assert fast == made and hash(fast) == hash(made) and repr(fast) == repr(made)
+        assert list(fast.tokens_map.items()) == list(made.tokens_map.items())
+        assert list(fast.counters_map.items()) == list(made.counters_map.items())
+        assert pickle.dumps(fast) == pickle.dumps(made) and pickle.loads(pickle.dumps(fast)) == made
+
+
+def test_an_exploration_allocates_about_one_tracked_object_per_state():
+    """The edges are one flat list of ints, and a state is one tuple, so with
+    the cycle collector off the count of tracked objects grows by about the
+    states, plus one frontier list per layer: no tuple per edge."""
+    n, k = 10, 8
+    lines = [f"place p0 init {k}"] + [f"place p{i}" for i in range(1, n)]
+    lines += [f"trans t{i} in p{i}:1 out p{i + 1}:1" for i in range(n - 1)]
+    model = parse_model("\n".join(lines) + "\n")
+    compiled(model).layer           # generated before counting
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        graph = explore(model)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    layers = k * (n - 1) + 1        # the root's, then one per firing that moves all k tokens to p9
+    edges = (n - 1) * math.comb(n + k - 2, k - 1)
+    assert (len(graph.states), len(graph.state_edges)) == (math.comb(n + k - 1, k), 3 * edges)
+    assert grown <= len(graph.states) + layers + 64
 
 
 # From the root, in one layer: `fill` finds a new state, the last one with

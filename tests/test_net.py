@@ -1,6 +1,7 @@
 """Token-game semantics, validation, and marking invariants."""
 
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -527,6 +528,23 @@ class TestMarking:
 
     def test_counter_defaults_to_zero(self):
         assert Marking.make({"p": 1}).counter_of("t") == 0
+
+    def test_a_hashed_marking_pickled_under_one_hash_seed_is_a_key_under_another(self):
+        """The hash is kept on first use, but not pickled: string hashes differ
+        between processes, so a kept one would miss the equal key."""
+        make = "Marking.make({'p': 1, 'q': 2}, {'t': 3})"
+        dump = f"import pickle\nfrom respetri import Marking\nm = {make}\nhash(m)\nprint(pickle.dumps(m).hex())\n"
+        load = (f"import pickle, sys\nfrom respetri import Marking\nkeys = {{{make}: 'found'}}\n"
+                f"m = pickle.loads(bytes.fromhex(sys.stdin.read()))\nprint(keys[m], m in set(keys))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+        def run(code, seed, stdin=""):
+            return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
+                                  check=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        assert run(load, "1", run(dump, "0")) == "found True\n"
+        hashed, fresh = Marking.make({"p": 1, "q": 2}, {"t": 3}), Marking.make({"p": 1, "q": 2}, {"t": 3})
+        hash(hashed)
+        assert hashed == fresh and repr(hashed) == repr(fresh) and pickle.dumps(hashed) == pickle.dumps(fresh)
 
     def test_model_lookup_of_an_unknown_id(self):
         model = chain_net()
