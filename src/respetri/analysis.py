@@ -427,22 +427,31 @@ def karp_miller(model: NetModel, target: Predicate, *,
     plus the child unless some ancestor is <= it, minus the markings it is
     <= (expanded markings are unique, so the set is an antichain).
 
-    The comparisons work on place bitmasks. An expanded node m is compared
-    once with each minimal marking a, at its first child that needs it: a
-    node with no child, or whose children are all m itself (see below), is
-    compared with none. `above` holds the places where a[i] > m[i], `below`
-    those where a[i] < m[i] (omega compares as infinity). A child
-    m2 = m + delta differs from m only on the places delta changes, so its
-    fail mask (a[i] > m2[i]) and lift mask (a[i] < m2[i]) are those of m
-    elsewhere, recomputed there. With `fin` the finite places of m2, a is
-    <= m2 iff its fail mask misses `fin`; the lift masks of those markings,
-    restricted to `fin`, go to omega, and rounds repeat over the others
-    until one lifts nothing. If none is <= m2, nothing is lifted, and
-    m2 <= a iff a's lift mask is empty: the child's set comes from the same
-    masks. Each marking's lift is a monotone, inflationary operator on m2,
-    so rounds of simultaneous lifts reach the same least common fixpoint as
-    lifting one ancestor at a time in any order: the tree is the classical
-    one, node for node.
+    The comparisons work on place bitmasks, and a node takes its masks from
+    its parent's. A node m waiting to be expanded carries, with each minimal
+    marking a, `above`, the places where a[i] > m[i], and `below`, those
+    where a[i] < m[i] (omega compares as infinity), and its own `finite`
+    and `empty` masks, the places where it is finite and where it holds 0
+    tokens. A child m2 = m + delta differs from m only on the places delta
+    changes, so its fail mask (a[i] > m2[i]) and lift mask (a[i] < m2[i])
+    are those of m elsewhere, re-compared there. With `fin` the finite
+    places of m2, a is <= m2 iff its fail mask misses `fin`; the lift masks
+    of those markings, restricted to `fin`, go to omega, and rounds repeat
+    over the others until one lifts nothing. If none is <= m2, nothing is
+    lifted, and m2 <= a iff a's lift mask is empty: the child's set comes
+    from the same masks. Each marking's lift is a monotone, inflationary
+    operator on m2, so rounds of simultaneous lifts reach the same least
+    common fixpoint as lifting one ancestor at a time in any order: the
+    tree is the classical one, node for node.
+
+    A child that is expanded keeps those fail and lift masks as its `above`
+    and `below`, `fin` as its finite places, and as its empty places its
+    parent's off delta, plus delta's places where it holds 0 (a lifted
+    place held tokens). A mask bit may then be stale only on a place that
+    the lifts took to omega. No such bit is needed: a fail or lift bit
+    counts only within `fin`, and every descendant holds omega there, where
+    each marking is below it and nothing lifts, so a marking that is >= m2
+    off those places decides nothing that m2 does not.
 
     Two rules spare most children that work without changing the tree:
     - Enabling reads the `empty` mask of an expanded node, the places where
@@ -477,15 +486,14 @@ def karp_miller(model: NetModel, target: Predicate, *,
     tree_nodes: list[tuple] = [root]
     tree_edges: list[tuple[int, str, int]] = []
     seen: dict[tuple, int] = {root: 0}   # first occurrence of each marking, in tree order
-    # each node waiting to be expanded, with the minimal markings on its path
-    worklist = deque([(0, (root,))])
+    # each node waiting to be expanded, with (marking, above, below) of each
+    # minimal marking on its path and the node's finite and empty place masks
+    worklist = deque([(0, ((root, 0, 0),), (1 << len(root)) - 1,
+                       sum(1 << i for i, x in enumerate(root) if not x))])
 
     while worklist:
-        node, minimal = worklist.popleft()
+        node, ancestors, finite, empty = worklist.popleft()
         m = tree_nodes[node]
-        ancestors = None                 # (marking, above, below) of each minimal marking
-        finite = sum(1 << i for i, x in enumerate(m) if x != OMEGA)
-        empty = sum(1 << i for i, x in enumerate(m) if not x)
         for tid, needed, heavy, delta, changed, off in rows:
             if needed & empty or heavy and any(m[p] < w for p, w in heavy):
                 continue
@@ -495,21 +503,12 @@ def karp_miller(model: NetModel, target: Predicate, *,
                 tree_edges.append((node, tid, len(tree_nodes)))
                 tree_nodes.append(m)
                 continue
-            if ancestors is None:        # made at the first child that compares
-                ancestors = []
-                for am in minimal:
-                    above = below = 0
-                    for i, (x, y) in enumerate(zip(am, m)):
-                        if x > y:
-                            above |= 1 << i
-                        elif x < y:
-                            below |= 1 << i
-                    ancestors.append((am, above, below))
             m2 = list(m)
             for p, d, _ in delta:
                 m2[p] += d
-            # the first round of lifts, as each ancestor's masks are made
-            fin, grow, rest = finite, 0, []
+            # each ancestor's masks against m2, re-compared where delta changes
+            # m, and with them the first round of lifts
+            fin, grow, masks, rest = finite, 0, [], []
             for am, above, below in ancestors:
                 fail, lift = above & off, below & off
                 for p, _, bit in delta:
@@ -517,8 +516,9 @@ def karp_miller(model: NetModel, target: Predicate, *,
                         fail |= bit
                     elif am[p] < m2[p]:
                         lift |= bit
+                masks.append(mask := (am, fail, lift))
                 if fail & fin:
-                    rest.append((am, fail, lift))
+                    rest.append(mask)
                 else:
                     grow |= lift
             grow &= fin
@@ -542,12 +542,17 @@ def karp_miller(model: NetModel, target: Predicate, *,
             tree_edges.append((node, tid, child))
             if m2 not in seen:
                 seen[m2] = child
-                if len(rest) < len(ancestors):   # some ancestor is <= m2
-                    worklist.append((child, minimal))
+                zero = empty & off
+                for p, _, bit in delta:
+                    if not m2[p]:
+                        zero |= bit
+                if len(rest) < len(masks):   # some ancestor is <= m2
+                    worklist.append((child, masks, fin, zero))
                 else:
                     # nothing was lifted, so m2 is minimal on its path, and the
                     # ancestors with an empty lift mask are >= m2
-                    worklist.append((child, tuple(am for am, _, lift in rest if lift) + (m2,)))
+                    worklist.append((child, [mask for mask in masks if mask[2]] + [(m2, 0, 0)],
+                                     fin, zero))
 
     le = operator.le
     # the first covering occurrence of a marking is the first covering node

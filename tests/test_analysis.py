@@ -1,5 +1,6 @@
 """Exploration, verdicts, coverability, structural analysis, pressure."""
 
+import hashlib
 import math
 import os
 import random
@@ -458,6 +459,16 @@ class TestKarpMiller:
         assert cov.verdict.kind is VerdictKind.SAFE
         assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(net, pred)
 
+    def test_a_need_of_one_reads_the_empty_places_of_each_node(self):
+        # b is empty at the root, so u is disabled there; t empties a and
+        # fills b, so at node 1 t is disabled and u enabled
+        net = parse_model("place a init 1\nplace b\ntrans t in a:1 out b:1\ntrans u in b:1 out a:1\n")
+        pred = TokenAtom("b", ">=", 2)
+        cov = karp_miller(net, pred, bound=ExplorationBound(max_states=10))
+        assert cov.tree_nodes == [(1, 0), (0, 1), (1, 0)]
+        assert cov.verdict.kind is VerdictKind.SAFE
+        assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(net, pred)
+
     def test_a_child_that_changes_only_omega_places_is_its_parent(self):
         # at (w, 0, 1), g and h give the node itself and k lifts q to omega;
         # h changes nothing, so at the root too its child is the root
@@ -514,6 +525,19 @@ class TestKarpMiller:
         # a tree cut by the budget may be huge, and the classical loop has none
         assume(cov.covering_path is not None or cov.verdict.kind is not VerdictKind.UNKNOWN)
         assert (cov.tree_nodes, cov.tree_edges, cov.covering_path) == oracle_karp_miller(model, pred)
+
+    def test_a_deep_tree_with_many_minimal_ancestors_is_unchanged(self):
+        # 20,000 nodes whose paths keep about 13 minimal markings each, far
+        # deeper than the differential tests' budget reaches; pinned by hash
+        rng = random.Random(482)
+        model = random_net(rng)
+        pred = random_predicate(rng, model, upward_closed=True)
+        assert pred == And((TokenAtom("P4", ">=", 3), TokenAtom("P2", ">", 0), TokenAtom("P0", ">=", 3)))
+        cov = karp_miller(model, pred, bound=ExplorationBound(max_states=20_000))
+        assert (cov.verdict.kind, cov.verdict.proof) == (VerdictKind.UNKNOWN, ProofKind.BOUND_EXHAUSTED)
+        assert len(cov.tree_nodes) == 20_000
+        digest = hashlib.sha256(repr((cov.tree_nodes, cov.tree_edges)).encode()).hexdigest()
+        assert digest == "d53c913f1d2dc0ec457d39ac49e4e3db0f07c2a761e9bda6c2f81448719b6643"
 
     def test_same_tree_as_the_classical_loop_on_toggles_and_fixtures(self):
         cases = [(m, m.forbidden_predicate(name)) for m in map(toggles_net, range(3, 11))
