@@ -109,13 +109,16 @@ class _NodeMap(Mapping):
         i = self._graph.position(m)
         if i is None:
             raise KeyError(m)
+        return self._value(i)
+
+    def _value(self, i: int):
         return self._values[i]
 
     def __iter__(self) -> Iterator[Marking]:
         return iter(self._graph.nodes)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._graph.states)
 
 
 @dataclass(eq=False)
@@ -130,6 +133,8 @@ class ReachGraph:
     first use and cached; `root` builds only the first marking. `depth`, like
     `pressure_map`, is a read-only view by position: a lookup builds no
     Marking, and a key that is not a node (or not a Marking) is missing.
+    A `pressure_map` lookup of the root reads the first satisfying state in
+    discovery order; any other lookup computes every distance once.
     A graph is read-only: the graphs of repeated `explore` calls share their
     lists and index (see explore).
     """
@@ -265,14 +270,23 @@ def violation_trace(graph: ReachGraph, predicate: Predicate) -> Optional[Violati
     target = next(graph.net.scan(predicate)(graph.states), None)
     if target is None:
         return None
-    firings: list[str] = []
-    path = [target]
-    while path[-1]:
-        e = graph.discovered_by[path[-1]]
-        firings.append(graph.net.ids[graph.state_edges[e + 1]])
-        path.append(graph.state_edges[e])
-    markings = tuple(graph.net.marking(graph.states[i]) for i in reversed(path))
-    return ViolationTrace(tuple(reversed(firings)), markings)
+    path = _discovery_path(graph, target)[::-1]
+    edges, states, marking, ids = graph.state_edges, graph.states, graph.net.marking, graph.net.ids
+    firings = tuple([ids[edges[e + 1]] for e in path])
+    markings = tuple([marking(states[0])] + [marking(states[edges[e + 2]]) for e in path])
+    return ViolationTrace(firings, markings)
+
+
+def _discovery_path(graph: ReachGraph, i: int) -> list[int]:
+    """Flat offsets of the edges that discovered state i and its ancestors,
+    from i's back to the root's: the shortest path from the root, reversed."""
+    path: list[int] = []
+    discovered_by, edges = graph.discovered_by, graph.state_edges
+    while i:
+        e = discovered_by[i]
+        path.append(e)
+        i = edges[e]
+    return path
 
 
 def _explored_verdict(graph: ReachGraph, pred: Predicate, name: str) -> Optional[Verdict]:
@@ -712,14 +726,44 @@ def node_distances(graph: ReachGraph, predicate: Predicate) -> list[Optional[int
     return dist
 
 
+class _PressureMap(_NodeMap):
+    """The root's distance is the BFS level of the first satisfying state:
+    states are in discovery order, and a kept edge (a, t, b) never has
+    level(b) > level(a) + 1, also in a graph cut by room, depth or tokens, so
+    no path from the root is shorter than that state's discovery path. Any
+    other lookup computes every distance once."""
+
+    def __init__(self, graph: ReachGraph, predicate: Predicate):
+        self._graph, self._predicate, self._scan = graph, predicate, graph.net.scan(predicate)
+
+    @cached_property
+    def _values(self) -> list[Optional[int]]:
+        return node_distances(self._graph, self._predicate)
+
+    def _value(self, i: int) -> Optional[int]:
+        if i:
+            return self._values[i]
+        target = next(self._scan(self._graph.states), None)
+        return None if target is None else len(_discovery_path(self._graph, target))
+
+
 def pressure_map(graph: ReachGraph, predicate: Predicate) -> Mapping[Marking, Optional[int]]:
     """Minimum firings from every node to any satisfying node, as a read-only
-    mapping in discovery order."""
-    return _NodeMap(graph, node_distances(graph, predicate))
+    mapping in discovery order.
+
+    A lookup of the root reads the first satisfying state in discovery order
+    and the length of its discovery path, the length of `violation_trace`'s
+    trace; any other lookup, or reading the values, computes every distance
+    once for this view (`node_distances`). The predicate's scan is built
+    here, so a compared value that is not an int raises TypeError here."""
+    return _PressureMap(graph, predicate)
 
 
 def reachability_pressure(graph: ReachGraph, m: Marking, predicate: Predicate) -> Pressure:
-    """Pressure of one marking; raises NodeNotInGraph for unexplored markings."""
+    """Pressure of one marking; raises NodeNotInGraph for unexplored markings.
+
+    The root's pressure reads the first satisfying state in discovery order;
+    any other marking's computes every distance once (see pressure_map)."""
     if m not in graph:
         raise NodeNotInGraph("marking is not a node of the explored graph")
     return Pressure(pressure_map(graph, predicate)[m], graph.truncated)

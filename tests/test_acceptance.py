@@ -140,13 +140,13 @@ def test_3_coverability_agreement():
         expected = oracle_verdict(model, pred, CAP)
         if expected == "unknown":
             continue  # not bounded within the cap
-        cov = karp_miller(model, pred)
+        cov = karp_miller(model, pred, bound=ExplorationBound(max_states=1000))   # these trees have at most 125 nodes
         assert cov.verdict.kind.value == expected
         checked += 1
     source = NetModel(places=(PlaceDef("p"),),
                       transitions=(TransitionDef("t", outputs=(("p", 1),)),),
                       initial=Marking.make({"p": 0}))
-    cov = karp_miller(source, TokenAtom("p", ">=", 10))
+    cov = karp_miller(source, TokenAtom("p", ">=", 10), bound=ExplorationBound(max_states=50))
     assert cov.verdict.kind is VerdictKind.UNSAFE
     assert any(float("inf") in node for node in cov.tree_nodes)
 

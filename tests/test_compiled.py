@@ -235,7 +235,8 @@ def test_coverability_reads_only_the_plain_projection(monkeypatch, pred, covered
     net = compiled(model)
     net.plain, net.layer  # both are built from `transitions`, before it goes
     monkeypatch.setattr(net, "transitions", _Untouchable())
-    result, reference = karp_miller(model, pred), karp_miller(parse_model(PLAIN), pred)
+    budget = ExplorationBound(max_states=20)
+    result, reference = karp_miller(model, pred, bound=budget), karp_miller(parse_model(PLAIN), pred, bound=budget)
     assert result == reference and len(result.tree_nodes) == 13
     v = result.verdict
     assert (v.kind.value, v.trace and v.trace.firings, result.covering_path) == answer
@@ -723,7 +724,7 @@ def test_kernel_is_generated_on_first_use_and_once(monkeypatch):
     monkeypatch.setattr(net_module, "layer_source", lambda net: calls.append("layer_source") or real(net))
     model = parse_model(UNCOVERABLE)
     pred = model.forbidden_predicate("bad")
-    assert karp_miller(model, pred).verdict.kind.value == "safe"
+    assert karp_miller(model, pred, bound=ExplorationBound(max_states=10)).verdict.kind.value == "safe"
     assert _backward_coverable(model, pred, 50) is False
     siphons_and_traps(model)
     find_cycles(model)
@@ -967,7 +968,7 @@ def test_each_model_is_validated_once(monkeypatch):
     explore(model)
     check_all_forbidden(model)
     simulate(model, UniformRandom(0), 5)
-    karp_miller(model, model.forbidden_predicate("bad"))
+    karp_miller(model, model.forbidden_predicate("bad"), bound=ExplorationBound(max_states=10))
     siphons_and_traps(model)
     find_cycles(model)
     assert calls == [model]
